@@ -8,7 +8,6 @@ extracted symmetric function, and the scaling back to integer counts.
 from fractions import Fraction
 
 from hurwitz.algebra.sym import elementary_values
-from hurwitz.cli import poly_str
 from hurwitz.engine import Engine, assemble_K
 from hurwitz.formulas import hurwitz
 from hurwitz.oracle import c_count
@@ -23,15 +22,15 @@ def main():
     cache = {k: eng.psi(*k) for k in eng.computed_cells()}
     K = assemble_K(m, g, cache)
     print(f"right-hand side for ({m},{g}):")
-    print("   K =", poly_str(K.poly))
+    print("   K =", K.poly)
     print(f"\nsolved cell (scaling constant c = {m + 2 * g - 2}):")
-    print("   Psi =", poly_str(psi.poly))
+    print("   Psi =", psi.poly)
     print(f"   per-variable degrees {psi.poly.per_var_degrees()}, "
           f"total {psi.degree_cert}")
 
     fr = eng.f_result(m, g)
     print("\nextracted symmetric polynomial (e-basis):")
-    print("   f =", poly_str(fr.f_e))
+    print("   f =", fr.f_e)
     print(f"   weighted degree {fr.weighted_degree}, "
           f"w-residual terms: {len(fr.w_residual)}")
 

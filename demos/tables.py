@@ -6,7 +6,6 @@ functions of the ramification orders; the number of parts runs up to
 one-part column has an independent closed form to compare against.
 """
 
-from hurwitz.cli import poly_str
 from hurwitz.formulas import TABLE_M_MAX, f_one_part, f_table, f_table_eval
 from hurwitz.partitions import Partition
 
@@ -15,7 +14,7 @@ def main():
     for g in sorted(TABLE_M_MAX):
         print(f"genus {g}:")
         for m in range(1, TABLE_M_MAX[g] + 1):
-            print(f"   f[{m} parts] = {poly_str(f_table(g, m))}")
+            print(f"   f[{m} parts] = {f_table(g, m)}")
         print()
 
     print("one-part column vs the hyperbolic-sine closed form (n <= 10):")

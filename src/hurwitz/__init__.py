@@ -20,7 +20,7 @@ from .engine import (
 )
 from .errors import (
     BudgetExceeded,
-    FitError,
+    CertificationError,
     HurwitzError,
     InconsistentSystem,
     NonzeroRemainder,
@@ -34,7 +34,6 @@ from .formulas import (
     a_sequence,
     f1_conjecture,
     f1_simple,
-    f1_two,
     f_genus0,
     f_one_part,
     f_table,
@@ -67,7 +66,7 @@ __all__ = [
     "solve_pde",
     "HurwitzError",
     "BudgetExceeded",
-    "FitError",
+    "CertificationError",
     "InconsistentSystem",
     "NonzeroRemainder",
     "NotSymmetric",
@@ -78,7 +77,6 @@ __all__ = [
     "a_sequence",
     "f1_conjecture",
     "f1_simple",
-    "f1_two",
     "f_genus0",
     "f_one_part",
     "f_table",

@@ -1,26 +1,21 @@
-"""Exact polynomial and series kernel: sparse polynomials over Fraction,
-truncated jets between the y, u, w, and x coordinate systems, the two
-derivations, and symmetric-function utilities."""
+"""Exact polynomial and series kernel: sparse polynomials stored as
+integer numerators over one denominator, truncated jets between the y, u,
+w, and x coordinate systems, the two derivations, and symmetric-function
+utilities."""
 
 from .operators import (
     OperatorBasisDecomp,
-    apply_sum_xdx,
     apply_wdw,
     apply_xdx,
     diag_fold,
     divide_ydiff,
-    exact_divide_diff,
-    reconstruct_decomp,
     xdx_basis_convert,
 )
 from .poly import SparsePoly
 from .series import (
     TruncSeries,
-    compose_with_tree,
     expand_y_to_w,
-    fit_y_poly,
     tree_coeffs,
-    tree_series,
     x_coefficient,
 )
 from .sym import (
@@ -37,17 +32,11 @@ __all__ = [
     "OperatorBasisDecomp",
     "apply_xdx",
     "apply_wdw",
-    "apply_sum_xdx",
     "diag_fold",
     "divide_ydiff",
-    "exact_divide_diff",
     "xdx_basis_convert",
-    "reconstruct_decomp",
-    "compose_with_tree",
     "expand_y_to_w",
-    "fit_y_poly",
     "tree_coeffs",
-    "tree_series",
     "x_coefficient",
     "e_monomials_by_weight",
     "elementary_values",

@@ -32,20 +32,17 @@ from .poly import SparsePoly
 __all__ = [
     "apply_xdx",
     "apply_wdw",
-    "apply_sum_xdx",
     "diag_fold",
     "divide_ydiff",
-    "exact_divide_diff",
     "OperatorBasisDecomp",
     "xdx_basis_convert",
-    "reconstruct_decomp",
     "p_ladder",
 ]
 
 Core = Dict[tuple, int]
 
 
-# ----- core (integer) variants, used by the hot paths ---------------------
+# ----- the two derivations, on integer numerators ---------------------------
 
 def core_apply_xdx(core: Core, var: int) -> Core:
     out: Core = {}
@@ -56,16 +53,8 @@ def core_apply_xdx(core: Core, var: int) -> Core:
         kc = k * c
         up2 = e[:var] + (k + 2,) + e[var + 1:]
         up1 = e[:var] + (k + 1,) + e[var + 1:]
-        v = out.get(up2, 0) + kc
-        if v:
-            out[up2] = v
-        elif up2 in out:
-            del out[up2]
-        v = out.get(up1, 0) - kc
-        if v:
-            out[up1] = v
-        elif up1 in out:
-            del out[up1]
+        out[up2] = out.get(up2, 0) + kc
+        out[up1] = out.get(up1, 0) - kc
     return out
 
 
@@ -77,99 +66,42 @@ def core_apply_wdw(core: Core, var: int) -> Core:
             continue
         kc = k * c
         up1 = e[:var] + (k + 1,) + e[var + 1:]
-        v = out.get(up1, 0) + kc
-        if v:
-            out[up1] = v
-        elif up1 in out:
-            del out[up1]
-        v = out.get(e, 0) - kc
-        if v:
-            out[e] = v
-        elif e in out:
-            del out[e]
+        out[up1] = out.get(up1, 0) + kc
+        out[e] = out.get(e, 0) - kc
     return out
 
 
-def core_mul(a: Core, b: Core) -> Core:
-    if len(a) > len(b):
-        a, b = b, a
-    out: Core = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            v = out.get(e, 0) + ca * cb
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-    return out
-
-
-# ----- public operators ---------------------------------------------------
-
-def _wrap(poly: SparsePoly, core_fn, var: int) -> SparsePoly:
+def _check_var(poly: SparsePoly, var: int) -> None:
     if poly.kind != "Y":
         raise ValueError("operator acts on Y polynomials")
     if not 0 <= var < poly.arity:
         raise IndexError("variable index out of range")
-    out: dict = {}
-    for e, c in poly.terms.items():
-        k = e[var]
-        if not k:
-            continue
-        for ne, mult in core_fn(e, k, var):
-            v = out.get(ne, 0) + mult * c
-            if v:
-                out[ne] = v
-            elif ne in out:
-                del out[ne]
-    return SparsePoly("Y", poly.arity, out)
 
 
 def apply_xdx(poly: SparsePoly, var: int) -> SparsePoly:
     """x_var d/dx_var in y-coordinates."""
-    def rule(e, k, v):
-        return (
-            (e[:v] + (k + 2,) + e[v + 1:], k),
-            (e[:v] + (k + 1,) + e[v + 1:], -k),
-        )
-    return _wrap(poly, rule, var)
+    _check_var(poly, var)
+    return SparsePoly.from_core("Y", poly.arity, core_apply_xdx(poly.num, var), poly.den)
 
 
 def apply_wdw(poly: SparsePoly, var: int) -> SparsePoly:
     """w_var d/dw_var in y-coordinates."""
-    def rule(e, k, v):
-        return (
-            (e[:v] + (k + 1,) + e[v + 1:], k),
-            (e, -k),
-        )
-    return _wrap(poly, rule, var)
-
-
-def apply_sum_xdx(poly: SparsePoly) -> SparsePoly:
-    out = SparsePoly.zero("Y", poly.arity)
-    for i in range(poly.arity):
-        out = out + apply_xdx(poly, i)
-    return out
+    _check_var(poly, var)
+    return SparsePoly.from_core("Y", poly.arity, core_apply_wdw(poly.num, var), poly.den)
 
 
 def diag_fold(poly: SparsePoly, keep: int, drop: int) -> SparsePoly:
     """Set y_drop = y_keep and remove the drop slot (arity falls by one)."""
     if keep == drop:
         raise ValueError("keep and drop must differ")
-    out: dict = {}
-    for e, c in poly.terms.items():
-        k = e[keep] + e[drop]
+    out: Core = {}
+    for e, c in poly.num.items():
         le = list(e)
-        le[keep] = k
+        le[keep] += le[drop]
         del le[drop]
         ne = tuple(le)
-        v = out.get(ne, 0) + c
-        if v:
-            out[ne] = v
-        elif ne in out:
-            del out[ne]
-    return SparsePoly(poly.kind, poly.arity - 1, out)
+        out[ne] = out.get(ne, 0) + c
+    return SparsePoly.from_core(poly.kind, poly.arity - 1, out, poly.den)
 
 
 # ----- exact division by (y_i - y_j) --------------------------------------
@@ -197,11 +129,7 @@ def core_divide_ydiff(core: Core, i: int, j: int) -> Core:
             if not c:
                 continue
             q = e[:i] + (k - 1,) + e[i + 1:]
-            v = out.get(q, 0) + c
-            if v:
-                out[q] = v
-            elif q in out:
-                del out[q]
+            out[q] = out.get(q, 0) + c
             r = list(q)
             r[j] += 1
             r = tuple(r)
@@ -219,23 +147,8 @@ def core_divide_ydiff(core: Core, i: int, j: int) -> Core:
 
 def divide_ydiff(poly: SparsePoly, i: int, j: int) -> SparsePoly:
     """Exact quotient poly / (y_i - y_j)."""
-    from .series import from_core, to_core  # local to avoid an import cycle
-
-    core, den = to_core(poly.terms)
-    return from_core(core_divide_ydiff(core, i, j), den, poly.kind, poly.arity)
-
-
-def exact_divide_diff(p: SparsePoly, i: int, j: int) -> SparsePoly:
-    """q with q (y_i - y_j) = p y_i y_j, the y-form of division by (w_i - w_j)."""
-    if p.kind != "Y":
-        raise ValueError("exact_divide_diff wants a Y polynomial")
-    shifted: dict = {}
-    for e, c in p.terms.items():
-        le = list(e)
-        le[i] += 1
-        le[j] += 1
-        shifted[tuple(le)] = c
-    return divide_ydiff(SparsePoly("Y", p.arity, shifted), i, j)
+    return SparsePoly.from_core(
+        poly.kind, poly.arity, core_divide_ydiff(poly.num, i, j), poly.den)
 
 
 # ----- operator basis -----------------------------------------------------
@@ -347,32 +260,3 @@ def xdx_basis_convert(p: SparsePoly, m: int) -> OperatorBasisDecomp:
             )
     decomp.w_residual.sort(key=lambda t: (t[0], t[1]))
     return decomp
-
-
-def reconstruct_decomp(decomp: OperatorBasisDecomp) -> SparsePoly:
-    """Expand a decomposition back to an explicit y-polynomial."""
-    m = decomp.m
-    jmax = 0
-    for jt in decomp.b_terms:
-        jmax = max(jmax, max(jt, default=0))
-    for _, jt, _ in decomp.w_residual:
-        jmax = max(jmax, max(jt, default=0))
-    P, Q = p_ladder(jmax + 1)
-    out = SparsePoly.zero("Y", m)
-
-    def product(univariates) -> SparsePoly:
-        acc = SparsePoly.const("Y", m, 1)
-        for var, table in enumerate(univariates):
-            factor = SparsePoly("Y", m, {
-                (0,) * var + (k,) + (0,) * (m - var - 1): Fraction(c)
-                for k, c in table.items()
-            })
-            acc = acc * factor
-        return acc
-
-    for jt, c in decomp.b_terms.items():
-        out = out + product([P[j] for j in jt]).scale(c)
-    for var, jt, c in decomp.w_residual:
-        tables = [Q[j] if i == var else P[j] for i, j in enumerate(jt)]
-        out = out + product(tables).scale(c)
-    return out

@@ -12,8 +12,8 @@ divisions and inverts exactly on any downward-closed exponent region
 makes the jet fits in the solver trustworthy: coefficients recovered
 inside the region are the true ones unconditionally.
 
-Heavy transforms run on an integer core (dict of int coefficients plus a
-single shared denominator); Fractions appear at the public boundary.
+The transforms run on the integer numerators of a SparsePoly; its
+shared denominator passes through unchanged.
 """
 
 from __future__ import annotations
@@ -21,19 +21,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Mapping, Tuple
+from typing import Dict
 
-from ..errors import FitError
 from .poly import SparsePoly
 
 __all__ = [
     "TruncSeries",
-    "tree_series",
     "tree_coeffs",
     "w_power_x_table",
     "expand_y_to_w",
-    "compose_with_tree",
-    "fit_y_poly",
     "x_coefficient",
 ]
 
@@ -55,7 +51,7 @@ class TruncSeries:
     total_cap: int
 
     def __post_init__(self):
-        for e in self.base.terms:
+        for e in self.base.num:
             if any(k < 0 or k > self.per_var_cap for k in e) or sum(e) > self.total_cap:
                 raise ValueError(f"stored exponent {e} violates the caps")
 
@@ -71,15 +67,7 @@ class TruncSeries:
         exps = tuple(exps)
         if any(k > self.per_var_cap for k in exps) or sum(exps) > self.total_cap:
             raise KeyError(f"{exps} lies outside the caps of this jet")
-        return self.base.terms.get(exps, Fraction(0))
-
-
-def tree_series(order: int) -> TruncSeries:
-    """The tree function w(x) as a univariate x-jet up to x^order."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    terms = {(n,): Fraction(n ** (n - 1), math.factorial(n)) for n in range(1, order + 1)}
-    return TruncSeries(SparsePoly("X", 1, terms), order, order)
+        return self.base.coeff(exps)
 
 
 def tree_coeffs(nmax: int) -> list:
@@ -90,20 +78,7 @@ def tree_coeffs(nmax: int) -> list:
     return out
 
 
-# ----- integer core plumbing ---------------------------------------------
-
-def to_core(terms: Mapping[tuple, Fraction]) -> Tuple[Core, int]:
-    """Clear denominators: return (int terms, common denominator)."""
-    den = 1
-    for c in terms.values():
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    core = {e: int(c * den) for e, c in terms.items()}
-    return core, den
-
-
-def from_core(core: Core, den: int, kind: str, arity: int) -> SparsePoly:
-    return SparsePoly(kind, arity, {e: Fraction(c, den) for e, c in core.items() if c})
-
+# ----- per-variable grouping ---------------------------------------------
 
 def _groups_by_var(core: Core, var: int):
     """Split off one variable: rest-tuple -> {exponent_of_var: coeff}."""
@@ -230,9 +205,8 @@ def expand_y_to_w(
     """w-jet of a polynomial in y.
 
     By default the cap must dominate the per-variable degree of p, so the
-    jet determines p (see fit_y_poly).  The solver passes
-    allow_truncation=True to take deliberately partial jets on a
-    downward-closed region.
+    jet determines p.  The solver passes allow_truncation=True to take
+    deliberately partial jets on a downward-closed region.
     """
     if p.kind != "Y":
         raise ValueError("expand_y_to_w wants a Y polynomial")
@@ -245,43 +219,10 @@ def expand_y_to_w(
         )
     if total_cap is None:
         total_cap = per_var_cap * p.arity
-    core, den = to_core(p.terms)
-    core = core_y_to_u(core, p.arity)
+    core = core_y_to_u(p.num, p.arity)
     core = core_u_to_w_jet(core, p.arity, per_var_cap, total_cap)
-    return TruncSeries(from_core(core, den, "W", p.arity), per_var_cap, total_cap)
-
-
-def fit_y_poly(s: TruncSeries, m: int, degree_bound: int, *, verify: bool = True) -> SparsePoly:
-    """The y-polynomial of per-variable degree <= degree_bound matching a w-jet.
-
-    Inversion runs on the downward-closed region {e_i <= degree_bound,
-    |e| <= s.total_cap}; the recovered coefficients there are exact.  With
-    verify=True the candidate is re-expanded and compared against every
-    stored jet entry, and the first mismatch raises FitError: that is the
-    signature of a degree bound that was too small.
-    """
-    if s.kind != "W":
-        raise ValueError("fit_y_poly wants a W jet")
-    if s.arity != m:
-        raise ValueError("arity mismatch")
-    if s.per_var_cap < degree_bound:
-        raise ValueError("jet cap below the requested degree bound")
-    core, den = to_core(s.base.terms)
-    fit_total = s.total_cap
-    ucore = core_w_jet_to_u(core, m, degree_bound, fit_total)
-    ycore = core_u_to_y(ucore, m)
-    candidate = from_core(ycore, den, "Y", m)
-    if verify:
-        back = expand_y_to_w(candidate, s.per_var_cap, s.total_cap, allow_truncation=True)
-        keys = set(back.base.terms) | set(s.base.terms)
-        for e in sorted(keys, key=lambda t: (sum(t), t)):
-            if back.base.terms.get(e, 0) != s.base.terms.get(e, 0):
-                raise FitError(
-                    f"jet cannot be matched by a y-polynomial of per-variable "
-                    f"degree <= {degree_bound}; first mismatch at w-monomial {e}",
-                    monomial=e,
-                )
-    return candidate
+    jet = SparsePoly.from_core("W", p.arity, core, p.den)
+    return TruncSeries(jet, per_var_cap, total_cap)
 
 
 # ----- x-coordinates ------------------------------------------------------
@@ -305,41 +246,6 @@ def w_power_x_table(dmax: int, amax: int) -> list:
     return table
 
 
-def compose_with_tree(s: TruncSeries, order: int) -> TruncSeries:
-    """Substitute w_i = w(x_i) into a w-jet; result is an x-jet to x^order.
-
-    [x^a] w^d vanishes for d > a, so the substitution needs w-data only up
-    to order; the jet must carry at least that much.
-    """
-    if s.kind != "W":
-        raise ValueError("compose_with_tree wants a W jet")
-    if s.per_var_cap < order or s.total_cap < order:
-        raise ValueError("jet caps too small for the requested x order")
-    table = w_power_x_table(order, order)
-    terms: dict = dict(s.base.terms)
-    arity = s.arity
-    for var in range(arity):
-        out: dict = {}
-        for e, c in terms.items():
-            d = e[var]
-            if d > order:
-                continue
-            acap = order - (sum(e) - d)
-            row = table[d]
-            for a in range(d, min(order, acap) + 1):
-                t = row[a]
-                if t == 0:
-                    continue
-                ne = e[:var] + (a,) + e[var + 1:]
-                v = out.get(ne, 0) + c * t
-                if v:
-                    out[ne] = v
-                elif ne in out:
-                    del out[ne]
-        terms = out
-    return TruncSeries(SparsePoly("X", arity, terms), order, order)
-
-
 def x_coefficient(jet: TruncSeries, alpha, table=None) -> Fraction:
     """[x^alpha] of the function behind a w-jet.
 
@@ -356,7 +262,7 @@ def x_coefficient(jet: TruncSeries, alpha, table=None) -> Fraction:
     if table is None:
         table = w_power_x_table(max(alpha), max(alpha))
     total = Fraction(0)
-    for e, c in jet.base.terms.items():
+    for e, c in jet.base.num.items():
         if any(d > a for d, a in zip(e, alpha)):
             continue
         term = c
@@ -365,4 +271,4 @@ def x_coefficient(jet: TruncSeries, alpha, table=None) -> Fraction:
             if term == 0:
                 break
         total += term
-    return total
+    return total / jet.base.den

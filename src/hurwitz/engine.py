@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -44,14 +45,13 @@ from .algebra.series import (
     core_w_jet_to_u,
     core_y_to_u,
     expand_y_to_w,
-    from_core,
-    to_core,
     x_coefficient,
     w_power_x_table,
 )
 from .algebra.sym import fit_sym_e_poly, to_e_basis, weighted_degree
 from .errors import (
     BudgetExceeded,
+    CertificationError,
     InconsistentSystem,
     ResidualNonzero,
     RouteDisagreement,
@@ -62,10 +62,7 @@ __all__ = [
     "PsiRep",
     "RhsRep",
     "FResult",
-    "RationalPair",
     "psi0_base",
-    "xdx_psi01",
-    "xdx_psi02",
     "theta_symmetrize",
     "assemble_K",
     "solve_pde",
@@ -117,14 +114,6 @@ class FResult:
     weighted_degree: int
 
 
-@dataclass(frozen=True)
-class RationalPair:
-    """A y-rational kernel num/(y1 - y2) plus a pure-x remainder
-    x_num/(x1 - x2); the x remainder cancels pairwise during assembly."""
-    num: SparsePoly
-    x_num: Tuple[int, int]  # coefficients of (x1, x2) in the numerator
-
-
 # ----- base cells ---------------------------------------------------------
 
 def psi0_base(m: int) -> PsiRep:
@@ -135,41 +124,25 @@ def psi0_base(m: int) -> PsiRep:
     for bits in range(1 << m):
         e = tuple((bits >> i) & 1 for i in range(m))
         core[e] = (-1) ** (m - sum(e))
+    poly = SparsePoly.from_core("Y", m, core)
     for _ in range(m - 3):
         acc: dict = {}
         for var in range(m):
-            for e, c in core_apply_xdx(core, var).items():
-                v = acc.get(e, 0) + c
-                if v:
-                    acc[e] = v
-                elif e in acc:
-                    del acc[e]
-        core = acc
-    poly = from_core(core, 1, "Y", m)
+            for e, c in core_apply_xdx(poly.num, var).items():
+                acc[e] = acc.get(e, 0) + c
+        poly = SparsePoly.from_core("Y", m, acc)
     return PsiRep(m, 0, poly, poly.total_degree() or 0)
-
-
-def xdx_psi01() -> SparsePoly:
-    """First derivative of the one-variable genus-0 cell: w1 = 1 - 1/y1."""
-    return SparsePoly("Y", 1, {(0,): Fraction(1), (-1,): Fraction(-1)})
-
-
-def xdx_psi02() -> RationalPair:
-    """First derivative of the two-variable genus-0 cell:
-    y1^2 (y2 - 1)/(y1 - y2) - x2/(x1 - x2)."""
-    num = SparsePoly("Y", 2, {(2, 1): Fraction(1), (2, 0): Fraction(-1)})
-    return RationalPair(num, (0, -1))
 
 
 # ----- assembly -----------------------------------------------------------
 
-def _acc_poly(acc: dict, poly: SparsePoly, factor: Fraction = Fraction(1)):
-    for e, c in poly.terms.items():
-        v = acc.get(e, 0) + factor * c
-        if v:
-            acc[e] = v
-        elif e in acc:
-            del acc[e]
+def _sum_permuted(f: SparsePoly, perms) -> SparsePoly:
+    """Sum of f.permute(perm) over perms, accumulated on integer numerators."""
+    acc: dict = {}
+    for perm in perms:
+        for e, c in f.permute(perm).num.items():
+            acc[e] = acc.get(e, 0) + c
+    return SparsePoly.from_core(f.kind, f.arity, acc, f.den)
 
 
 def theta_symmetrize(f: SparsePoly, i: int, m: int) -> SparsePoly:
@@ -182,14 +155,13 @@ def theta_symmetrize(f: SparsePoly, i: int, m: int) -> SparsePoly:
         raise ValueError("arity mismatch")
     if not 0 <= i <= m - 1:
         raise ValueError("block size out of range")
-    acc: dict = {}
+    perms = []
     for r in range(m):
         rest = [v for v in range(m) if v != r]
         for S in combinations(rest, i):
             sset = set(S)
-            perm = [r] + list(S) + [v for v in rest if v not in sset]
-            _acc_poly(acc, f.permute(perm))
-    return SparsePoly("Y", m, acc)
+            perms.append([r] + list(S) + [v for v in rest if v not in sset])
+    return _sum_permuted(f, perms)
 
 
 K11 = SparsePoly(
@@ -220,12 +192,11 @@ def assemble_K(m: int, g: int, psi_cache: Mapping[Tuple[int, int], PsiRep]) -> R
             raise BudgetExceeded(f"assembly of ({m},{g}) needs cell ({mm},{gg})")
 
     half = Fraction(1, 2)
-    acc: dict = {}
 
     # T1: two derivatives of the (m+1, g-1) cell, then diagonal y_{m+1} -> y_i
     src = cell(m + 1, g - 1)
     folded = diag_fold(apply_xdx(apply_xdx(src, 0), m), 0, m)
-    _acc_poly(acc, theta_symmetrize(folded, 0, m), half)
+    K = theta_symmetrize(folded, 0, m).scale(half)
 
     # T2: merge two variables through the exact-division kernel
     if m >= 2:
@@ -234,31 +205,31 @@ def assemble_K(m: int, g: int, psi_cache: Mapping[Tuple[int, int], PsiRep]) -> R
         gs = xg.embed(m, [1] + list(range(2, m)))
         y_r = SparsePoly.variable("Y", m, 0)
         y_s = SparsePoly.variable("Y", m, 1)
-        one = SparsePoly.const("Y", m, Fraction(1))
+        one = SparsePoly.const("Y", m, 1)
         num = (y_s - one) * y_r * y_r * gr - (y_r - one) * y_s * y_s * gs
         f01 = divide_ydiff(num, 0, 1)
-        for r in range(m):
-            for s in range(r + 1, m):
-                tail = [v for v in range(m) if v != r and v != s]
-                _acc_poly(acc, f01.permute([r, s] + tail))
+        pairs = [
+            [r, s] + [v for v in range(m) if v != r and v != s]
+            for r, s in combinations(range(m), 2)
+        ]
+        K = K + _sum_permuted(f01, pairs)
 
     # T3: genus-0 factor times the rest, all variable splits
     for k in range(3, m + 1):
         a = apply_xdx(cell(k, 0), 0)
         b = apply_xdx(cell(m - k + 1, g), 0)
-        _acc_poly(acc, theta_symmetrize(_pair_product(a, b, m), k - 1, m))
+        K = K + theta_symmetrize(_pair_product(a, b, m), k - 1, m)
 
     # T4: positive-genus splits, halved for the double count
     for ga in range(1, g):
         for k in range(1, m + 1):
             a = apply_xdx(cell(k, ga), 0)
             b = apply_xdx(cell(m - k + 1, g - ga), 0)
-            _acc_poly(acc, theta_symmetrize(_pair_product(a, b, m), k - 1, m), half)
+            K = K + theta_symmetrize(_pair_product(a, b, m), k - 1, m).scale(half)
 
-    poly = SparsePoly("Y", m, acc)
-    if not poly.is_symmetric():
-        raise ArithmeticError(f"assembled K for ({m},{g}) is not symmetric")
-    return RhsRep(m, g, poly)
+    if not K.is_symmetric():
+        raise CertificationError(f"assembled K for ({m},{g}) is not symmetric")
+    return RhsRep(m, g, K)
 
 
 # ----- solver -------------------------------------------------------------
@@ -267,62 +238,49 @@ def _integral_solve(kpoly: SparsePoly, c: int, pv: int, tot: int) -> SparsePoly:
     """Solve (sum w d/dw + c) Psi = K for the jet region
     {per-variable <= pv, total <= tot}; exact on that region."""
     m = kpoly.arity
-    core, den = to_core(kpoly.terms)
-    core = core_y_to_u(core, m)
+    core = core_y_to_u(kpoly.num, m)
     jet = core_u_to_w_jet(core, m, pv, tot)
     scale = math.lcm(*range(c, tot + c + 1))
     jet = {e: v * (scale // (sum(e) + c)) for e, v in jet.items()}
     ucore = core_w_jet_to_u(jet, m, pv, tot)
     ycore = core_u_to_y(ucore, m)
-    return from_core(ycore, den * scale, "Y", m)
+    return SparsePoly.from_core("Y", m, ycore, kpoly.den * scale)
 
 
 def _residual(psi: SparsePoly, kpoly: SparsePoly, c: int) -> SparsePoly:
+    """(sum_i w_i d/dw_i + c) psi - K, by its own integer loop so that the
+    solve gate does not share code with apply_wdw."""
     acc: dict = {}
-    for e, coeff in psi.terms.items():
+    dk, dp = kpoly.den, psi.den
+    for e, coeff in psi.num.items():
+        coeff *= dk
         for var in range(psi.arity):
             k = e[var]
             if not k:
                 continue
             kc = k * coeff
             up = e[:var] + (k + 1,) + e[var + 1:]
-            v = acc.get(up, 0) + kc
-            if v:
-                acc[up] = v
-            elif up in acc:
-                del acc[up]
-            v = acc.get(e, 0) - kc
-            if v:
-                acc[e] = v
-            elif e in acc:
-                del acc[e]
-        v = acc.get(e, 0) + c * coeff
-        if v:
-            acc[e] = v
-        elif e in acc:
-            del acc[e]
-    for e, coeff in kpoly.terms.items():
-        v = acc.get(e, 0) - coeff
-        if v:
-            acc[e] = v
-        elif e in acc:
-            del acc[e]
-    return SparsePoly("Y", psi.arity, acc)
+            acc[up] = acc.get(up, 0) + kc
+            acc[e] = acc.get(e, 0) - kc
+        acc[e] = acc.get(e, 0) + c * coeff
+    for e, coeff in kpoly.num.items():
+        acc[e] = acc.get(e, 0) - dp * coeff
+    return SparsePoly.from_core("Y", psi.arity, acc, dk * dp)
 
 
 def _validate_psi(rep: PsiRep):
     poly = rep.poly
     if not poly.is_symmetric():
-        raise ArithmeticError(f"cell ({rep.m},{rep.g}) is not symmetric")
+        raise CertificationError(f"cell ({rep.m},{rep.g}) is not symmetric")
     for var in range(rep.m):
         if not poly.substitute_one(var).is_zero():
-            raise ArithmeticError(
+            raise CertificationError(
                 f"cell ({rep.m},{rep.g}) does not vanish at y_{var+1} = 1"
             )
     if rep.g >= 1:
         bound = per_var_bound(rep.m, rep.g)
         if any(d > bound for d in poly.per_var_degrees()):
-            raise ArithmeticError(
+            raise CertificationError(
                 f"cell ({rep.m},{rep.g}) breaks the per-variable bound {bound}"
             )
 
@@ -399,7 +357,7 @@ def extract_f(psi: PsiRep) -> FResult:
             f"operator-basis and sampling extractions differ at ({m},{g})"
         )
     attained = max(
-        (weighted_degree(e) for e in f_basis.terms), default=0
+        (weighted_degree(e) for e in f_basis.num), default=0
     )
     residual = tuple(
         (var, jt, coeff) for var, jt, coeff in decomp.w_residual
@@ -460,25 +418,27 @@ class Engine:
         return self.cache_dir / f"psi_m{m}_g{g}.json"
 
     def _load(self, m: int, g: int) -> bool:
+        """Read a cached cell; an unreadable or malformed file is a miss."""
         path = self._cache_path(m, g)
         if path is None or not path.is_file():
             return False
         try:
             obj = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+            if not isinstance(obj, dict) or obj.get("version") != CACHE_VERSION:
+                return False
+            if obj.get("m") != m or obj.get("g") != g:
+                return False
+            poly = SparsePoly.from_obj(obj["psi"])
+            f_e = SparsePoly.from_obj(obj["f_e"])
+            residual = tuple(
+                (var, tuple(jt), Fraction(cs))
+                for var, jt, cs in obj["w_residual"]
+            )
+            psi = PsiRep(m, g, poly, poly.total_degree() or 0)
+            attained = max((weighted_degree(e) for e in f_e.num), default=0)
+        except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError):
             return False
-        if obj.get("version") != CACHE_VERSION:
-            return False
-        if obj.get("m") != m or obj.get("g") != g:
-            return False
-        poly = SparsePoly.from_obj(obj["psi"])
-        f_e = SparsePoly.from_obj(obj["f_e"])
-        residual = tuple(
-            (var, tuple(jt), Fraction(cs))
-            for var, jt, cs in obj["w_residual"]
-        )
-        attained = max((weighted_degree(e) for e in f_e.terms), default=0)
-        self._psi[(m, g)] = PsiRep(m, g, poly, poly.total_degree() or 0)
+        self._psi[(m, g)] = psi
         self._f[(m, g)] = FResult(m, g, f_e, residual, attained)
         return True
 
@@ -500,7 +460,10 @@ class Engine:
             ],
         }
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(obj, separators=(",", ":")) + "\n")
+        # a reader never sees a half-written file: write aside, then rename
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        tmp.write_text(json.dumps(obj, separators=(",", ":")) + "\n")
+        os.replace(tmp, path)
 
     # -- public access
 

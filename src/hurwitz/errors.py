@@ -9,14 +9,6 @@ class BudgetExceeded(HurwitzError):
     """A computation was refused because it falls outside the configured budget."""
 
 
-class FitError(HurwitzError):
-    """A series fit could not be reconciled with its data."""
-
-    def __init__(self, message, monomial=None):
-        super().__init__(message)
-        self.monomial = monomial
-
-
 class NonzeroRemainder(HurwitzError):
     """An exact division left a remainder; upstream assembly is inconsistent."""
 
@@ -43,3 +35,9 @@ class RouteDisagreement(HurwitzError):
 
 class ResidualNonzero(HurwitzError):
     """A solved polynomial fails its defining equation."""
+
+
+class CertificationError(HurwitzError, ArithmeticError):
+    """A certification check failed: symmetry, vanishing, degree bounds,
+    a table checksum, an oracle mass or integrality check, or a count
+    that does not scale to an integer."""

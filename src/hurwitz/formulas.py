@@ -24,7 +24,7 @@ from typing import Dict, List, Sequence
 from .algebra.poly import SparsePoly
 from .algebra.series import tree_coeffs
 from .algebra.sym import elementary_values
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, CertificationError
 from .partitions import Partition, class_size
 
 __all__ = [
@@ -33,12 +33,12 @@ __all__ = [
     "f_genus0",
     "f_one_part",
     "f1_simple",
-    "f1_two",
     "f1_conjecture",
     "f_table",
     "f_table_eval",
     "appendix_table",
     "hurwitz",
+    "count_scale",
     "mu0_simple",
     "pg_mu1",
     "a_sequence",
@@ -121,11 +121,8 @@ def appendix_table(g: int) -> AppendixTable:
     if g not in _DELTAS:
         raise BudgetExceeded(f"no table for genus {g}")
     if _compute_digest() != _TABLE_DIGEST:
-        raise ArithmeticError("table constants fail their transcription checksum")
-    deltas = tuple(
-        SparsePoly("E", 3, {e: Fraction(c) for e, c in d.items()})
-        for d in _DELTAS[g]
-    )
+        raise CertificationError("table constants fail their transcription checksum")
+    deltas = tuple(SparsePoly("E", 3, d) for d in _DELTAS[g])
     return AppendixTable(g, _D_G[g], deltas)
 
 
@@ -137,29 +134,25 @@ def f_table(g: int, m: int) -> SparsePoly:
         raise BudgetExceeded(f"genus {g} table stops at m = {len(tab.deltas)}")
     total: dict = {}
     for k in range(1, m + 1):
-        for e3, c in tab.deltas[k - 1].terms.items():
+        for e3, c in tab.deltas[k - 1].num.items():
             # e1^(m-k) * e_k * Delta_k term, embedded at arity m
             e = [0] * m
             e[0] += m - k + e3[0]
             e[k - 1] += 1
             if len(e3) > 1 and e3[1]:
                 if m < 2:
-                    raise ArithmeticError("table term does not fit arity")
+                    raise CertificationError("table term does not fit arity")
                 e[1] += e3[1]
             if len(e3) > 2 and e3[2]:
                 if m < 3:
-                    raise ArithmeticError("table term does not fit arity")
+                    raise CertificationError("table term does not fit arity")
                 e[2] += e3[2]
             key = tuple(e)
-            v = total.get(key, 0) + c
-            if v:
-                total[key] = v
-            elif key in total:
-                del total[key]
-    if any(min(e) < 0 for e in total):
-        raise ArithmeticError("Laurent term survived table assembly")
-    d = tab.d
-    return SparsePoly("E", m, {e: c / d for e, c in total.items()})
+            total[key] = total.get(key, 0) + c
+    poly = SparsePoly.from_core("E", m, total, tab.d)
+    if any(v < 0 for v in poly.min_exponents()):
+        raise CertificationError("Laurent term survived table assembly")
+    return poly
 
 
 def f_table_eval(g: int, alpha: Partition) -> Fraction:
@@ -200,13 +193,6 @@ def f1_simple(n: int) -> Fraction:
     return Fraction(s, 24)
 
 
-def f1_two(n: int, r: int) -> Fraction:
-    """Genus-1 f at alpha = (n-r, r)."""
-    if not 0 < r < n:
-        raise ValueError("need 0 < r < n")
-    return Fraction(n * n - (r + 1) * n + r * r, 24)
-
-
 def f1_conjecture(alpha: Partition) -> Fraction:
     """Genus-1 f for any alpha through elementary symmetric functions."""
     n, m = alpha.n, alpha.m
@@ -228,15 +214,19 @@ class HurwitzCount:
     c: int
 
 
-def hurwitz(alpha: Partition, g: int, f: Fraction) -> HurwitzCount:
-    """Scale f back to the factorization count c and the weighted count mu."""
-    j = alpha.j_for_genus(g)
-    scale = Fraction(math.factorial(j))
+def count_scale(alpha: Partition, g: int) -> Fraction:
+    """The factor c / f: j! prod_i a_i^a_i / (a_i - 1)!."""
+    scale = Fraction(math.factorial(alpha.j_for_genus(g)))
     for a in alpha.parts:
         scale *= Fraction(a ** a, math.factorial(a - 1))
-    c = scale * f
+    return scale
+
+
+def hurwitz(alpha: Partition, g: int, f: Fraction) -> HurwitzCount:
+    """Scale f back to the factorization count c and the weighted count mu."""
+    c = count_scale(alpha, g) * f
     if c.denominator != 1 or c < 0:
-        raise ArithmeticError(
+        raise CertificationError(
             f"f = {f} at {alpha}, g={g} scales to non-count {c}"
         )
     mu = Fraction(class_size(alpha) * int(c), math.factorial(alpha.n))
@@ -302,7 +292,7 @@ def a_sequence(n_max: int) -> List[int]:
     for n in range(1, n_max + 1):
         a, b, c = direct[n - 1], rec[n - 1], tree[n - 1]
         if not (a == b == c) or a.denominator != 1:
-            raise ArithmeticError(
+            raise CertificationError(
                 f"a_{n} disagrees across routes: direct {a}, recurrence {b}, "
                 f"series {c}"
             )

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, CertificationError
 from .partitions import Partition, class_size, partitions
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "transitive_counts",
     "c_count",
     "mu_count",
-    "table_to_csv",
     "N_BUDGET",
     "J_BUDGET",
 ]
@@ -187,7 +186,7 @@ def all_counts(n_max: int, j_max: int) -> FactorizationTable:
         for j in range(j_max + 1):
             mass = sum(v.counts.values())
             if mass != npairs ** j:
-                raise ArithmeticError(
+                raise CertificationError(
                     f"mass drifted at n={n}, j={j}: {mass} != {npairs}^{j}"
                 )
             for lam, cnt in v.counts.items():
@@ -195,7 +194,7 @@ def all_counts(n_max: int, j_max: int) -> FactorizationTable:
                     continue
                 size = class_size(lam)
                 if cnt % size:
-                    raise ArithmeticError(
+                    raise CertificationError(
                         f"class total for {lam} at j={j} is not uniform"
                     )
                 table.entries[(n, j, lam)] = cnt // size
@@ -217,21 +216,13 @@ def _slice_mul(a: Slice, b: Slice, j_max: int) -> Slice:
             if j > j_max:
                 continue
             key = (j, tuple(sorted(p1 + p2, reverse=True)))
-            v = out.get(key, 0) + c1 * c2
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
+            out[key] = out.get(key, 0) + c1 * c2
     return out
 
 
 def _slice_axpy(acc: Slice, k: int, prod: Slice):
     for key, c in prod.items():
-        v = acc.get(key, 0) - k * c
-        if v:
-            acc[key] = v
-        elif key in acc:
-            del acc[key]
+        acc[key] = acc.get(key, 0) - k * c
 
 
 def _log_slices(F: List[Slice], j_max: int) -> List[Slice]:
@@ -297,7 +288,7 @@ def transitive_counts(table: FactorizationTable) -> FactorizationTable:
             val = c * nfact * math.factorial(j) / class_size(lam)
             if val:
                 if val.denominator != 1 or val < 0:
-                    raise ArithmeticError(
+                    raise CertificationError(
                         f"sieve produced non-integral count {val} at {(n, j, parts)}"
                     )
                 out.entries[(n, j, lam)] = int(val)
@@ -328,10 +319,3 @@ def mu_count(alpha: Partition, g: int) -> Fraction:
     return Fraction(
         class_size(alpha) * c_count(alpha, g), math.factorial(alpha.n)
     )
-
-
-def table_to_csv(table: FactorizationTable) -> str:
-    lines = ["n,j,partition,mode,count"]
-    for (n, j, lam) in sorted(table.entries, key=lambda k: (k[0], k[1], k[2])):
-        lines.append(f"{n},{j},{lam.key()},{table.mode},{table.entries[(n, j, lam)]}")
-    return "\n".join(lines) + "\n"

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from hurwitz import cli
 from hurwitz.cli import main
 
 
@@ -55,11 +56,30 @@ def test_compute_unavailable_everywhere(capsys):
     assert "unavailable" in capsys.readouterr().err
 
 
-def test_bad_args():
+def test_bad_args(tmp_path):
     assert run(["compute", "--alpha", "0,1", "--genus", "0"]) == 3
     assert run(["compute", "--alpha", "2,1", "--genus", "-1"]) == 3
     assert run(["verify", "--suite", "bogus"]) == 3
     assert run([]) == 3
+    # removed placeholder flags are unknown arguments
+    assert run(["compute", "--alpha", "2,1", "--genus", "1", "--jobs", "2"]) == 3
+    assert run(["table", "--genus", "1", "--m", "2", "--jobs", "2"]) == 3
+    assert run(["verify", "--suite", "recurrence", "--jobs", "2"]) == 3
+    assert run(["verify", "--suite", "recurrence", "--format", "json"]) == 3
+    assert run(["cache", "--cache-dir", str(tmp_path), "--jobs", "2"]) == 3
+    # --m below one
+    assert run(["table", "--genus", "1", "--m", "-2", "--values"]) == 3
+    assert run(["table", "--genus", "1", "--m", "0"]) == 3
+    assert run(["cache", "--warm", "--m", "0", "--cache-dir", str(tmp_path)]) == 3
+
+
+def test_arithmetic_bugs_are_not_verification_failures(monkeypatch):
+    def broken(*_args):
+        raise ZeroDivisionError("a bug, not a mismatch")
+
+    monkeypatch.setattr(cli, "best_route", broken)
+    with pytest.raises(ZeroDivisionError):
+        main(["compute", "--alpha", "2,1", "--genus", "1"])
 
 
 def test_table_e_basis_csv(capsys):

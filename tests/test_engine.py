@@ -1,5 +1,6 @@
 """The PDE pipeline: seeds, assembly, solver, extraction, orchestration."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -8,11 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from hurwitz.algebra.operators import apply_wdw
 from hurwitz.algebra.poly import SparsePoly
-from hurwitz.algebra.series import (
-    compose_with_tree,
-    expand_y_to_w,
-    tree_coeffs,
-)
+from hurwitz.algebra.series import expand_y_to_w, tree_coeffs
 from hurwitz.engine import (
     DEFAULT_BUDGETS,
     Engine,
@@ -26,13 +23,12 @@ from hurwitz.engine import (
     solve_pde,
     theta_symmetrize,
     total_bound,
-    xdx_psi01,
-    xdx_psi02,
 )
 from hurwitz.errors import BudgetExceeded, ResidualNonzero
 from hurwitz.formulas import f_table
 from hurwitz.oracle import c_count
 from hurwitz.partitions import Partition
+from reference import compose_with_tree
 
 PSI11 = SparsePoly("Y", 1, {
     (3,): Fraction(1, 24),
@@ -40,6 +36,14 @@ PSI11 = SparsePoly("Y", 1, {
     (1,): Fraction(-1, 24),
     (0,): Fraction(1, 24),
 })
+
+# First derivatives of the one- and two-variable genus-0 cells, which
+# have no polynomial form: w1 = 1 - 1/y1, and the rational kernel
+# y1^2 (y2 - 1)/(y1 - y2) - x2/(x1 - x2) as its y-numerator plus the
+# (x1, x2) coefficients of the pure-x remainder's numerator.
+XDX_PSI01 = SparsePoly("Y", 1, {(0,): Fraction(1), (-1,): Fraction(-1)})
+XDX_PSI02_NUM = SparsePoly("Y", 2, {(2, 1): Fraction(1), (2, 0): Fraction(-1)})
+XDX_PSI02_X_NUM = (0, -1)
 
 
 def test_psi0_base_three_variables():
@@ -64,7 +68,7 @@ def test_genus0_extraction_is_power_of_e1():
 
 
 def test_one_variable_seed_is_the_tree_function():
-    seed = xdx_psi01()
+    seed = XDX_PSI01
     y = SparsePoly.variable("Y", 1, 0)
     assert y * seed == y - SparsePoly.const("Y", 1, 1)
     # numeric: at y = 1/(1-w) the seed takes the value w
@@ -109,8 +113,7 @@ def test_two_variable_seed_against_raw_counts():
     transitive counts through the coefficient normalization.
     """
     order = 6
-    pair = xdx_psi02()
-    num_jet = _xjet_of_y_poly(pair.num, order)
+    num_jet = _xjet_of_y_poly(XDX_PSI02_NUM, order)
 
     # (y1-y2)/(x1-x2) = sum_n (n^n/n!) sum_{i+j=n-1} x1^i x2^j
     w = tree_coeffs(order + 1)
@@ -135,7 +138,7 @@ def test_two_variable_seed_against_raw_counts():
 
     lhs = _trunc_mul(num_jet, inv, order)
     # subtract the pure-x remainder x2/(x1-x2) * (x1-x2) = x2
-    x2 = (pair.x_num[0], pair.x_num[1])
+    x2 = XDX_PSI02_X_NUM
     lhs[(1, 0)] = lhs.get((1, 0), Fraction(0)) + x2[0]
     lhs[(0, 1)] = lhs.get((0, 1), Fraction(0)) + x2[1]
 
@@ -288,3 +291,27 @@ def test_cache_ignores_corrupt_files(tmp_path):
     (tmp_path / "psi_m1_g1.json").write_text("not json")
     eng = Engine(cache_dir=str(tmp_path))
     assert eng.psi(1, 1).poly == PSI11
+
+
+@pytest.mark.parametrize("damage", [
+    lambda obj: obj.pop("w_residual"),
+    lambda obj: obj.__setitem__("psi", {"kind": "Y", "arity": 1}),
+    lambda obj: obj["psi"]["terms"][0].__setitem__(2, "0"),
+    lambda obj: obj["f_e"]["terms"][0].__setitem__(0, [1, 2, 3]),
+    lambda obj: obj.__setitem__("w_residual", [[0, [1], "x/y"]]),
+], ids=["no-w_residual", "no-psi-terms", "zero-denominator", "wrong-arity",
+        "bad-fraction"])
+def test_cache_treats_malformed_fields_as_a_miss(tmp_path, damage):
+    Engine(cache_dir=str(tmp_path)).psi(2, 1)
+    path = tmp_path / "psi_m2_g1.json"
+    good = path.read_text()
+    obj = json.loads(good)
+    damage(obj)
+    path.write_text(json.dumps(obj))
+    fresh = Engine(cache_dir=str(tmp_path))
+    assert fresh.f_result(2, 1).f_e == f_table(1, 2)
+    # the recomputed cell is written back whole, through a rename
+    assert path.read_text() == good
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "psi_m1_g1.json", "psi_m2_g1.json", "psi_m3_g0.json"]
+

@@ -14,7 +14,6 @@ from hurwitz.formulas import (
     appendix_table,
     f1_conjecture,
     f1_simple,
-    f1_two,
     f_genus0,
     f_one_part,
     f_table,
@@ -25,6 +24,14 @@ from hurwitz.formulas import (
 )
 from hurwitz.oracle import c_count, mu_count
 from hurwitz.partitions import Partition, partitions
+
+
+def f1_two(n: int, r: int) -> Fraction:
+    """Genus-1 f at alpha = (n-r, r), the two-part closed form checked
+    against f1_conjecture."""
+    if not 0 < r < n:
+        raise ValueError("need 0 < r < n")
+    return Fraction(n * n - (r + 1) * n + r * r, 24)
 
 
 def test_table_digest_is_current():

@@ -7,14 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from hurwitz.algebra.operators import (
     OperatorBasisDecomp,
-    apply_sum_xdx,
     apply_wdw,
     apply_xdx,
     diag_fold,
     divide_ydiff,
-    exact_divide_diff,
     p_ladder,
-    reconstruct_decomp,
     xdx_basis_convert,
 )
 from hurwitz.algebra.poly import SparsePoly
@@ -88,11 +85,6 @@ def test_wdw_matches_w_coefficients(p):
         assert qj.coeff((b,)) == b * pj.coeff((b,))
 
 
-def test_apply_sum_xdx():
-    p = SparsePoly.monomial("Y", (1, 2), 1)
-    assert apply_sum_xdx(p) == apply_xdx(p, 0) + apply_xdx(p, 1)
-
-
 def test_diag_fold():
     p = SparsePoly.monomial("Y", (2, 3), 5) + SparsePoly.monomial("Y", (0, 1), 1)
     q = diag_fold(p, 0, 1)
@@ -109,17 +101,6 @@ def test_divide_ydiff_rejects_nondivisible():
     p = SparsePoly.const("Y", 2, 1)
     with pytest.raises(NonzeroRemainder):
         divide_ydiff(p, 0, 1)
-
-
-@given(ypolys(arity=2, max_exp=3))
-def test_exact_divide_diff_contract(p):
-    # q (y_i - y_j) = p y_i y_j whenever the quotient exists; feed it a
-    # p of the divisible shape
-    d = SparsePoly.variable("Y", 2, 0) - SparsePoly.variable("Y", 2, 1)
-    y0y1 = SparsePoly.monomial("Y", (1, 1), 1)
-    target = p * d  # p*d*y0*y1 / (y0-y1) should come back as p*y0*y1
-    q = exact_divide_diff(target, 0, 1)
-    assert q == p * y0y1
 
 
 def test_p_ladder_degrees_and_leading_terms():
@@ -139,6 +120,32 @@ def test_p_ladder_matches_iterated_xdx():
     for j in range(5):
         assert p == SparsePoly("Y", 1, {(k,): Fraction(c) for k, c in P[j].items()})
         p = apply_xdx(p, 0)
+
+
+def reconstruct_decomp(decomp: OperatorBasisDecomp) -> SparsePoly:
+    """Expand a decomposition back to an explicit y-polynomial, as sums of
+    products of the univariate P and Q ladders; the reference that
+    xdx_basis_convert is checked against."""
+    m = decomp.m
+    jts = list(decomp.b_terms) + [jt for _, jt, _ in decomp.w_residual]
+    P, Q = p_ladder(max((max(jt, default=0) for jt in jts), default=0) + 1)
+
+    def product(univariates) -> SparsePoly:
+        acc = SparsePoly.const("Y", m, 1)
+        for var, table in enumerate(univariates):
+            acc = acc * SparsePoly("Y", m, {
+                (0,) * var + (k,) + (0,) * (m - var - 1): c
+                for k, c in table.items()
+            })
+        return acc
+
+    out = SparsePoly.zero("Y", m)
+    for jt, c in decomp.b_terms.items():
+        out = out + product([P[j] for j in jt]).scale(c)
+    for var, jt, c in decomp.w_residual:
+        tables = [Q[j] if i == var else P[j] for i, j in enumerate(jt)]
+        out = out + product(tables).scale(c)
+    return out
 
 
 def decomps(m=2, jmax=2):

@@ -13,7 +13,6 @@ from hurwitz.oracle import (
     cutjoin_step,
     dfs_count,
     mu_count,
-    table_to_csv,
     transitive_counts,
     _exp_slices,
     _log_slices,
@@ -151,12 +150,3 @@ def test_mu_is_count_over_factorial():
     lam = Partition.of([2, 1])
     assert mu_count(lam, 1) == Fraction(class_size(lam) * 80, math.factorial(3))
     assert mu_count(lam, 1) == 40
-
-
-def test_csv_shape():
-    out = table_to_csv(all_counts(2, 2))
-    lines = out.strip().split("\n")
-    assert lines[0] == "n,j,partition,mode,count"
-    assert "1,0,1,all,1" in lines
-    assert "2,1,2,all,1" in lines
-    assert "2,2,1-1,all,1" in lines

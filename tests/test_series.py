@@ -9,21 +9,16 @@ from hypothesis import given, settings, strategies as st
 from hurwitz.algebra.poly import SparsePoly
 from hurwitz.algebra.series import (
     TruncSeries,
-    compose_with_tree,
     core_u_to_w_jet,
     core_u_to_y,
     core_w_jet_to_u,
     core_y_to_u,
     expand_y_to_w,
-    fit_y_poly,
-    from_core,
-    to_core,
     tree_coeffs,
-    tree_series,
     w_power_x_table,
     x_coefficient,
 )
-from hurwitz.errors import FitError
+from reference import compose_with_tree
 
 
 def ypolys(arity=2, max_exp=3, max_terms=4):
@@ -97,13 +92,6 @@ def test_expand_refuses_laurent():
         expand_y_to_w(p, 4)
 
 
-def test_fit_detects_degree_overflow():
-    p = SparsePoly.variable("Y", 1, 0, 3)
-    jet = expand_y_to_w(p, 5)
-    with pytest.raises(FitError):
-        fit_y_poly(jet, 1, 2)
-
-
 def test_w_power_table_matches_convolution():
     table = w_power_x_table(4, 8)
     w = tree_coeffs(8)
@@ -144,17 +132,15 @@ def test_x_coefficient_bivariate_value():
 
 @given(ypolys(arity=1, max_exp=4))
 def test_y_u_roundtrip_univariate(p):
-    core, den = to_core(p.terms)
-    back = core_u_to_y(core_y_to_u(core, 1), 1)
-    assert from_core(back, den, "Y", 1) == p
+    back = core_u_to_y(core_y_to_u(p.num, 1), 1)
+    assert SparsePoly.from_core("Y", 1, back, p.den) == p
 
 
 @given(ypolys(arity=2, max_exp=3))
 @settings(deadline=None)
 def test_y_u_roundtrip_bivariate(p):
-    core, den = to_core(p.terms)
-    back = core_u_to_y(core_y_to_u(core, 2), 2)
-    assert from_core(back, den, "Y", 2) == p
+    back = core_u_to_y(core_y_to_u(p.num, 2), 2)
+    assert SparsePoly.from_core("Y", 2, back, p.den) == p
 
 
 @given(ypolys(arity=2, max_exp=3))
@@ -162,16 +148,8 @@ def test_y_u_roundtrip_bivariate(p):
 def test_u_w_jet_roundtrip(p):
     # truncated substitution is unitriangular, so a region covering the
     # degrees recovers the polynomial exactly
-    core, den = to_core(p.terms)
-    ucore = core_y_to_u(core, 2)
+    ucore = core_y_to_u(p.num, 2)
     per, tot = 3, 6
     wcore = core_u_to_w_jet(ucore, 2, per, tot)
     back = core_w_jet_to_u(wcore, 2, per, tot)
     assert back == ucore
-
-
-@given(ypolys(arity=2, max_exp=3))
-@settings(deadline=None, max_examples=40)
-def test_expand_fit_roundtrip(p):
-    jet = expand_y_to_w(p, 3, 6, allow_truncation=True)
-    assert fit_y_poly(jet, 2, 3) == p

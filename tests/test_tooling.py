@@ -1,0 +1,43 @@
+"""The benchmark's layer hooks and the demos stay runnable."""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_hooks_bind_to_package_names():
+    layers, spans = _load("layers"), _load("spans")
+    from hurwitz import engine
+
+    before = engine.theta_symmetrize
+    tracer = spans.Tracer()
+    try:
+        layers.install(tracer, False)
+        assert engine.theta_symmetrize is not before
+    finally:
+        tracer.uninstall()
+    assert engine.theta_symmetrize is before
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
