@@ -22,12 +22,14 @@ which is exactly the shape the extracted symmetric forms take.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from ..errors import NonzeroRemainder, NotVanishing
 from .poly import SparsePoly
+from .series import sweep, top_exponent
 
 __all__ = [
     "apply_xdx",
@@ -119,6 +121,9 @@ def core_divide_ydiff(core: Core, i: int, j: int) -> Core:
         buckets.setdefault(e[i], {})[e] = c
     if not buckets:
         return {}
+    if min(buckets) < 0:
+        # the descent stops at level zero and would drop these terms
+        raise ValueError(f"Laurent input in y_{i+1} is outside this division")
     out: Core = {}
     for k in range(max(buckets), 0, -1):
         cur = buckets.pop(k, None)
@@ -130,14 +135,8 @@ def core_divide_ydiff(core: Core, i: int, j: int) -> Core:
                 continue
             q = e[:i] + (k - 1,) + e[i + 1:]
             out[q] = out.get(q, 0) + c
-            r = list(q)
-            r[j] += 1
-            r = tuple(r)
-            v = lower.get(r, 0) + c
-            if v:
-                lower[r] = v
-            elif r in lower:
-                del lower[r]
+            r = q[:j] + (q[j] + 1,) + q[j + 1:]
+            lower[r] = lower.get(r, 0) + c
     left = buckets.get(0)
     if left and any(left.values()):
         bad = next(e for e, c in left.items() if c)
@@ -161,14 +160,8 @@ def p_ladder(jmax: int) -> Tuple[list, list]:
     """
     P = [{1: 1, 0: -1}]
     for _ in range(jmax):
-        prev = P[-1]
-        nxt: dict = {}
-        for k, c in prev.items():
-            if not k:
-                continue
-            nxt[k + 2] = nxt.get(k + 2, 0) + k * c
-            nxt[k + 1] = nxt.get(k + 1, 0) - k * c
-        P.append({k: c for k, c in nxt.items() if c})
+        nxt = core_apply_xdx({(k,): c for k, c in P[-1].items()}, 0)
+        P.append({e[0]: c for e, c in nxt.items() if c})
     Q = [None]
     for j in range(1, jmax + 1):
         Q.append({k - 1: c for k, c in P[j].items()})
@@ -189,66 +182,55 @@ class OperatorBasisDecomp:
     w_residual: List[tuple] = field(default_factory=list)
 
 
+def _basis_rows(dmax: int) -> Tuple[list, int]:
+    """rows[k] writes y^k over the per-variable basis, scaled by L.
+
+    Label d >= 1 is the P/Q element of degree d and label 0 the constant
+    residue; one triangular elimination in Fractions, then every row is
+    multiplied by the lcm L of their denominators.
+    """
+    P, Q = p_ladder(dmax // 2 + 1)
+    table = [{0: Fraction(1)}]
+    for d in range(1, dmax + 1):
+        B = P[(d - 1) // 2] if d % 2 else Q[d // 2]
+        lead = B[d]
+        row = {d: Fraction(1, lead)}
+        for deg, bc in B.items():
+            if deg == d:
+                continue
+            for lab, t in table[deg].items():
+                row[lab] = row.get(lab, 0) - Fraction(bc, lead) * t
+        table.append(row)
+    L = math.lcm(*(t.denominator for row in table for t in row.values()))
+    return [sorted((lab, int(t * L)) for lab, t in row.items() if t)
+            for row in table], L
+
+
 def xdx_basis_convert(p: SparsePoly, m: int) -> OperatorBasisDecomp:
     """Decompose p over the P/Q operator basis, variable by variable.
 
     Requires p to vanish at y_i = 1 for every i; inside each variable the
     reduction is triangular by degree, so the decomposition is unique and
     exact by construction.  Terms with two or more Q factors cannot occur
-    for the polynomials this package produces and raise NotVanishing's
-    sibling error path upstream; here they simply raise.
+    for the polynomials this package produces; here they raise
+    NotVanishing.
     """
     if p.kind != "Y":
         raise ValueError("xdx_basis_convert wants a Y polynomial")
     if p.arity != m:
         raise ValueError("arity mismatch")
-    if any(v < 0 for v in p.min_exponents()):
-        raise ValueError("Laurent input is outside the operator basis")
-    dmax = max(p.per_var_degrees(), default=0)
-    P, Q = p_ladder(dmax // 2 + 1)
-
-    def basis(d: int) -> dict:
-        return P[(d - 1) // 2] if d % 2 else Q[d // 2]
-
-    # mixed keys: processed slots hold basis degree labels, untouched
-    # slots still hold y exponents
-    terms: Dict[tuple, Fraction] = dict(p.terms)
-    for var in range(m):
-        groups: dict = {}
-        for e, c in terms.items():
-            rest = e[:var] + e[var + 1:]
-            groups.setdefault(rest, {})[e[var]] = c
-        terms = {}
-        for rest, g in groups.items():
-            work = dict(g)
-            labels: dict = {}
-            for d in range(max(work), 0, -1):
-                s = work.pop(d, None)
-                if not s:
-                    continue
-                B = basis(d)
-                gamma = s / B[d]
-                labels[d] = gamma
-                for deg, bc in B.items():
-                    if deg == d:
-                        continue
-                    v = work.get(deg, 0) - gamma * bc
-                    if v:
-                        work[deg] = v
-                    elif deg in work:
-                        del work[deg]
-            leftover = work.get(0)
-            if leftover:
-                raise NotVanishing(
-                    f"input does not vanish at y_{var+1} = 1 (constant residue {leftover})"
-                )
-            for d, c in labels.items():
-                terms[rest[:var] + (d,) + rest[var:]] = c
+    rows, L = _basis_rows(top_exponent(p.num))
+    labels = sweep(p.num, m, rows)
+    den = p.den * L ** m
+    residues = [lab.index(0) for lab in labels if 0 in lab]
+    if residues:
+        raise NotVanishing(f"input does not vanish at y_{min(residues)+1} = 1")
 
     decomp = OperatorBasisDecomp(m)
-    for lab, c in terms.items():
+    for lab, c in labels.items():
         evens = [i for i, d in enumerate(lab) if d % 2 == 0]
         jt = tuple((d - 1) // 2 if d % 2 else d // 2 for d in lab)
+        c = Fraction(c, den)
         if not evens:
             decomp.b_terms[jt] = c
         elif len(evens) == 1:

@@ -5,15 +5,22 @@ The coordinate chain is x -> w -> y:
     w = x e^w                 (tree function, [x^n]w = n^(n-1)/n!)
     y = 1/(1 - w),  so  y - 1 = w/(1 - w)
 
-Per variable, (y-1)^l = sum_{j >= l} C(j-1, l-1) w^j.  That matrix is
-unitriangular, so converting between y-polynomials and w-jets needs no
-divisions and inverts exactly on any downward-closed exponent region
-(a per-variable cap together with a total-degree cap).  This is what
-makes the jet fits in the solver trustworthy: coefficients recovered
-inside the region are the true ones unconditionally.
+Every change of coordinates is one triangular integer table applied to
+each variable in turn by `sweep`; the four jet passes differ only in the
+table, built once per call (u = y - 1, so w = u/(1 + u)):
 
-The transforms run on the integer numerators of a SparsePoly; its
-shared denominator passes through unchanged.
+    y -> u   y^k = sum_{l <= k} C(k, l) u^l
+    u -> y   u^l = sum_{k <= l} (-1)^(l-k) C(l, k) y^k
+    u -> w   u^l = sum_{j >= l} C(j-1, l-1) w^j              (l >= 1)
+    w -> u   w^j = sum_{l >= j} (-1)^(l-j) C(l-1, j-1) u^l   (j >= 1)
+
+The last two are unitriangular and inverse to each other, so converting
+between y-polynomials and w-jets needs no divisions and inverts exactly
+on any downward-closed exponent region (a per-variable cap together with
+a total-degree cap).  This is what makes the jet fits in the solver
+trustworthy: coefficients recovered inside the region are the true ones
+unconditionally.  The transforms run on the integer numerators of a
+SparsePoly; its shared denominator passes through unchanged.
 """
 
 from __future__ import annotations
@@ -78,65 +85,63 @@ def tree_coeffs(nmax: int) -> list:
     return out
 
 
-# ----- per-variable grouping ---------------------------------------------
+# ----- the per-variable sweep ---------------------------------------------
 
-def _groups_by_var(core: Core, var: int):
-    """Split off one variable: rest-tuple -> {exponent_of_var: coeff}."""
-    groups: dict = {}
-    for e, c in core.items():
-        rest = e[:var] + e[var + 1:]
-        g = groups.get(rest)
-        if g is None:
-            groups[rest] = {e[var]: c}
-        else:
-            g[e[var]] = g.get(e[var], 0) + c
-    return groups
+def sweep(core: Core, arity: int, rows, total: int | None = None) -> Core:
+    """Apply one triangular table to every variable in turn.
+
+    rows[k] lists (l, a) pairs in ascending l: the swept exponent k
+    becomes sum a * (exponent l), the other exponents riding along.  With
+    `total`, targets beyond total minus the other exponents are dropped.
+    """
+    for var in range(arity):
+        groups: dict = {}
+        for e, c in core.items():
+            rest = e[:var] + e[var + 1:]
+            g = groups.get(rest)
+            if g is None:
+                groups[rest] = [(e[var], c)]
+            else:
+                g.append((e[var], c))
+        out: Core = {}
+        for rest, g in groups.items():
+            cap = math.inf if total is None else total - sum(rest)
+            acc: dict = {}
+            for k, c in g:
+                for l, a in rows[k]:
+                    if l > cap:
+                        break
+                    acc[l] = acc.get(l, 0) + a * c
+            head, tail = rest[:var], rest[var:]
+            for l, v in acc.items():
+                if v:
+                    out[head + (l,) + tail] = v
+        core = out
+    return core
 
 
-def _ungroup(groups, var: int) -> Core:
-    out: Core = {}
-    for rest, g in groups.items():
-        head, tail = rest[:var], rest[var:]
-        for k, c in g.items():
-            if c:
-                out[head + (k,) + tail] = c
-    return out
+def top_exponent(core: Core) -> int:
+    """The largest exponent in core, which sizes a sweep table.  A table
+    would read a negative exponent from its far end, so it is refused."""
+    if min(map(min, filter(None, core)), default=0) < 0:
+        raise ValueError("negative exponent has no polynomial form")
+    return max(map(max, filter(None, core)), default=0)
 
 
-# ----- per-variable triangular passes ------------------------------------
+# ----- the four jet passes ------------------------------------------------
 
 def core_y_to_u(core: Core, arity: int) -> Core:
-    """Rewrite y-monomials in u = y - 1.  Exact and degree-preserving."""
-    comb = math.comb
-    for var in range(arity):
-        groups = _groups_by_var(core, var)
-        for rest, g in groups.items():
-            out: dict = {}
-            for k, c in g.items():
-                if k < 0:
-                    raise ValueError("negative y exponent has no u-polynomial form")
-                for l in range(k + 1):
-                    out[l] = out.get(l, 0) + comb(k, l) * c
-            groups[rest] = out
-        core = _ungroup(groups, var)
-    return core
+    """Rewrite y-monomials in u = y - 1: y^k = sum_l C(k, l) u^l."""
+    rows = [[(l, math.comb(k, l)) for l in range(k + 1)]
+            for k in range(top_exponent(core) + 1)]
+    return sweep(core, arity, rows)
 
 
 def core_u_to_y(core: Core, arity: int) -> Core:
-    """Inverse of core_y_to_u: expand u^l = (y - 1)^l."""
-    comb = math.comb
-    for var in range(arity):
-        groups = _groups_by_var(core, var)
-        for rest, g in groups.items():
-            out: dict = {}
-            for l, c in g.items():
-                sign = 1
-                for k in range(l, -1, -1):
-                    out[k] = out.get(k, 0) + sign * comb(l, k) * c
-                    sign = -sign
-            groups[rest] = out
-        core = _ungroup(groups, var)
-    return core
+    """Inverse of core_y_to_u: u^l = (y - 1)^l."""
+    rows = [[(k, (-1) ** (l - k) * math.comb(l, k)) for k in range(l + 1)]
+            for l in range(top_exponent(core) + 1)]
+    return sweep(core, arity, rows)
 
 
 def core_u_to_w_jet(core: Core, arity: int, per_var: int, total: int) -> Core:
@@ -146,51 +151,21 @@ def core_u_to_w_jet(core: Core, arity: int, per_var: int, total: int) -> Core:
     exponents, so truncating during the sweep loses nothing inside the
     region.
     """
-    comb = math.comb
-    for var in range(arity):
-        groups = _groups_by_var(core, var)
-        for rest, g in groups.items():
-            jcap = min(per_var, total - sum(rest))
-            out: dict = {}
-            for l, c in g.items():
-                if l > jcap:
-                    continue
-                if l == 0:
-                    out[0] = out.get(0, 0) + c
-                    continue
-                for j in range(l, jcap + 1):
-                    out[j] = out.get(j, 0) + comb(j - 1, l - 1) * c
-            groups[rest] = out
-        core = _ungroup(groups, var)
-    return core
+    rows = [[(0, 1)]] + [[(j, math.comb(j - 1, l - 1)) for j in range(l, per_var + 1)]
+                         for l in range(1, top_exponent(core) + 1)]
+    return sweep(core, arity, rows, total)
 
 
 def core_w_jet_to_u(core: Core, arity: int, per_var: int, total: int) -> Core:
     """Invert core_u_to_w_jet on the same region.
 
-    Per variable, ascending exponent:
-        c_j = b_j - sum_{1 <= l < j} C(j-1, l-1) c_l
-    Division-free, so the integer core stays integral.
+    From w = u/(1 + u), w^j = sum_{l >= j} (-1)^(l-j) C(l-1, j-1) u^l for
+    j >= 1; this map too only raises exponents.
     """
-    comb = math.comb
-    for var in range(arity):
-        groups = _groups_by_var(core, var)
-        for rest, g in groups.items():
-            jcap = min(per_var, total - sum(rest))
-            c_out: dict = {}
-            if g.get(0):
-                c_out[0] = g[0]
-            for j in range(1, jcap + 1):
-                v = g.get(j, 0)
-                for l in range(1, j):
-                    cl = c_out.get(l)
-                    if cl:
-                        v -= comb(j - 1, l - 1) * cl
-                if v:
-                    c_out[j] = v
-            groups[rest] = c_out
-        core = _ungroup(groups, var)
-    return core
+    rows = [[(0, 1)]] + [[(l, (-1) ** (l - j) * math.comb(l - 1, j - 1))
+                          for l in range(j, per_var + 1)]
+                         for j in range(1, top_exponent(core) + 1)]
+    return sweep(core, arity, rows, total)
 
 
 # ----- public conversions -------------------------------------------------
@@ -210,8 +185,6 @@ def expand_y_to_w(
     """
     if p.kind != "Y":
         raise ValueError("expand_y_to_w wants a Y polynomial")
-    if any(v < 0 for v in p.min_exponents()):
-        raise ValueError("Laurent input cannot be expanded to a w-jet")
     if not allow_truncation and any(d > per_var_cap for d in p.per_var_degrees()):
         raise ValueError(
             f"per-variable cap {per_var_cap} is below the degree of the input; "

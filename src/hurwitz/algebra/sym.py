@@ -166,8 +166,7 @@ def fit_sym_e_poly(
     missing = [monos[c] for c in range(ncols) if c not in pivot_of_col]
     if missing:
         raise InconsistentSystem(
-            f"samples leave {len(missing)} coefficients free, first {missing[0]}",
-            underdetermined=True,
+            f"samples leave {len(missing)} coefficients free, first {missing[0]}"
         )
     terms = {
         monos[c]: rows[pivot_of_col[c]][ncols]

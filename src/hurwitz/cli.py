@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 from . import formulas, oracle
 from .algebra.poly import SparsePoly
 from .algebra.sym import elementary_values
-from .engine import DEFAULT_BUDGETS, Engine
+from .engine import DEFAULT_BUDGETS, INPUT_J_MAX, INPUT_N_MAX, Engine
 from .errors import BudgetExceeded, CertificationError, HurwitzError
 from .partitions import Partition, partitions
 
@@ -52,6 +52,11 @@ def _f_from_formulas(alpha: Partition, g: int) -> Optional[Fraction]:
 
 def best_route(alpha: Partition, g: int, engine: Engine) -> Tuple[Fraction, str]:
     """f by the preferred available route: engine, formulas, oracle."""
+    if alpha.n > INPUT_N_MAX or alpha.j_for_genus(g) > INPUT_J_MAX:
+        raise BudgetExceeded(
+            f"requests need n <= {INPUT_N_MAX} and "
+            f"j = n + m + 2g - 2 <= {INPUT_J_MAX}"
+        )
     m = alpha.m
     if g >= 1 or m >= 3:
         try:
@@ -113,8 +118,7 @@ def _table_f_poly(g: int, m: int) -> SparsePoly:
 
 def run_table(args) -> int:
     g, m = args.genus, args.m
-    basis = "values" if args.values else args.basis
-    if basis == "e":
+    if not args.values:
         poly = _table_f_poly(g, m)
         if args.format == "json":
             print(poly.to_json())
@@ -130,12 +134,9 @@ def run_table(args) -> int:
         for alpha in partitions(n):
             if alpha.m != m:
                 continue
-            if g == 0:
-                f = formulas.f_genus0(alpha)
-            elif m == 1:
-                f = formulas.f_one_part(n, g)
-            else:
-                f = formulas.f_table_eval(g, alpha)
+            f = _f_from_formulas(alpha, g)
+            if f is None:
+                raise BudgetExceeded(f"no closed form or table for genus {g}, m = {m}")
             hc = formulas.hurwitz(alpha, g, f)
             rows.append((alpha, hc))
     if args.format == "json":
@@ -244,14 +245,17 @@ def _suite_closedform(checks: List[dict]):
                 ))
 
 
+def _oracle_budgets(n_max: int) -> dict:
+    """Cell budgets for the oracle triangle: it reads cells up to (n_max, 2),
+    and (n_max, 2) is assembled from (n_max + 1, 1), which needs
+    (n_max + 2, 0)."""
+    return {g: max(DEFAULT_BUDGETS[g], n_max + 2 - g) for g in (0, 1, 2)}
+
+
 def run_verify(args) -> int:
     budgets = None
     if args.suite in ("oracle", "all"):
-        # the oracle triangle needs cells up to (n_max, 2)
-        budgets = {
-            1: max(DEFAULT_BUDGETS[1], args.n_max),
-            2: max(DEFAULT_BUDGETS[2], args.n_max),
-        }
+        budgets = _oracle_budgets(args.n_max)
     engine = Engine(budgets=budgets, cache_dir=args.cache_dir)
     checks: List[dict] = []
     suite = args.suite
@@ -295,6 +299,9 @@ def run_cache(args) -> int:
         return EXIT_OK
     if args.warm:
         budgets = dict(DEFAULT_BUDGETS)
+        if args.genus is not None and args.genus not in budgets:
+            print(f"error: no cell budget for genus {args.genus}", file=sys.stderr)
+            return EXIT_BAD_ARGS
         for g in sorted(budgets):
             if args.genus is not None and g != args.genus:
                 continue
@@ -338,9 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="emit f polynomials or value grids")
     p_table.add_argument("--genus", type=int, required=True)
     p_table.add_argument("--m", type=int, required=True)
-    p_table.add_argument("--basis", choices=("e", "values"), default="e")
     p_table.add_argument("--values", action="store_true",
-                         help="same as --basis values")
+                         help="value grid instead of the e-basis polynomial")
     p_table.add_argument("--n-max", type=int, default=None)
     p_table.add_argument("--format", choices=("csv", "json", "text"),
                          default="text")

@@ -52,7 +52,6 @@ from .algebra.sym import fit_sym_e_poly, to_e_basis, weighted_degree
 from .errors import (
     BudgetExceeded,
     CertificationError,
-    InconsistentSystem,
     ResidualNonzero,
     RouteDisagreement,
 )
@@ -71,10 +70,18 @@ __all__ = [
     "compute_psi",
     "default_engine",
     "DEFAULT_BUDGETS",
+    "INPUT_N_MAX",
+    "INPUT_J_MAX",
     "per_var_bound",
 ]
 
 DEFAULT_BUDGETS = {0: 8, 1: 6, 2: 4, 3: 3, 4: 2}
+# Largest weight n and transposition count j = n + m + 2g - 2 a request may
+# ask for.  At j = 160 the slowest closed form, one part at genus about 54,
+# takes about a second; every count printed stays far below the 4,300
+# digits CPython will convert to a string.
+INPUT_N_MAX = 160
+INPUT_J_MAX = 160
 CACHE_VERSION = 1
 
 
@@ -291,25 +298,30 @@ def solve_pde(K: RhsRep) -> PsiRep:
     c = m + 2 * g - 2
     if c < 1:
         raise ValueError("scaling constant must be positive")
-    pv0, tot0 = per_var_bound(m, g), total_bound(m, g)
-    for attempt in range(3):
-        pv, tot = pv0 + 2 * attempt, tot0 + 2 * attempt
-        psi = _integral_solve(K.poly, c, pv, tot)
-        if _residual(psi, K.poly, c).is_zero():
-            rep = PsiRep(m, g, psi, psi.total_degree() or 0)
-            _validate_psi(rep)
-            return rep
-    raise ResidualNonzero(
-        f"no y-polynomial solution for ({m},{g}) within degree caps "
-        f"{pv0}+4 per variable, {tot0}+4 total"
-    )
+    pv, tot = per_var_bound(m, g), total_bound(m, g)
+    psi = _integral_solve(K.poly, c, pv, tot)
+    if not _residual(psi, K.poly, c).is_zero():
+        raise ResidualNonzero(
+            f"no y-polynomial solution for ({m},{g}) within degree caps "
+            f"{pv} per variable, {tot} total"
+        )
+    rep = PsiRep(m, g, psi, psi.total_degree() or 0)
+    _validate_psi(rep)
+    return rep
 
 
 # ----- extraction ---------------------------------------------------------
 
-def _sample_plan(m: int, wdeg: int, extra: int) -> List[Partition]:
+def _sample_plan(m: int, wdeg: int) -> List[Partition]:
+    """The m-part partitions of weight m .. m + wdeg + 2.
+
+    They include every 1^m + lam with |lam| <= wdeg, and on those points
+    the symmetrized binomial basis sum_sigma prod_i C(lam_i, mu_sigma(i))
+    is triangular under containment with a nonzero diagonal, so the fit
+    is always determined by this one plan.
+    """
     out: List[Partition] = []
-    for n in range(m, m + wdeg + 3 + extra):
+    for n in range(m, m + wdeg + 3):
         for p in partitions_upto_length(n, m):
             if p.m == m:
                 out.append(p)
@@ -317,27 +329,19 @@ def _sample_plan(m: int, wdeg: int, extra: int) -> List[Partition]:
 
 
 def _extract_by_samples(psi: SparsePoly, m: int, wdeg: int) -> SparsePoly:
-    last: Optional[InconsistentSystem] = None
-    for extra in (0, 3, 6):
-        samples = _sample_plan(m, wdeg, extra)
-        nmax = max(p.n for p in samples)
-        amax = max(p.parts[0] for p in samples)
-        jet = expand_y_to_w(psi, amax, nmax, allow_truncation=True)
-        table = w_power_x_table(amax, amax)
-        evals = []
-        for p in samples:
-            coeff = x_coefficient(jet, p.parts, table)
-            scale = Fraction(1)
-            for a in p.parts:
-                scale *= Fraction(math.factorial(a), a ** a)
-            evals.append((p.parts, scale * coeff))
-        try:
-            return fit_sym_e_poly(evals, m, wdeg)
-        except InconsistentSystem as err:
-            if not err.underdetermined:
-                raise
-            last = err
-    raise last
+    samples = _sample_plan(m, wdeg)
+    nmax = max(p.n for p in samples)
+    amax = max(p.parts[0] for p in samples)
+    jet = expand_y_to_w(psi, amax, nmax, allow_truncation=True)
+    table = w_power_x_table(amax, amax)
+    evals = []
+    for p in samples:
+        coeff = x_coefficient(jet, p.parts, table)
+        scale = Fraction(1)
+        for a in p.parts:
+            scale *= Fraction(math.factorial(a), a ** a)
+        evals.append((p.parts, scale * coeff))
+    return fit_sym_e_poly(evals, m, wdeg)
 
 
 def extract_f(psi: PsiRep) -> FResult:

@@ -24,10 +24,6 @@ class NotSymmetric(HurwitzError):
 class InconsistentSystem(HurwitzError):
     """An interpolation system has no solution or is underdetermined."""
 
-    def __init__(self, message, underdetermined=False):
-        super().__init__(message)
-        self.underdetermined = underdetermined
-
 
 class RouteDisagreement(HurwitzError):
     """Two independent computation routes produced different answers."""

@@ -6,6 +6,7 @@ import pytest
 
 from hurwitz import cli
 from hurwitz.cli import main
+from hurwitz.engine import Engine, _deps
 
 
 def run(argv):
@@ -71,6 +72,39 @@ def test_bad_args(tmp_path):
     assert run(["table", "--genus", "1", "--m", "-2", "--values"]) == 3
     assert run(["table", "--genus", "1", "--m", "0"]) == 3
     assert run(["cache", "--warm", "--m", "0", "--cache-dir", str(tmp_path)]) == 3
+    # --values is the one switch to the value grid
+    assert run(["table", "--genus", "1", "--m", "2", "--basis", "values"]) == 3
+    assert run(["table", "--genus", "1", "--m", "2", "--basis", "e"]) == 3
+
+
+def test_cache_warm_refuses_unbudgeted_genus(tmp_path, capsys):
+    assert run(["cache", "--warm", "--genus", "9", "--cache-dir", str(tmp_path)]) == 3
+    assert "genus 9" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("alpha", ["1500", "200000"])
+def test_compute_refuses_oversized_input(alpha, capsys):
+    # refused up front: a count over 4,300 digits cannot be printed, and
+    # a large n runs for minutes
+    assert run(["compute", "--alpha", alpha, "--genus", "1"]) == 2
+    assert "unavailable" in capsys.readouterr().err
+
+
+def test_verify_oracle_budgets_cover_dependencies():
+    # every cell the oracle triangle reads, and everything it is
+    # assembled from, lies inside the budgets verify sets
+    for n_max in range(1, 9):
+        engine = Engine(budgets=cli._oracle_budgets(n_max))
+        todo = [(m, g) for m in range(1, n_max + 1) for g in range(3)
+                if g >= 1 or m >= 3]
+        seen = set()
+        while todo:
+            cell = todo.pop()
+            if cell not in seen:
+                seen.add(cell)
+                engine._check_budget(*cell)
+                todo.extend(_deps(*cell))
 
 
 def test_arithmetic_bugs_are_not_verification_failures(monkeypatch):

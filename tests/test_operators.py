@@ -103,6 +103,13 @@ def test_divide_ydiff_rejects_nondivisible():
         divide_ydiff(p, 0, 1)
 
 
+def test_divide_ydiff_rejects_laurent():
+    # the descent stops at level zero and would drop this term
+    p = SparsePoly("Y", 2, {(-1, 0): 1})
+    with pytest.raises(ValueError):
+        divide_ydiff(p, 0, 1)
+
+
 def test_p_ladder_degrees_and_leading_terms():
     P, Q = p_ladder(5)
     assert P[0] == {1: 1, 0: -1}
@@ -179,6 +186,13 @@ def test_basis_convert_roundtrip(d):
 def test_basis_convert_rejects_nonvanishing():
     with pytest.raises(NotVanishing):
         xdx_basis_convert(SparsePoly.const("Y", 1, 1), 1)
+
+
+def test_basis_convert_names_the_nonvanishing_variable():
+    # (y1 - 1) y2 vanishes at y1 = 1 but not at y2 = 1
+    p = SparsePoly("Y", 2, {(1, 1): 1, (0, 1): -1})
+    with pytest.raises(NotVanishing, match="y_2"):
+        xdx_basis_convert(p, 2)
 
 
 def test_basis_convert_rejects_double_even():

@@ -130,6 +130,12 @@ def test_x_coefficient_bivariate_value():
     assert a == Fraction(2 ** 2, 2) * Fraction(3 ** 3, 6)
 
 
+def test_y_to_u_refuses_negative_exponent():
+    # a sweep table indexed by -1 would read its last row instead
+    with pytest.raises(ValueError):
+        core_y_to_u({(-1,): 1}, 1)
+
+
 @given(ypolys(arity=1, max_exp=4))
 def test_y_u_roundtrip_univariate(p):
     back = core_u_to_y(core_y_to_u(p.num, 1), 1)
