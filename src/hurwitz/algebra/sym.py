@@ -7,6 +7,7 @@ symmetric function of m variables inherits from its arguments.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
@@ -123,54 +124,65 @@ def fit_sym_e_poly(
 
     Requires the system to pin down all coefficients; redundant samples
     must agree.  Raises InconsistentSystem otherwise.
+
+    The augmented rows are integers (values scaled by `scale`, the lcm of
+    their denominators) and are reduced by Bareiss fraction-free elimination:
+    after each pivot p, every later row becomes (row * p - f * pivot_row)
+    // prev, where prev is the previous pivot.  By Sylvester's identity
+    each entry is then a minor of the sample matrix, so every division is
+    exact.  A column without a pivot is zero in every row not yet used as
+    a pivot, so skipping it acts like moving it to the end.  Only the
+    final back-substitution over the ncols pivot rows uses Fractions.
     """
     monos = e_monomials_by_weight(m, total_degree)
     ncols = len(monos)
-    rows: List[List[Fraction]] = []
+    samples = [(tuple(alpha), Fraction(value)) for alpha, value in evals]
+    scale = math.lcm(*(value.denominator for _, value in samples))
+    rows: List[List[int]] = []
     tags: List[tuple] = []
-    for alpha, value in evals:
+    for alpha, value in samples:
         ev = elementary_values(alpha, m)
-        row = []
-        for beta in monos:
-            acc = Fraction(1)
-            for k, a in enumerate(beta):
-                if a:
-                    acc *= Fraction(ev[k]) ** a
-            row.append(acc)
-        row.append(Fraction(value))
+        row = [
+            math.prod(ev[k] ** a for k, a in enumerate(beta) if a)
+            for beta in monos
+        ]
+        row.append(value.numerator * (scale // value.denominator))
         rows.append(row)
-        tags.append(tuple(alpha))
+        tags.append(alpha)
 
-    pivot_of_col: Dict[int, int] = {}
-    r = 0
+    pivot_cols: List[int] = []
+    prev = 1
     for col in range(ncols):
+        r = len(pivot_cols)
         sel = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if sel is None:
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
         tags[r], tags[sel] = tags[sel], tags[r]
         pr = rows[r]
-        inv = 1 / pr[col]
-        rows[r] = pr = [x * inv for x in pr]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], pr)]
-        pivot_of_col[col] = r
-        r += 1
-    for i in range(r, len(rows)):
+        p = pr[col]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][col]
+            rows[i] = [(x * p - f * y) // prev for x, y in zip(rows[i], pr)]
+        prev = p
+        pivot_cols.append(col)
+    for i in range(len(pivot_cols), len(rows)):
         if rows[i][ncols]:
             raise InconsistentSystem(
                 f"sample {tags[i]} disagrees with the fitted polynomial"
             )
-    missing = [monos[c] for c in range(ncols) if c not in pivot_of_col]
-    if missing:
+    if len(pivot_cols) < ncols:
+        missing = [monos[c] for c in range(ncols) if c not in pivot_cols]
         raise InconsistentSystem(
             f"samples leave {len(missing)} coefficients free, first {missing[0]}"
         )
-    terms = {
-        monos[c]: rows[pivot_of_col[c]][ncols]
-        for c in range(ncols)
-        if rows[pivot_of_col[c]][ncols]
-    }
+    coef: List[Fraction] = [Fraction(0)] * ncols
+    for k in range(ncols - 1, -1, -1):
+        row = rows[k]
+        acc = Fraction(row[ncols])
+        for c in range(k + 1, ncols):
+            if row[c]:
+                acc -= row[c] * coef[c]
+        coef[k] = acc / row[k]
+    terms = {monos[c]: v / scale for c, v in enumerate(coef) if v}
     return SparsePoly("E", m, terms)

@@ -16,6 +16,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import chain, islice
 from typing import List, Optional, Tuple
 
 from . import formulas, oracle
@@ -23,12 +24,16 @@ from .algebra.poly import SparsePoly
 from .algebra.sym import elementary_values
 from .engine import DEFAULT_BUDGETS, INPUT_J_MAX, INPUT_N_MAX, Engine
 from .errors import BudgetExceeded, CertificationError, HurwitzError
-from .partitions import Partition, partitions
+from .partitions import Partition, partitions, partitions_of_length
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_UNAVAILABLE = 2
 EXIT_BAD_ARGS = 3
+# Most rows one `table --values` grid may print.  Measured at the largest
+# accepted n_max, the slowest grids (genus 3 with m = 3, genus 0 with m near
+# 70, one part at genus near 60) print in about a second.
+TABLE_ROWS_MAX = 2_500
 
 
 class _Parser(argparse.ArgumentParser):
@@ -129,16 +134,22 @@ def run_table(args) -> int:
         else:
             print(poly)
         return EXIT_OK
+    if args.n_max > INPUT_N_MAX or args.n_max + m + 2 * g - 2 > INPUT_J_MAX:
+        raise BudgetExceeded(
+            f"value grids need n <= {INPUT_N_MAX} and "
+            f"j = n + m + 2g - 2 <= {INPUT_J_MAX}"
+        )
+    alphas = list(islice(chain.from_iterable(
+        partitions_of_length(n, m) for n in range(m, args.n_max + 1)
+    ), TABLE_ROWS_MAX + 1))
+    if len(alphas) > TABLE_ROWS_MAX:
+        raise BudgetExceeded(f"value grids are limited to {TABLE_ROWS_MAX} rows")
     rows = []
-    for n in range(m, args.n_max + 1):
-        for alpha in partitions(n):
-            if alpha.m != m:
-                continue
-            f = _f_from_formulas(alpha, g)
-            if f is None:
-                raise BudgetExceeded(f"no closed form or table for genus {g}, m = {m}")
-            hc = formulas.hurwitz(alpha, g, f)
-            rows.append((alpha, hc))
+    for alpha in alphas:
+        f = _f_from_formulas(alpha, g)
+        if f is None:
+            raise BudgetExceeded(f"no closed form or table for genus {g}, m = {m}")
+        rows.append((alpha, formulas.hurwitz(alpha, g, f)))
     if args.format == "json":
         print(json.dumps([
             {"alpha": list(a.parts), "n": a.n, "m": a.m, "g": g,
@@ -233,9 +244,7 @@ def _suite_closedform(checks: List[dict]):
             ))
     for m in range(1, 7):
         for n in range(m, m + 4):
-            for alpha in partitions(n):
-                if alpha.m != m:
-                    continue
+            for alpha in partitions_of_length(n, m):
                 got = formulas.f_table_eval(1, alpha)
                 want = formulas.f1_conjecture(alpha)
                 ok = got == want

@@ -172,14 +172,15 @@ def f_one_part(n: int, g: int) -> Fraction:
     """One-part f: (1/4^g) n^(2g-2) [x^(2g)] (sinh x / x)^(n-1)."""
     if n < 1 or g < 0:
         raise ValueError("need n >= 1 and g >= 0")
-    # series in t = x^2: sinh x / x = sum t^k / (2k+1)!
-    base = [Fraction(1, math.factorial(2 * k + 1)) for k in range(g + 1)]
-    power = [Fraction(1)] + [Fraction(0)] * g
-    for _ in range(n - 1):
-        power = [
-            sum(power[i] * base[k - i] for i in range(k + 1))
-            for k in range(g + 1)
-        ]
+    # series in t = x^2: A = sinh x / x = sum a_i t^i, a_i = 1/(2i+1)!, and
+    # P = A^(n-1) by the power recurrence t P_t = sum (n i - t) a_i P_(t-i)
+    # (from A P' = (n-1) A' P, using a_0 = 1)
+    base = [Fraction(1, math.factorial(2 * i + 1)) for i in range(g + 1)]
+    power = [Fraction(1)]
+    for t in range(1, g + 1):
+        power.append(sum(
+            (n * i - t) * base[i] * power[t - i] for i in range(1, t + 1)
+        ) / t)
     return Fraction(1, 4 ** g) * Fraction(n) ** (2 * g - 2) * power[g]
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence, Tuple
 
-__all__ = ["Partition", "partitions", "partitions_upto_length", "class_size"]
+__all__ = ["Partition", "partitions", "partitions_of_length", "class_size"]
 
 
 @dataclass(frozen=True, order=True)
@@ -83,10 +83,23 @@ def partitions(n: int) -> Iterator[Partition]:
         yield Partition(p)
 
 
-def partitions_upto_length(n: int, max_len: int) -> Iterator[Partition]:
-    for p in _parts_lists(n, n):
-        if len(p) <= max_len:
-            yield Partition(p)
+def _parts_of_length(n: int, m: int, cap: int) -> Iterator[Tuple[int, ...]]:
+    if m == 0:
+        if n == 0:
+            yield ()
+        return
+    # the first part lies between max(1, ceil(n / m)) and n - (m - 1), and
+    # every first part in that range (up to cap) starts a partition
+    for first in range(min(cap, n - m + 1), max(1, -(-n // m)) - 1, -1):
+        for rest in _parts_of_length(n - first, m - 1, first):
+            yield (first,) + rest
+
+
+def partitions_of_length(n: int, m: int) -> Iterator[Partition]:
+    """The partitions of n with exactly m parts, in the descending-lex
+    order of partitions(n), without visiting the others."""
+    for p in _parts_of_length(n, m, n):
+        yield Partition(p)
 
 
 def class_size(alpha: Partition) -> int:

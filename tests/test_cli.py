@@ -150,6 +150,30 @@ def test_table_values_grid(capsys):
     assert max(int(line.split(",")[1]) for line in lines[1:]) == 6
 
 
+def test_table_values_walks_only_m_part_partitions(capsys):
+    # only the one-part alphas of each n <= 60 are visited
+    assert run(["table", "--genus", "1", "--m", "1", "--values",
+                "--n-max", "60", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert len(lines) == 61
+    assert [line.split(",")[0] for line in lines[1:]] == [
+        str(n) for n in range(1, 61)]
+
+
+@pytest.mark.parametrize("genus,m,n_max", [
+    (1, 1, 161),   # n over INPUT_N_MAX
+    (1, 2, 160),   # j = n + m + 2g - 2 = 162 over INPUT_J_MAX
+    (0, 3, 150),   # over TABLE_ROWS_MAX rows
+])
+def test_table_values_refuses_oversized_grid(monkeypatch, genus, m, n_max):
+    def computed(*_args):
+        raise AssertionError("refused grids compute nothing")
+
+    monkeypatch.setattr(cli, "_f_from_formulas", computed)
+    assert run(["table", "--genus", str(genus), "--m", str(m), "--values",
+                "--n-max", str(n_max)]) == 2
+
+
 def test_table_beyond_tables_is_unavailable(capsys):
     assert run(["table", "--genus", "2", "--m", "5"]) == 2
 

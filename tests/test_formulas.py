@@ -34,6 +34,19 @@ def f1_two(n: int, r: int) -> Fraction:
     return Fraction(n * n - (r + 1) * n + r * r, 24)
 
 
+def f_one_part_by_convolution(n: int, g: int) -> Fraction:
+    """One-part f with (sinh x / x)^(n-1) raised by n - 1 convolutions,
+    the reference for the power recurrence in f_one_part."""
+    base = [Fraction(1, math.factorial(2 * k + 1)) for k in range(g + 1)]
+    power = [Fraction(1)] + [Fraction(0)] * g
+    for _ in range(n - 1):
+        power = [
+            sum(power[i] * base[k - i] for i in range(k + 1))
+            for k in range(g + 1)
+        ]
+    return Fraction(1, 4 ** g) * Fraction(n) ** (2 * g - 2) * power[g]
+
+
 def test_table_digest_is_current():
     assert formulas._compute_digest() == formulas._TABLE_DIGEST
 
@@ -89,6 +102,13 @@ def test_one_part_values():
     # genus 0 single part reduces to n^(-2)
     for n in range(1, 8):
         assert f_one_part(n, 0) == Fraction(1, n * n)
+
+
+def test_one_part_matches_convolution():
+    grid = [(n, g) for n in range(1, 13) for g in range(0, 10)]
+    grid += [(2, 40), (25, 20), (40, 7)]
+    for n, g in grid:
+        assert f_one_part(n, g) == f_one_part_by_convolution(n, g), (n, g)
 
 
 def test_one_part_matches_tables():

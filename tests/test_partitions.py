@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from hurwitz.partitions import Partition, class_size, partitions, partitions_upto_length
+from hurwitz.partitions import Partition, class_size, partitions, partitions_of_length
 
 
 def test_construction_and_normalization():
@@ -47,9 +47,15 @@ def test_enumeration_order_and_uniqueness():
     assert keys == sorted(keys, reverse=True)
 
 
-def test_upto_length():
-    got = [p.parts for p in partitions_upto_length(5, 2)]
-    assert got == [(5,), (4, 1), (3, 2)]
+def test_of_length():
+    got = [p.parts for p in partitions_of_length(5, 2)]
+    assert got == [(4, 1), (3, 2)]
+    assert list(partitions_of_length(3, 4)) == []
+    assert list(partitions_of_length(0, 0)) == [Partition(())]
+    for n in range(9):
+        for m in range(n + 2):
+            assert list(partitions_of_length(n, m)) == [
+                p for p in partitions(n) if p.m == m]
 
 
 def test_class_sizes_small():
