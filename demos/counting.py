@@ -3,8 +3,9 @@
 A target permutation of cycle type alpha |- n, a length j, and the
 transitivity requirement define the count c.  This script compares
 direct enumeration, the cut-and-join class recurrence, and the
-logarithm sieve that removes non-transitive tuples, then prints a
-small slice of the resulting table.
+transitivity sieve that removes non-transitive tuples (an integer
+recurrence over the orbit of point 1), then prints a small slice of
+the resulting table.
 """
 
 from hurwitz.oracle import all_counts, c_count, dfs_count, mu_count, transitive_counts

@@ -13,7 +13,6 @@ from .engine import (
     FResult,
     PsiRep,
     RhsRep,
-    compute_psi,
     extract_f,
     psi0_base,
     solve_pde,
@@ -60,7 +59,6 @@ __all__ = [
     "FResult",
     "PsiRep",
     "RhsRep",
-    "compute_psi",
     "extract_f",
     "psi0_base",
     "solve_pde",

@@ -67,8 +67,6 @@ __all__ = [
     "solve_pde",
     "extract_f",
     "Engine",
-    "compute_psi",
-    "default_engine",
     "DEFAULT_BUDGETS",
     "INPUT_N_MAX",
     "INPUT_J_MAX",
@@ -490,18 +488,3 @@ class Engine:
 
     def computed_cells(self) -> List[Tuple[int, int]]:
         return sorted(self._f)
-
-
-_default: Optional[Engine] = None
-
-
-def default_engine() -> Engine:
-    global _default
-    if _default is None:
-        _default = Engine()
-    return _default
-
-
-def compute_psi(m: int, g: int) -> PsiRep:
-    """Cell access through a shared in-process engine."""
-    return default_engine().psi(m, g)

@@ -6,8 +6,8 @@ Two independent routes:
     transitivity with a union-find over the touched pairs;
   * all_counts runs a class-vector recurrence (one step = right-multiply
     by a fresh transposition, splitting into cut and join moves), then
-    transitive_counts sieves out the non-transitive part as the formal
-    logarithm of the resulting exponential series.
+    transitive_counts sieves out the non-transitive part by an integer
+    recurrence that splits each tuple at the orbit of point 1.
 
 All-mode entries are normalized per fixed representative: the class
 total divides evenly by the class size and the quotient is stored.
@@ -205,65 +205,18 @@ def all_counts(n_max: int, j_max: int) -> FactorizationTable:
 
 # ----- transitivity sieve -------------------------------------------------
 
-Slice = Dict[Tuple[int, tuple], Fraction]  # key: (j, parts); weight n is the slice index
-
-
-def _slice_mul(a: Slice, b: Slice, j_max: int) -> Slice:
-    out: Slice = {}
-    for (j1, p1), c1 in a.items():
-        for (j2, p2), c2 in b.items():
-            j = j1 + j2
-            if j > j_max:
-                continue
-            key = (j, tuple(sorted(p1 + p2, reverse=True)))
-            out[key] = out.get(key, 0) + c1 * c2
-    return out
-
-
-def _slice_axpy(acc: Slice, k: int, prod: Slice):
-    for key, c in prod.items():
-        acc[key] = acc.get(key, 0) - k * c
-
-
-def _log_slices(F: List[Slice], j_max: int) -> List[Slice]:
-    """log of 1 + sum of positive-weight slices, slice by slice."""
-    n_max = len(F) - 1
-    L: List[Slice] = [dict() for _ in range(n_max + 1)]
-    for n in range(1, n_max + 1):
-        acc: Slice = {key: n * c for key, c in F[n].items()}
-        for k in range(1, n):
-            _slice_axpy(acc, k, _slice_mul(L[k], F[n - k], j_max))
-        L[n] = {key: c / n for key, c in acc.items() if c}
-    return L
-
-
-def _exp_slices(L: List[Slice], j_max: int) -> List[Slice]:
-    n_max = len(L) - 1
-    F: List[Slice] = [dict() for _ in range(n_max + 1)]
-    F[0] = {(0, ()): Fraction(1)}
-    for n in range(1, n_max + 1):
-        acc: Slice = {}
-        for k in range(1, n + 1):
-            _slice_axpy(acc, -k, _slice_mul(L[k], F[n - k], j_max))
-        F[n] = {key: c / n for key, c in acc.items() if c}
-    return F
-
-
-def _table_to_slices(table: FactorizationTable, n_max: int, j_max: int) -> List[Slice]:
-    """Exponential series of the table: weight of (j, alpha) entry c is
-    c * |C_alpha| / (n! j!)."""
-    F: List[Slice] = [dict() for _ in range(n_max + 1)]
-    F[0] = {(0, ()): Fraction(1)}
-    for (n, j, lam), c in table.entries.items():
-        if c:
-            F[n][(j, lam.parts)] = Fraction(
-                c * class_size(lam), math.factorial(n) * math.factorial(j)
-            )
-    return F
-
-
 def transitive_counts(table: FactorizationTable) -> FactorizationTable:
-    """Sieve an all-mode table down to transitive tuples."""
+    """Sieve an all-mode table down to transitive tuples.
+
+    Works on class totals, an entry times its class size.  The orbit of
+    point 1 under the group a tuple generates has some k points, and the
+    tuple splits into the i transpositions inside that orbit (a transitive
+    tuple on k points) and any tuple on the other n - k points, so
+    total(n, j, lam) = sum C(n-1, k-1) C(j, i) trans(k, i, lam1)
+    total(n-k, j-i, lam2) over lam1 + lam2 = lam.  The k = n term is
+    trans(n, j, lam), so each trans[n] is total[n] less a convolution of
+    the smaller trans[k] with total[n-k], all in integers.
+    """
     if table.mode != "all":
         raise ValueError("transitive_counts wants an all-mode table")
     if not table.entries:
@@ -278,20 +231,41 @@ def transitive_counts(table: FactorizationTable) -> FactorizationTable:
             )
             if mass != npairs ** j:
                 raise ValueError(f"all-table incomplete at n={n}, j={j}")
-    F = _table_to_slices(table, n_max, j_max)
-    L = _log_slices(F, j_max)
+    # total[n] and trans[n] map (j, parts) to a class total
+    total: List[Dict[Tuple[int, tuple], int]] = [{} for _ in range(n_max + 1)]
+    total[0][(0, ())] = 1
+    for (n, j, lam), c in table.entries.items():
+        if c:
+            total[n][(j, lam.parts)] = c * class_size(lam)
+    trans: List[Dict[Tuple[int, tuple], int]] = [{} for _ in range(n_max + 1)]
     out = FactorizationTable("transitive")
     for n in range(1, n_max + 1):
-        nfact = math.factorial(n)
-        for (j, parts), c in L[n].items():
+        acc = dict(total[n])
+        for k in range(1, n):
+            ways = math.comb(n - 1, k - 1)
+            for (i, p1), t1 in trans[k].items():
+                for (j2, p2), t2 in total[n - k].items():
+                    j = i + j2
+                    if j <= j_max:
+                        key = (j, tuple(sorted(p1 + p2, reverse=True)))
+                        acc[key] = acc.get(key, 0) - (
+                            ways * math.comb(j, i) * t1 * t2)
+        for (j, parts), t in acc.items():
+            if not t:
+                continue
             lam = Partition(parts)
-            val = c * nfact * math.factorial(j) / class_size(lam)
-            if val:
-                if val.denominator != 1 or val < 0:
-                    raise CertificationError(
-                        f"sieve produced non-integral count {val} at {(n, j, parts)}"
-                    )
-                out.entries[(n, j, lam)] = int(val)
+            size = class_size(lam)
+            if t < 0:
+                raise CertificationError(
+                    f"sieve produced a negative class total {t} at {(n, j, parts)}"
+                )
+            if t % size:
+                raise CertificationError(
+                    f"sieve class total {t} at {(n, j, parts)} is not "
+                    f"divisible by the class size {size}"
+                )
+            trans[n][(j, parts)] = t
+            out.entries[(n, j, lam)] = t // size
     return out
 
 

@@ -17,7 +17,6 @@ from hurwitz.engine import (
     PsiRep,
     RhsRep,
     assemble_K,
-    compute_psi,
     per_var_bound,
     psi0_base,
     solve_pde,
@@ -180,7 +179,7 @@ def test_theta_placements():
 
 
 def test_psi11_value_and_equation():
-    psi = compute_psi(1, 1)
+    psi = Engine().psi(1, 1)
     assert psi.poly == PSI11
     assert psi.degree_cert == 3
     # independent re-derivation of the hard-coded right side:

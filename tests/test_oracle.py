@@ -5,21 +5,21 @@ from fractions import Fraction
 
 import pytest
 
-from hurwitz.errors import BudgetExceeded
+from hurwitz.errors import BudgetExceeded, CertificationError
 from hurwitz.oracle import (
     ClassVector,
+    FactorizationTable,
     all_counts,
     c_count,
     cutjoin_step,
     dfs_count,
     mu_count,
     transitive_counts,
-    _exp_slices,
-    _log_slices,
     _representative,
-    _table_to_slices,
 )
 from hurwitz.partitions import Partition, class_size, partitions
+
+from reference import log_sieve
 
 
 def test_representative_layout():
@@ -99,12 +99,21 @@ def test_full_cycle_is_automatically_transitive():
             assert t.count(n, j, lam) == s.count(n, j, lam)
 
 
-def test_log_exp_slices_roundtrip():
-    t = all_counts(3, 6)
-    F = _table_to_slices(t, 3, 6)
-    L = _log_slices(F, 6)
-    back = _exp_slices(L, 6)
-    assert back == F
+def test_sieve_matches_log_reference():
+    t = all_counts(8, 14)
+    assert transitive_counts(t).entries == log_sieve(t)
+
+
+def test_sieve_refuses_a_negative_count():
+    # moving two tuples from the identity to the 3-cycles at (3, 2) keeps
+    # the mass, but leaves fewer identity tuples than the three
+    # non-transitive squares t t
+    t = all_counts(3, 4)
+    doctored = FactorizationTable("all", dict(t.entries))
+    doctored.entries[(3, 2, Partition.of([1, 1, 1]))] -= 2
+    doctored.entries[(3, 2, Partition.of([3]))] += 1
+    with pytest.raises(CertificationError):
+        transitive_counts(doctored)
 
 
 def test_spot_counts():

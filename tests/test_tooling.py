@@ -19,18 +19,24 @@ def _load(name: str):
     return module
 
 
-def test_benchmark_hooks_bind_to_package_names():
+@pytest.mark.parametrize("module,name", [
+    ("engine", "theta_symmetrize"),
+    ("oracle", "all_counts"),
+    ("oracle", "transitive_counts"),
+    ("oracle", "cutjoin_step"),
+])
+def test_benchmark_hooks_bind_to_package_names(module, name):
     layers, spans = _load("layers"), _load("spans")
-    from hurwitz import engine
+    target = importlib.import_module(f"hurwitz.{module}")
 
-    before = engine.theta_symmetrize
+    before = getattr(target, name)
     tracer = spans.Tracer()
     try:
         layers.install(tracer, False)
-        assert engine.theta_symmetrize is not before
+        assert getattr(target, name) is not before
     finally:
         tracer.uninstall()
-    assert engine.theta_symmetrize is before
+    assert getattr(target, name) is before
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
