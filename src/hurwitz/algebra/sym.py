@@ -1,8 +1,12 @@
-"""Symmetric polynomials in the elementary basis, with exact fitting.
+"""Symmetric polynomials: orbit forms, the elementary basis, exact fitting.
 
 An E-kind SparsePoly over arity m stores powers of e_1 .. e_m; the
 weighted degree of a term gives e_k weight k, matching the x-degree a
 symmetric function of m variables inherits from its arguments.
+
+The orbit form of a symmetric polynomial is an ordinary SparsePoly that
+keeps only the terms with weakly decreasing exponents, one per orbit of
+the symmetric group; its coefficients are the monomial-symmetric ones.
 """
 
 from __future__ import annotations
@@ -10,12 +14,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from ..errors import InconsistentSystem, NotSymmetric
 from .poly import SparsePoly
 
 __all__ = [
+    "is_orbit_exponent",
+    "orbit_form",
+    "expand_orbits",
     "e_monomials_by_weight",
     "elementary_values",
     "e_monomial_expand",
@@ -23,6 +30,53 @@ __all__ = [
     "fit_sym_e_poly",
     "weighted_degree",
 ]
+
+
+def is_orbit_exponent(e: tuple) -> bool:
+    """True when e is weakly decreasing: the representative of its orbit."""
+    return all(a >= b for a, b in zip(e, e[1:]))
+
+
+def orbit_form(p: SparsePoly) -> SparsePoly:
+    """The orbit form of p, which the caller has checked to be symmetric.
+
+    Every orbit carries one coefficient, so the kept numerators have the
+    content of all of them and the denominator does not change.
+    """
+    num = {e: c for e, c in p.num.items() if is_orbit_exponent(e)}
+    return SparsePoly.from_core(p.kind, p.arity, num, p.den)
+
+
+def _arrangements(e: tuple) -> Iterator[tuple]:
+    """Each distinct reordering of e once, in lexicographic order.
+
+    The next-permutation walk from the ascending arrangement skips
+    repeated values, so the cost is linear in the number of arrangements
+    (a multinomial coefficient) rather than in len(e)!.
+    """
+    a = sorted(e)
+    n = len(a)
+    while True:
+        yield tuple(a)
+        i = n - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = n - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = a[:i:-1]
+
+
+def expand_orbits(orbit: SparsePoly) -> SparsePoly:
+    """The symmetric polynomial whose orbit form is `orbit`."""
+    num: Dict[tuple, int] = {}
+    for e, c in orbit.num.items():
+        for r in _arrangements(e):
+            num[r] = c
+    return SparsePoly.from_core(orbit.kind, orbit.arity, num, orbit.den)
 
 
 def weighted_degree(beta: Sequence[int]) -> int:

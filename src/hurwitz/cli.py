@@ -22,7 +22,14 @@ from typing import List, Optional, Tuple
 from . import formulas, oracle
 from .algebra.poly import SparsePoly
 from .algebra.sym import elementary_values
-from .engine import DEFAULT_BUDGETS, INPUT_J_MAX, INPUT_N_MAX, Engine
+from .engine import (
+    CACHE_VERSION,
+    DEFAULT_BUDGETS,
+    INPUT_J_MAX,
+    INPUT_N_MAX,
+    Engine,
+    read_cell,
+)
 from .errors import BudgetExceeded, CertificationError, HurwitzError
 from .partitions import Partition, partitions, partitions_of_length
 
@@ -294,6 +301,21 @@ def run_verify(args) -> int:
 
 # ----- cache --------------------------------------------------------------
 
+def _cache_status_line(path) -> str:
+    """One status line: the cell, version, orbit terms and bytes of a file
+    the engine would read, or `stale` for one it would recompute."""
+    try:
+        size = path.stat().st_size
+    except OSError:  # e.g. a dangling link
+        return f"{path.name} stale"
+    hit = read_cell(path)
+    if hit is None:
+        return f"{path.name} stale, {size} bytes"
+    psi = hit[0]
+    return (f"{path.name} ({psi.m},{psi.g}) version {CACHE_VERSION}, "
+            f"{len(psi.orbit)} orbit terms, {size} bytes")
+
+
 def run_cache(args) -> int:
     engine = Engine(cache_dir=args.cache_dir)
     if engine.cache_dir is None:
@@ -325,7 +347,7 @@ def run_cache(args) -> int:
         print("cache is empty")
         return EXIT_OK
     for path in files:
-        print(f"{path.name} {path.stat().st_size} bytes")
+        print(_cache_status_line(path))
     return EXIT_OK
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -48,7 +49,14 @@ from .algebra.series import (
     x_coefficient,
     w_power_x_table,
 )
-from .algebra.sym import fit_sym_e_poly, to_e_basis, weighted_degree
+from .algebra.sym import (
+    expand_orbits,
+    fit_sym_e_poly,
+    is_orbit_exponent,
+    orbit_form,
+    to_e_basis,
+    weighted_degree,
+)
 from .errors import (
     BudgetExceeded,
     CertificationError,
@@ -71,6 +79,7 @@ __all__ = [
     "INPUT_N_MAX",
     "INPUT_J_MAX",
     "per_var_bound",
+    "read_cell",
 ]
 
 DEFAULT_BUDGETS = {0: 8, 1: 6, 2: 4, 3: 3, 4: 2}
@@ -80,7 +89,9 @@ DEFAULT_BUDGETS = {0: 8, 1: 6, 2: 4, 3: 3, 4: 2}
 # CPython will convert to a string.
 INPUT_N_MAX = 160
 INPUT_J_MAX = 160
-CACHE_VERSION = 1
+# version 2 stores Psi in orbit form; version 1 stored it dense
+CACHE_VERSION = 2
+CELL_FILE = re.compile(r"psi_m([1-9][0-9]*)_g(0|[1-9][0-9]*)\.json")
 
 
 def per_var_bound(m: int, g: int) -> int:
@@ -95,12 +106,36 @@ def total_bound(m: int, g: int) -> int:
     return 3 * m + 6 * g - 6
 
 
-@dataclass(frozen=True)
 class PsiRep:
-    m: int
-    g: int
-    poly: SparsePoly
-    degree_cert: int  # attained total y-degree
+    """A solved cell, held in orbit form: the terms of the symmetric Psi
+    with weakly decreasing exponents.  The dense `poly` is expanded from
+    the orbit form on first access and kept; a freshly solved cell passes
+    its dense poly in, so only cells read from the cache expand."""
+
+    __slots__ = ("m", "g", "orbit", "_poly")
+
+    def __init__(self, m: int, g: int, orbit: SparsePoly,
+                 poly: Optional[SparsePoly] = None):
+        self.m = m
+        self.g = g
+        self.orbit = orbit
+        self._poly = poly
+
+    @classmethod
+    def from_dense(cls, m: int, g: int, poly: SparsePoly) -> "PsiRep":
+        """Wrap a dense Psi that is known to be symmetric."""
+        return cls(m, g, orbit_form(poly), poly)
+
+    @property
+    def degree_cert(self) -> int:
+        """The attained total y-degree."""
+        return self.orbit.total_degree() or 0
+
+    @property
+    def poly(self) -> SparsePoly:
+        if self._poly is None:
+            self._poly = expand_orbits(self.orbit)
+        return self._poly
 
 
 @dataclass(frozen=True)
@@ -122,7 +157,10 @@ class FResult:
 # ----- base cells ---------------------------------------------------------
 
 def psi0_base(m: int) -> PsiRep:
-    """Genus 0: (sum_i x_i d/dx_i)^(m-3) applied to prod (y_i - 1)."""
+    """Genus 0: (sum_i x_i d/dx_i)^(m-3) applied to prod (y_i - 1).
+
+    A symmetric operator applied to a symmetric polynomial, so the result
+    is symmetric by construction."""
     if m < 3:
         raise ValueError("genus-0 cells start at three variables")
     core: dict = {}
@@ -136,7 +174,7 @@ def psi0_base(m: int) -> PsiRep:
             for e, c in core_apply_xdx(poly.num, var).items():
                 acc[e] = acc.get(e, 0) + c
         poly = SparsePoly.from_core("Y", m, acc)
-    return PsiRep(m, 0, poly, poly.total_degree() or 0)
+    return PsiRep.from_dense(m, 0, poly)
 
 
 # ----- assembly -----------------------------------------------------------
@@ -273,20 +311,19 @@ def _residual(psi: SparsePoly, kpoly: SparsePoly, c: int) -> SparsePoly:
     return SparsePoly.from_core("Y", psi.arity, acc, dk * dp)
 
 
-def _validate_psi(rep: PsiRep):
-    poly = rep.poly
+def _validate_psi(poly: SparsePoly, m: int, g: int):
     if not poly.is_symmetric():
-        raise CertificationError(f"cell ({rep.m},{rep.g}) is not symmetric")
-    for var in range(rep.m):
+        raise CertificationError(f"cell ({m},{g}) is not symmetric")
+    for var in range(m):
         if not poly.substitute_one(var).is_zero():
             raise CertificationError(
-                f"cell ({rep.m},{rep.g}) does not vanish at y_{var+1} = 1"
+                f"cell ({m},{g}) does not vanish at y_{var+1} = 1"
             )
-    if rep.g >= 1:
-        bound = per_var_bound(rep.m, rep.g)
+    if g >= 1:
+        bound = per_var_bound(m, g)
         if any(d > bound for d in poly.per_var_degrees()):
             raise CertificationError(
-                f"cell ({rep.m},{rep.g}) breaks the per-variable bound {bound}"
+                f"cell ({m},{g}) breaks the per-variable bound {bound}"
             )
 
 
@@ -303,9 +340,9 @@ def solve_pde(K: RhsRep) -> PsiRep:
             f"no y-polynomial solution for ({m},{g}) within degree caps "
             f"{pv} per variable, {tot} total"
         )
-    rep = PsiRep(m, g, psi, psi.total_degree() or 0)
-    _validate_psi(rep)
-    return rep
+    # the orbit form drops terms, so it is taken only once symmetry holds
+    _validate_psi(psi, m, g)
+    return PsiRep.from_dense(m, g, psi)
 
 
 # ----- extraction ---------------------------------------------------------
@@ -362,6 +399,54 @@ def extract_f(psi: PsiRep) -> FResult:
     return FResult(m, g, f_basis, residual, attained)
 
 
+# ----- disk cache ---------------------------------------------------------
+
+def _check_orbit_form(orbit: SparsePoly, m: int, g: int):
+    """Raise ValueError unless `orbit` is a canonical orbit form over m
+    variables with the degrees every solved cell (m, g) attains: total
+    degree total_bound(m, g) and, for g >= 1, per-variable degree
+    per_var_bound(m, g), which is the first exponent of some term."""
+    if orbit.kind != "Y" or orbit.arity != m:
+        raise ValueError(f"psi is not a Y-form in {m} variables")
+    for e in orbit.num:
+        if (not all(type(k) is int for k in e) or e[-1] < 0
+                or not is_orbit_exponent(e)):
+            raise ValueError(f"exponent {e} is not an orbit representative")
+    if orbit.total_degree() != total_bound(m, g):
+        raise ValueError(f"psi misses the total degree {total_bound(m, g)}")
+    if g and max(e[0] for e in orbit.num) != per_var_bound(m, g):
+        raise ValueError(
+            f"psi misses the per-variable degree {per_var_bound(m, g)}")
+
+
+def read_cell(path: Path) -> Optional[Tuple[PsiRep, FResult]]:
+    """The cell stored in a cache file, decoded and checked, without
+    expanding Psi.  None when the file is a miss: a name that is not a
+    cell file, an unreadable or malformed file, another version or cell,
+    or an orbit form that fails `_check_orbit_form`."""
+    name = CELL_FILE.fullmatch(path.name)
+    if name is None:
+        return None
+    m, g = int(name[1]), int(name[2])
+    try:
+        obj = json.loads(path.read_text())
+        if not isinstance(obj, dict) or obj.get("version") != CACHE_VERSION:
+            return None
+        if obj.get("m") != m or obj.get("g") != g:
+            return None
+        orbit = SparsePoly.from_obj(obj["psi"])
+        _check_orbit_form(orbit, m, g)
+        f_e = SparsePoly.from_obj(obj["f_e"])
+        residual = tuple(
+            (var, tuple(jt), Fraction(cs))
+            for var, jt, cs in obj["w_residual"]
+        )
+        attained = max((weighted_degree(e) for e in f_e.num), default=0)
+    except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError):
+        return None
+    return PsiRep(m, g, orbit), FResult(m, g, f_e, residual, attained)
+
+
 # ----- orchestration ------------------------------------------------------
 
 def _deps(m: int, g: int) -> List[Tuple[int, int]]:
@@ -415,28 +500,12 @@ class Engine:
         return self.cache_dir / f"psi_m{m}_g{g}.json"
 
     def _load(self, m: int, g: int) -> bool:
-        """Read a cached cell; an unreadable or malformed file is a miss."""
+        """Read a cached cell; a file `read_cell` rejects is a miss."""
         path = self._cache_path(m, g)
-        if path is None or not path.is_file():
+        hit = None if path is None else read_cell(path)
+        if hit is None:
             return False
-        try:
-            obj = json.loads(path.read_text())
-            if not isinstance(obj, dict) or obj.get("version") != CACHE_VERSION:
-                return False
-            if obj.get("m") != m or obj.get("g") != g:
-                return False
-            poly = SparsePoly.from_obj(obj["psi"])
-            f_e = SparsePoly.from_obj(obj["f_e"])
-            residual = tuple(
-                (var, tuple(jt), Fraction(cs))
-                for var, jt, cs in obj["w_residual"]
-            )
-            psi = PsiRep(m, g, poly, poly.total_degree() or 0)
-            attained = max((weighted_degree(e) for e in f_e.num), default=0)
-        except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError):
-            return False
-        self._psi[(m, g)] = psi
-        self._f[(m, g)] = FResult(m, g, f_e, residual, attained)
+        self._psi[(m, g)], self._f[(m, g)] = hit
         return True
 
     def _save(self, m: int, g: int):
@@ -449,7 +518,7 @@ class Engine:
             "version": CACHE_VERSION,
             "m": m,
             "g": g,
-            "psi": psi.poly.to_obj(),
+            "psi": psi.orbit.to_obj(),
             "f_e": f.f_e.to_obj(),
             "w_residual": [
                 [var, list(jt), f"{c.numerator}/{c.denominator}"]

@@ -6,7 +6,8 @@ import pytest
 
 from hurwitz import cli
 from hurwitz.cli import main
-from hurwitz.engine import Engine, _deps
+from hurwitz.engine import CACHE_VERSION, Engine, _deps
+from hurwitz.formulas import f_table
 
 
 def run(argv):
@@ -227,3 +228,40 @@ def test_compute_uses_cache_dir(tmp_path, capsys):
     assert run(["compute", "--alpha", "2,1", "--genus", "1",
                 "--cache-dir", cdir]) == 0
     assert "mu = 40" in capsys.readouterr().out
+
+
+def test_cache_status_lists_cells_and_stale_files(tmp_path, capsys):
+    Engine(cache_dir=str(tmp_path)).f_result(2, 1)
+    good = tmp_path / "psi_m1_g1.json"
+    obj = json.loads((tmp_path / "psi_m3_g0.json").read_text())
+    obj["version"] = CACHE_VERSION + 1
+    (tmp_path / "psi_m3_g0.json").write_text(json.dumps(obj))
+    (tmp_path / "psi_m2_g1.json").write_text("not json")
+    (tmp_path / "psi_m4_g0.json").mkdir()
+    (tmp_path / "psi_m5_g0.json").symlink_to(tmp_path / "missing")
+    assert run(["cache", "--cache-dir", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        f"psi_m1_g1.json (1,1) version {CACHE_VERSION}, 4 orbit terms, "
+        f"{good.stat().st_size} bytes",
+        "psi_m2_g1.json stale, 8 bytes",
+        f"psi_m3_g0.json stale, {(tmp_path / 'psi_m3_g0.json').stat().st_size} bytes",
+        f"psi_m4_g0.json stale, {(tmp_path / 'psi_m4_g0.json').stat().st_size} bytes",
+        "psi_m5_g0.json stale",
+    ]
+
+
+def test_compute_rejects_a_forged_cache_file(tmp_path, capsys):
+    # an empty psi next to a forged f_e (54 times the true one)
+    cdir = str(tmp_path)
+    Engine(cache_dir=cdir).f_result(2, 1)
+    path = tmp_path / "psi_m2_g1.json"
+    good = path.read_text()
+    obj = json.loads(good)
+    obj["psi"]["terms"] = []
+    obj["f_e"] = f_table(1, 2).scale(54).to_obj()
+    path.write_text(json.dumps(obj))
+    assert run(["compute", "--alpha", "2,1", "--genus", "1",
+                "--cache-dir", cdir]) == 0
+    assert "c = 80" in capsys.readouterr().out
+    assert path.read_text() == good

@@ -10,7 +10,10 @@ from hypothesis import given, settings, strategies as st
 from hurwitz.algebra.operators import apply_wdw
 from hurwitz.algebra.poly import SparsePoly
 from hurwitz.algebra.series import expand_y_to_w, tree_coeffs
+from hurwitz.algebra.sym import expand_orbits, is_orbit_exponent
+from hurwitz import engine
 from hurwitz.engine import (
+    CACHE_VERSION,
     DEFAULT_BUDGETS,
     Engine,
     K11,
@@ -278,12 +281,20 @@ def test_cache_roundtrip(tmp_path):
 
 
 def test_cache_ignores_foreign_versions(tmp_path):
-    eng = Engine(cache_dir=str(tmp_path))
-    eng.psi(1, 1)
-    path = tmp_path / "psi_m1_g1.json"
-    path.write_text(path.read_text().replace('"version":1', '"version":99'))
-    fresh = Engine(cache_dir=str(tmp_path))
-    assert fresh.psi(1, 1).poly == PSI11
+    Engine(cache_dir=str(tmp_path)).psi(2, 1)
+    path = tmp_path / "psi_m2_g1.json"
+    good = path.read_text()
+    dense = Engine().psi(2, 1).poly
+    for version, psi in ((CACHE_VERSION + 1, None), (1, dense.to_obj())):
+        obj = json.loads(good)
+        obj["version"] = version
+        if psi is not None:  # version 1 stored the dense Psi
+            obj["psi"] = psi
+        path.write_text(json.dumps(obj, separators=(",", ":")) + "\n")
+        fresh = Engine(cache_dir=str(tmp_path))
+        assert fresh.psi(2, 1).poly == dense
+        # a miss: the cell is recomputed and written back in this version
+        assert path.read_text() == good
 
 
 def test_cache_ignores_corrupt_files(tmp_path):
@@ -292,14 +303,31 @@ def test_cache_ignores_corrupt_files(tmp_path):
     assert eng.psi(1, 1).poly == PSI11
 
 
+def _keep_psi_terms(keep):
+    return lambda obj: obj["psi"].__setitem__(
+        "terms", [t for t in obj["psi"]["terms"] if keep(t[0])])
+
+
+# The (2,1) orbit form reaches total degree 6 at (3,3) and (5,1), and
+# per-variable degree 5 at (5,0) and (5,1).
 @pytest.mark.parametrize("damage", [
     lambda obj: obj.pop("w_residual"),
     lambda obj: obj.__setitem__("psi", {"kind": "Y", "arity": 1}),
     lambda obj: obj["psi"]["terms"][0].__setitem__(2, "0"),
     lambda obj: obj["f_e"]["terms"][0].__setitem__(0, [1, 2, 3]),
     lambda obj: obj.__setitem__("w_residual", [[0, [1], "x/y"]]),
+    _keep_psi_terms(lambda e: False),
+    lambda obj: obj["psi"].__setitem__("kind", "W"),
+    lambda obj: obj["psi"]["terms"][0][0].reverse(),
+    lambda obj: obj["psi"]["terms"].append([[0, -1], "1", "1"]),
+    lambda obj: obj["psi"]["terms"][0].__setitem__(
+        0, [float(k) for k in obj["psi"]["terms"][0][0]]),
+    _keep_psi_terms(lambda e: sum(e) < 6),
+    _keep_psi_terms(lambda e: e[0] < 5),
 ], ids=["no-w_residual", "no-psi-terms", "zero-denominator", "wrong-arity",
-        "bad-fraction"])
+        "bad-fraction", "empty-psi", "psi-not-y", "unsorted-exponent",
+        "negative-exponent", "float-exponent", "below-total-degree",
+        "below-per-variable-degree"])
 def test_cache_treats_malformed_fields_as_a_miss(tmp_path, damage):
     Engine(cache_dir=str(tmp_path)).psi(2, 1)
     path = tmp_path / "psi_m2_g1.json"
@@ -314,3 +342,48 @@ def test_cache_treats_malformed_fields_as_a_miss(tmp_path, damage):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "psi_m1_g1.json", "psi_m2_g1.json", "psi_m3_g0.json"]
 
+
+
+def test_cache_hit_leaves_the_dense_view_unbuilt(tmp_path, monkeypatch):
+    want = Engine(cache_dir=str(tmp_path)).psi(2, 1)
+
+    def refuse(orbit):
+        raise AssertionError("a cache hit expanded the orbit form")
+
+    monkeypatch.setattr(engine, "expand_orbits", refuse)
+    fresh = Engine(cache_dir=str(tmp_path))
+    assert fresh.f_result(2, 1).f_e == f_table(1, 2)
+    assert fresh.psi(2, 1).orbit == want.orbit
+    monkeypatch.undo()
+    assert fresh.psi(2, 1).poly == want.poly
+
+
+def test_orbit_form_of_every_grid_cell_expands_back():
+    eng = Engine()
+    for g, top in DEFAULT_BUDGETS.items():
+        for m in range(3 if g == 0 else 1, min(top, 5) + 1):
+            eng.f_result(m, g)
+    assert len(eng.computed_cells()) == 18  # (6,0) comes in as a dependency
+    for m, g in eng.computed_cells():
+        rep = eng.psi(m, g)
+        assert all(is_orbit_exponent(e) for e in rep.orbit.num)
+        assert expand_orbits(rep.orbit) == rep.poly
+
+
+def test_cell_from_cached_dependencies_matches_a_cold_engine(tmp_path, monkeypatch):
+    Engine(cache_dir=str(tmp_path)).f_result(2, 2)
+    (tmp_path / "psi_m2_g2.json").unlink()
+    solves = []
+
+    def counted(K):
+        solves.append((K.m, K.g))
+        return solve_pde(K)
+
+    monkeypatch.setattr(engine, "solve_pde", counted)
+    warm = Engine(cache_dir=str(tmp_path))
+    got = warm.cell(2, 2)
+    assert solves == [(2, 2)]  # every dependency came from the cache
+    want = Engine().cell(2, 2)
+    assert got[0].poly == want[0].poly
+    assert got[1].f_e == want[1].f_e
+    assert got[1].w_residual == want[1].w_residual

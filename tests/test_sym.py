@@ -1,6 +1,8 @@
-"""Exact fitting of symmetric polynomials in the elementary basis."""
+"""Symmetric polynomials: orbit forms and exact fitting in the elementary basis."""
 
+import math
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -8,7 +10,9 @@ from hurwitz.algebra.poly import SparsePoly
 from hurwitz.algebra.sym import (
     e_monomials_by_weight,
     elementary_values,
+    expand_orbits,
     fit_sym_e_poly,
+    orbit_form,
 )
 from hurwitz.engine import _sample_plan
 from hurwitz.errors import InconsistentSystem
@@ -67,3 +71,26 @@ def test_fit_handles_mixed_denominators():
     evals = samples(poly, m, wdeg)
     assert len({v.denominator for _, v in evals}) > 2
     assert fit_sym_e_poly(evals, m, wdeg) == poly
+
+
+@pytest.mark.parametrize("orbits", [
+    {(4,): -3, (0,): 1},
+    {(3, 1): 1, (2, 2): 5, (0, 0): -2},
+    {(3, 0, 0): Fraction(1, 3), (2, 1, 1): 1, (1, 1, 1): 7},
+    {(3, 3, 1, 0): 2, (2, 2, 2, 2): 1, (1, 0, 0, 0): -1},
+    {(4, 4, 0, 0, 0): 1, (2, 1, 1, 0, 0): Fraction(-5, 6)},
+    {(5, 0, 0, 0, 0, 0): -1, (3, 3, 1, 0, 0, 0): 1, (2, 2, 1, 1, 0, 0): 4,
+     (1, 1, 1, 1, 1, 1): 9},
+])
+def test_orbit_form_roundtrip(orbits):
+    m = len(next(iter(orbits)))
+    dense = SparsePoly("Y", m, {
+        p: c for e, c in orbits.items() for p in set(permutations(e))})
+    orbit = SparsePoly("Y", m, orbits)
+    assert orbit_form(dense) == orbit
+    expanded = expand_orbits(orbit)
+    assert expanded == dense
+    multinomials = [
+        math.factorial(m) // math.prod(math.factorial(e.count(k)) for k in set(e))
+        for e in orbits]
+    assert len(expanded) == sum(multinomials)
