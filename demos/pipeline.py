@@ -7,7 +7,7 @@ extracted symmetric function, and the scaling back to integer counts.
 
 from fractions import Fraction
 
-from hurwitz.algebra.sym import elementary_values
+from hurwitz.algebra.sym import elementary_values, weighted_degree
 from hurwitz.engine import Engine, assemble_K
 from hurwitz.formulas import hurwitz
 from hurwitz.oracle import c_count
@@ -26,13 +26,13 @@ def main():
     print(f"\nsolved cell (scaling constant c = {m + 2 * g - 2}):")
     print("   Psi =", psi.poly)
     print(f"   per-variable degrees {psi.poly.per_var_degrees()}, "
-          f"total {psi.degree_cert}")
+          f"total {psi.poly.total_degree()}")
 
     fr = eng.f_result(m, g)
     print("\nextracted symmetric polynomial (e-basis):")
     print("   f =", fr.f_e)
-    print(f"   weighted degree {fr.weighted_degree}, "
-          f"w-residual terms: {len(fr.w_residual)}")
+    print(f"   weighted degree {max(map(weighted_degree, fr.f_e.num))}, "
+          f"which the engine checks is m + 3g - 3")
 
     print("\nscaling back to counts, checked against enumeration:")
     for parts in ([2, 1], [3, 1], [2, 2], [4, 1], [3, 2]):

@@ -4,7 +4,6 @@ w, and x coordinate systems, the two derivations, and symmetric-function
 utilities."""
 
 from .operators import (
-    OperatorBasisDecomp,
     apply_wdw,
     apply_xdx,
     diag_fold,
@@ -29,7 +28,6 @@ from .sym import (
 __all__ = [
     "SparsePoly",
     "TruncSeries",
-    "OperatorBasisDecomp",
     "apply_xdx",
     "apply_wdw",
     "diag_fold",

@@ -23,9 +23,8 @@ which is exactly the shape the extracted symmetric forms take.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from ..errors import NonzeroRemainder, NotVanishing
 from .poly import SparsePoly
@@ -36,7 +35,6 @@ __all__ = [
     "apply_wdw",
     "diag_fold",
     "divide_ydiff",
-    "OperatorBasisDecomp",
     "xdx_basis_convert",
     "p_ladder",
 ]
@@ -168,20 +166,6 @@ def p_ladder(jmax: int) -> Tuple[list, list]:
     return P, Q
 
 
-@dataclass
-class OperatorBasisDecomp:
-    """Result of xdx_basis_convert.
-
-    b_terms[j-tuple] is the coefficient of prod_i (x_i d/dx_i)^(j_i) V_m;
-    w_residual lists terms carrying exactly one w d/dw factor as
-    (variable, j-tuple, coefficient).
-    """
-
-    m: int
-    b_terms: Dict[tuple, Fraction] = field(default_factory=dict)
-    w_residual: List[tuple] = field(default_factory=list)
-
-
 def _basis_rows(dmax: int) -> Tuple[list, int]:
     """rows[k] writes y^k over the per-variable basis, scaled by L.
 
@@ -206,14 +190,13 @@ def _basis_rows(dmax: int) -> Tuple[list, int]:
             for row in table], L
 
 
-def xdx_basis_convert(p: SparsePoly, m: int) -> OperatorBasisDecomp:
-    """Decompose p over the P/Q operator basis, variable by variable.
+def xdx_basis_convert(p: SparsePoly, m: int) -> Dict[tuple, Fraction]:
+    """p as sum_j c_j prod_i (x_i d/dx_i)^(j_i) V_m, returned as {j: c_j}.
 
-    Requires p to vanish at y_i = 1 for every i; inside each variable the
-    reduction is triangular by degree, so the decomposition is unique and
-    exact by construction.  Terms with two or more Q factors cannot occur
-    for the polynomials this package produces; here they raise
-    NotVanishing.
+    The reduction over the P/Q basis is triangular by degree in each
+    variable, so it is unique and exact.  A p that does not vanish at
+    every y_i = 1, or has a term with a w d/dw (Q) factor, is not
+    f(x d/dx) V_m for any f, and raises NotVanishing.
     """
     if p.kind != "Y":
         raise ValueError("xdx_basis_convert wants a Y polynomial")
@@ -225,20 +208,8 @@ def xdx_basis_convert(p: SparsePoly, m: int) -> OperatorBasisDecomp:
     residues = [lab.index(0) for lab in labels if 0 in lab]
     if residues:
         raise NotVanishing(f"input does not vanish at y_{min(residues)+1} = 1")
-
-    decomp = OperatorBasisDecomp(m)
-    for lab, c in labels.items():
-        evens = [i for i, d in enumerate(lab) if d % 2 == 0]
-        jt = tuple((d - 1) // 2 if d % 2 else d // 2 for d in lab)
-        c = Fraction(c, den)
-        if not evens:
-            decomp.b_terms[jt] = c
-        elif len(evens) == 1:
-            decomp.w_residual.append((evens[0], jt, c))
-        else:
-            raise NotVanishing(
-                f"term {lab} carries {len(evens)} w d/dw factors; "
-                "the single-residual decomposition does not apply"
-            )
-    decomp.w_residual.sort(key=lambda t: (t[0], t[1]))
-    return decomp
+    for lab in labels:
+        if any(d % 2 == 0 for d in lab):
+            raise NotVanishing(f"term {lab} carries a w d/dw factor")
+    return {tuple((d - 1) // 2 for d in lab): Fraction(c, den)
+            for lab, c in labels.items()}

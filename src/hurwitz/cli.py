@@ -322,11 +322,11 @@ def run_cache(args) -> int:
         print("no cache directory configured (pass --cache-dir)")
         return EXIT_BAD_ARGS
     if args.clear:
-        removed = 0
-        for path in sorted(engine.cache_dir.glob("psi_m*_g*.json")):
+        files = [p for p in sorted(engine.cache_dir.glob("psi_m*_g*.json"))
+                 if not p.is_dir()]
+        for path in files:
             path.unlink()
-            removed += 1
-        print(f"removed {removed} cached cells")
+        print(f"removed {len(files)} cached cells")
         return EXIT_OK
     if args.warm:
         budgets = dict(DEFAULT_BUDGETS)
@@ -381,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--n-max", type=int, default=None)
     p_table.add_argument("--format", choices=("csv", "json", "text"),
                          default="text")
-    p_table.add_argument("--cache-dir", default=None)
     p_table.set_defaults(func=run_table)
 
     p_verify = sub.add_parser("verify", help="cross-check suites")

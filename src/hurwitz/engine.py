@@ -22,6 +22,7 @@ never touch the solver.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -127,11 +128,6 @@ class PsiRep:
         return cls(m, g, orbit_form(poly), poly)
 
     @property
-    def degree_cert(self) -> int:
-        """The attained total y-degree."""
-        return self.orbit.total_degree() or 0
-
-    @property
     def poly(self) -> SparsePoly:
         if self._poly is None:
             self._poly = expand_orbits(self.orbit)
@@ -150,8 +146,6 @@ class FResult:
     m: int
     g: int
     f_e: SparsePoly
-    w_residual: Tuple[tuple, ...]  # (variable, j-tuple, coefficient)
-    weighted_degree: int
 
 
 # ----- base cells ---------------------------------------------------------
@@ -345,6 +339,39 @@ def solve_pde(K: RhsRep) -> PsiRep:
     return PsiRep.from_dense(m, g, psi)
 
 
+# ----- checks every cell passes, fresh or cached ---------------------------
+# Psi = f(x d/dx) V_m with f of weighted degree m + 3g - 3 (ELSV), which gives
+# Psi total degree total_bound and, through f's e1 power, per_var_bound.
+
+def _check_orbit_form(orbit: SparsePoly, m: int, g: int):
+    """Raise CertificationError unless `orbit` is a canonical orbit form
+    over m variables with the degrees every solved cell (m, g) attains:
+    total degree total_bound(m, g) and, for g >= 1, per-variable degree
+    per_var_bound(m, g), which is the first exponent of some term."""
+    if orbit.kind != "Y" or orbit.arity != m:
+        raise CertificationError(f"psi is not a Y-form in {m} variables")
+    for e in orbit.num:
+        if (not all(type(k) is int for k in e) or e[-1] < 0
+                or not is_orbit_exponent(e)):
+            raise CertificationError(f"exponent {e} is not an orbit representative")
+    if orbit.total_degree() != total_bound(m, g):
+        raise CertificationError(f"psi misses the total degree {total_bound(m, g)}")
+    if g and max(e[0] for e in orbit.num) != per_var_bound(m, g):
+        raise CertificationError(
+            f"psi misses the per-variable degree {per_var_bound(m, g)}")
+
+
+def _check_f(f_e: SparsePoly, m: int, g: int):
+    """Raise CertificationError unless `f_e` is an e-basis polynomial in
+    m variables of weighted degree exactly m + 3g - 3."""
+    if (f_e.kind != "E" or f_e.arity != m
+            or not all(type(k) is int and k >= 0 for e in f_e.num for k in e)):
+        raise CertificationError(f"f is not an E-polynomial in {m} variables")
+    want = m + 3 * g - 3
+    if max(map(weighted_degree, f_e.num), default=None) != want:
+        raise CertificationError(f"f misses the weighted degree {want}")
+
+
 # ----- extraction ---------------------------------------------------------
 
 def _sample_plan(m: int, wdeg: int) -> List[Partition]:
@@ -377,53 +404,28 @@ def _extract_by_samples(psi: SparsePoly, m: int, wdeg: int) -> SparsePoly:
 def extract_f(psi: PsiRep) -> FResult:
     """Pull out the symmetric polynomial behind a cell, two ways.
 
-    Route one rewrites the cell over the operator basis and reads the
-    all-derivation terms as a symmetric polynomial; route two samples
-    x-coefficients at partitions and fits.  Any disagreement is fatal.
+    Route one rewrites the cell over the x d/dx operator basis as a
+    symmetric polynomial; route two samples x-coefficients at partitions
+    and fits.  A disagreement is fatal, and so is a failed `_check_f`.
     """
     m, g = psi.m, psi.g
-    decomp = xdx_basis_convert(psi.poly, m)
-    f_basis = to_e_basis(decomp.b_terms, m)
-    wdeg = m + 3 * g - 3
-    f_fit = _extract_by_samples(psi.poly, m, max(wdeg, 0))
+    f_basis = to_e_basis(xdx_basis_convert(psi.poly, m), m)
+    f_fit = _extract_by_samples(psi.poly, m, max(m + 3 * g - 3, 0))
     if f_basis != f_fit:
         raise RouteDisagreement(
             f"operator-basis and sampling extractions differ at ({m},{g})"
         )
-    attained = max(
-        (weighted_degree(e) for e in f_basis.num), default=0
-    )
-    residual = tuple(
-        (var, jt, coeff) for var, jt, coeff in decomp.w_residual
-    )
-    return FResult(m, g, f_basis, residual, attained)
+    _check_f(f_basis, m, g)
+    return FResult(m, g, f_basis)
 
 
 # ----- disk cache ---------------------------------------------------------
-
-def _check_orbit_form(orbit: SparsePoly, m: int, g: int):
-    """Raise ValueError unless `orbit` is a canonical orbit form over m
-    variables with the degrees every solved cell (m, g) attains: total
-    degree total_bound(m, g) and, for g >= 1, per-variable degree
-    per_var_bound(m, g), which is the first exponent of some term."""
-    if orbit.kind != "Y" or orbit.arity != m:
-        raise ValueError(f"psi is not a Y-form in {m} variables")
-    for e in orbit.num:
-        if (not all(type(k) is int for k in e) or e[-1] < 0
-                or not is_orbit_exponent(e)):
-            raise ValueError(f"exponent {e} is not an orbit representative")
-    if orbit.total_degree() != total_bound(m, g):
-        raise ValueError(f"psi misses the total degree {total_bound(m, g)}")
-    if g and max(e[0] for e in orbit.num) != per_var_bound(m, g):
-        raise ValueError(
-            f"psi misses the per-variable degree {per_var_bound(m, g)}")
-
 
 def read_cell(path: Path) -> Optional[Tuple[PsiRep, FResult]]:
     """The cell stored in a cache file, decoded and checked, without
     expanding Psi.  None when the file is a miss: a name that is not a
     cell file, an unreadable or malformed file, another version or cell,
-    or an orbit form that fails `_check_orbit_form`."""
+    or a Psi or f that fails `_check_orbit_form` or `_check_f`."""
     name = CELL_FILE.fullmatch(path.name)
     if name is None:
         return None
@@ -437,14 +439,10 @@ def read_cell(path: Path) -> Optional[Tuple[PsiRep, FResult]]:
         orbit = SparsePoly.from_obj(obj["psi"])
         _check_orbit_form(orbit, m, g)
         f_e = SparsePoly.from_obj(obj["f_e"])
-        residual = tuple(
-            (var, tuple(jt), Fraction(cs))
-            for var, jt, cs in obj["w_residual"]
-        )
-        attained = max((weighted_degree(e) for e in f_e.num), default=0)
-    except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError):
+        _check_f(f_e, m, g)
+    except (OSError, KeyError, TypeError, ValueError, ArithmeticError):
         return None
-    return PsiRep(m, g, orbit), FResult(m, g, f_e, residual, attained)
+    return PsiRep(m, g, orbit), FResult(m, g, f_e)
 
 
 # ----- orchestration ------------------------------------------------------
@@ -520,16 +518,16 @@ class Engine:
             "g": g,
             "psi": psi.orbit.to_obj(),
             "f_e": f.f_e.to_obj(),
-            "w_residual": [
-                [var, list(jt), f"{c.numerator}/{c.denominator}"]
-                for var, jt, c in f.w_residual
-            ],
         }
-        path.parent.mkdir(parents=True, exist_ok=True)
         # a reader never sees a half-written file: write aside, then rename
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(obj, separators=(",", ":")) + "\n")
-        os.replace(tmp, path)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_text(json.dumps(obj, separators=(",", ":")) + "\n")
+            os.replace(tmp, path)
+        except OSError:  # the answer stands; a later run computes it again
+            with contextlib.suppress(OSError):
+                tmp.unlink()
 
     # -- public access
 
@@ -550,6 +548,8 @@ class Engine:
                     rep = psi0_base(m)
                 else:
                     rep = solve_pde(assemble_K(m, g, self._psi))
+                # as a cache read does; extract_f runs _check_f before _f marks it done
+                _check_orbit_form(rep.orbit, m, g)
                 self._psi[key] = rep
                 self._f[key] = extract_f(rep)
                 self._save(m, g)

@@ -66,6 +66,7 @@ def test_bad_args(tmp_path):
     # removed placeholder flags are unknown arguments
     assert run(["compute", "--alpha", "2,1", "--genus", "1", "--jobs", "2"]) == 3
     assert run(["table", "--genus", "1", "--m", "2", "--jobs", "2"]) == 3
+    assert run(["table", "--genus", "1", "--m", "2", "--cache-dir", str(tmp_path)]) == 3
     assert run(["verify", "--suite", "recurrence", "--jobs", "2"]) == 3
     assert run(["verify", "--suite", "recurrence", "--format", "json"]) == 3
     assert run(["cache", "--cache-dir", str(tmp_path), "--jobs", "2"]) == 3
@@ -228,6 +229,34 @@ def test_compute_uses_cache_dir(tmp_path, capsys):
     assert run(["compute", "--alpha", "2,1", "--genus", "1",
                 "--cache-dir", cdir]) == 0
     assert "mu = 40" in capsys.readouterr().out
+
+
+def test_compute_survives_a_directory_named_like_a_cell(tmp_path, capsys):
+    (tmp_path / "psi_m2_g1.json").mkdir()
+    assert run(["compute", "--alpha", "2,1", "--genus", "1",
+                "--cache-dir", str(tmp_path)]) == 0
+    assert "c = 80" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "psi_m1_g1.json", "psi_m2_g1.json", "psi_m3_g0.json"]
+    assert (tmp_path / "psi_m2_g1.json").is_dir()
+
+
+def test_cache_clear_leaves_a_directory_named_like_a_cell(tmp_path, capsys):
+    Engine(cache_dir=str(tmp_path)).f_result(1, 1)
+    (tmp_path / "psi_m2_g1.json").mkdir()
+    assert run(["cache", "--clear", "--cache-dir", str(tmp_path)]) == 0
+    assert "removed 1 cached cells" in capsys.readouterr().out
+    assert [p.name for p in tmp_path.iterdir()] == ["psi_m2_g1.json"]
+
+
+def test_compute_survives_a_cache_dir_that_is_a_file(tmp_path, capsys):
+    path = tmp_path / "cache"
+    path.write_text("not a directory")
+    assert run(["compute", "--alpha", "2,1", "--genus", "1",
+                "--cache-dir", str(path)]) == 0
+    assert "c = 80" in capsys.readouterr().out
+    assert [p.name for p in tmp_path.iterdir()] == ["cache"]
+    assert path.read_text() == "not a directory"
 
 
 def test_cache_status_lists_cells_and_stale_files(tmp_path, capsys):

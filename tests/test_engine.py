@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hurwitz.algebra.operators import apply_wdw
 from hurwitz.algebra.poly import SparsePoly
 from hurwitz.algebra.series import expand_y_to_w, tree_coeffs
-from hurwitz.algebra.sym import expand_orbits, is_orbit_exponent
+from hurwitz.algebra.sym import expand_orbits, is_orbit_exponent, weighted_degree
 from hurwitz import engine
 from hurwitz.engine import (
     CACHE_VERSION,
@@ -20,13 +20,14 @@ from hurwitz.engine import (
     PsiRep,
     RhsRep,
     assemble_K,
+    extract_f,
     per_var_bound,
     psi0_base,
     solve_pde,
     theta_symmetrize,
     total_bound,
 )
-from hurwitz.errors import BudgetExceeded, ResidualNonzero
+from hurwitz.errors import BudgetExceeded, CertificationError, ResidualNonzero
 from hurwitz.formulas import f_table
 from hurwitz.oracle import c_count
 from hurwitz.partitions import Partition
@@ -66,7 +67,6 @@ def test_genus0_extraction_is_power_of_e1():
         assert fr.f_e == SparsePoly("E", m, {
             (m - 3,) + (0,) * (m - 1): Fraction(1)
         })
-        assert fr.w_residual == ()
 
 
 def test_one_variable_seed_is_the_tree_function():
@@ -184,7 +184,6 @@ def test_theta_placements():
 def test_psi11_value_and_equation():
     psi = Engine().psi(1, 1)
     assert psi.poly == PSI11
-    assert psi.degree_cert == 3
     # independent re-derivation of the hard-coded right side:
     # (w d/dw + 1) Psi must reproduce it exactly
     assert apply_wdw(psi.poly, 0) + psi.poly == K11
@@ -206,11 +205,34 @@ def test_cells_satisfy_their_equation():
 def test_degree_certificates():
     eng = Engine()
     p21 = eng.psi(2, 1)
-    assert p21.degree_cert == total_bound(2, 1) == 6
+    assert p21.poly.total_degree() == total_bound(2, 1) == 6
     assert p21.poly.per_var_degrees() == (5, 5)
     assert per_var_bound(2, 1) == 5
     p12 = eng.psi(1, 2)
     assert p12.poly.per_var_degrees() == (per_var_bound(1, 2),)
+
+
+def test_extraction_refuses_a_cell_at_another_genus():
+    # V_3 is the (3,0) cell; as (3,1) both routes agree on f = 1, which
+    # misses the weighted degree 3 + 3 - 3
+    with pytest.raises(CertificationError, match="weighted degree 3"):
+        extract_f(PsiRep(3, 1, psi0_base(3).orbit))
+
+
+def test_cell_refuses_a_fresh_psi_off_its_total_degree(monkeypatch):
+    # V_3 * y1 y2 y3 has total degree 6, not 3; its terms carry w d/dw
+    # factors, so only the check of the fresh orbit form names the fault
+    def base(m):
+        y = SparsePoly.const("Y", m, 1)
+        for i in range(m):
+            y = y * SparsePoly.variable("Y", m, i)
+        return PsiRep.from_dense(m, 0, psi0_base(m).poly * y)
+
+    monkeypatch.setattr(engine, "psi0_base", base)
+    eng = Engine()
+    with pytest.raises(CertificationError, match="total degree 3"):
+        eng.cell(3, 0)
+    assert eng.computed_cells() == []
 
 
 def test_f_extraction_matches_table():
@@ -297,6 +319,23 @@ def test_cache_ignores_foreign_versions(tmp_path):
         assert path.read_text() == good
 
 
+def test_cache_serves_files_with_keys_it_does_not_read(tmp_path, monkeypatch):
+    # version-2 files of earlier releases hold one more, always-empty list
+    Engine(cache_dir=str(tmp_path)).f_result(2, 1)
+    path = tmp_path / "psi_m2_g1.json"
+    obj = json.loads(path.read_text())
+    obj["unread"] = []
+    old = json.dumps(obj, separators=(",", ":")) + "\n"
+    path.write_text(old)
+
+    def refuse(psi):
+        raise AssertionError("a cached cell was extracted again")
+
+    monkeypatch.setattr(engine, "extract_f", refuse)
+    assert Engine(cache_dir=str(tmp_path)).f_result(2, 1).f_e == f_table(1, 2)
+    assert path.read_text() == old
+
+
 def test_cache_ignores_corrupt_files(tmp_path):
     (tmp_path / "psi_m1_g1.json").write_text("not json")
     eng = Engine(cache_dir=str(tmp_path))
@@ -311,11 +350,11 @@ def _keep_psi_terms(keep):
 # The (2,1) orbit form reaches total degree 6 at (3,3) and (5,1), and
 # per-variable degree 5 at (5,0) and (5,1).
 @pytest.mark.parametrize("damage", [
-    lambda obj: obj.pop("w_residual"),
+    lambda obj: obj.pop("f_e"),
     lambda obj: obj.__setitem__("psi", {"kind": "Y", "arity": 1}),
     lambda obj: obj["psi"]["terms"][0].__setitem__(2, "0"),
     lambda obj: obj["f_e"]["terms"][0].__setitem__(0, [1, 2, 3]),
-    lambda obj: obj.__setitem__("w_residual", [[0, [1], "x/y"]]),
+    lambda obj: obj["f_e"]["terms"][0].__setitem__(1, "x/y"),
     _keep_psi_terms(lambda e: False),
     lambda obj: obj["psi"].__setitem__("kind", "W"),
     lambda obj: obj["psi"]["terms"][0][0].reverse(),
@@ -324,10 +363,20 @@ def _keep_psi_terms(keep):
         0, [float(k) for k in obj["psi"]["terms"][0][0]]),
     _keep_psi_terms(lambda e: sum(e) < 6),
     _keep_psi_terms(lambda e: e[0] < 5),
-], ids=["no-w_residual", "no-psi-terms", "zero-denominator", "wrong-arity",
+    # (e1^2 - e1 - e2)/24 without its weighted-degree-2 terms
+    lambda obj: obj["f_e"].__setitem__(
+        "terms", [t for t in obj["f_e"]["terms"] if weighted_degree(t[0]) < 2]),
+    lambda obj: obj["f_e"].__setitem__("kind", "Y"),
+    lambda obj: obj.__setitem__("f_e", {"kind": "E", "arity": 3, "terms": [
+        [e + [0], n, d] for e, n, d in obj["f_e"]["terms"]]}),
+    lambda obj: obj["f_e"]["terms"].append([[-2, 2], "1", "1"]),  # weight 2
+    lambda obj: obj["f_e"]["terms"][0].__setitem__(
+        0, [float(k) for k in obj["f_e"]["terms"][0][0]]),
+], ids=["no-f_e", "no-psi-terms", "zero-denominator", "wrong-arity",
         "bad-fraction", "empty-psi", "psi-not-y", "unsorted-exponent",
         "negative-exponent", "float-exponent", "below-total-degree",
-        "below-per-variable-degree"])
+        "below-per-variable-degree", "f-below-weighted-degree", "f-not-e",
+        "f-in-three-variables", "f-negative-exponent", "f-float-exponent"])
 def test_cache_treats_malformed_fields_as_a_miss(tmp_path, damage):
     Engine(cache_dir=str(tmp_path)).psi(2, 1)
     path = tmp_path / "psi_m2_g1.json"
@@ -386,4 +435,3 @@ def test_cell_from_cached_dependencies_matches_a_cold_engine(tmp_path, monkeypat
     want = Engine().cell(2, 2)
     assert got[0].poly == want[0].poly
     assert got[1].f_e == want[1].f_e
-    assert got[1].w_residual == want[1].w_residual
