@@ -58,19 +58,6 @@ def core_apply_xdx(core: Core, var: int) -> Core:
     return out
 
 
-def core_apply_wdw(core: Core, var: int) -> Core:
-    out: Core = {}
-    for e, c in core.items():
-        k = e[var]
-        if not k:
-            continue
-        kc = k * c
-        up1 = e[:var] + (k + 1,) + e[var + 1:]
-        out[up1] = out.get(up1, 0) + kc
-        out[e] = out.get(e, 0) - kc
-    return out
-
-
 def _check_var(poly: SparsePoly, var: int) -> None:
     if poly.kind != "Y":
         raise ValueError("operator acts on Y polynomials")
@@ -87,7 +74,16 @@ def apply_xdx(poly: SparsePoly, var: int) -> SparsePoly:
 def apply_wdw(poly: SparsePoly, var: int) -> SparsePoly:
     """w_var d/dw_var in y-coordinates."""
     _check_var(poly, var)
-    return SparsePoly.from_core("Y", poly.arity, core_apply_wdw(poly.num, var), poly.den)
+    out: Core = {}
+    for e, c in poly.num.items():
+        k = e[var]
+        if not k:
+            continue
+        kc = k * c
+        up1 = e[:var] + (k + 1,) + e[var + 1:]
+        out[up1] = out.get(up1, 0) + kc
+        out[e] = out.get(e, 0) - kc
+    return SparsePoly.from_core("Y", poly.arity, out, poly.den)
 
 
 def diag_fold(poly: SparsePoly, keep: int, drop: int) -> SparsePoly:
@@ -106,8 +102,8 @@ def diag_fold(poly: SparsePoly, keep: int, drop: int) -> SparsePoly:
 
 # ----- exact division by (y_i - y_j) --------------------------------------
 
-def core_divide_ydiff(core: Core, i: int, j: int) -> Core:
-    """Divide by (y_i - y_j), exactly.
+def divide_ydiff(poly: SparsePoly, i: int, j: int) -> SparsePoly:
+    """Exact quotient poly / (y_i - y_j).
 
     Descending over the y_i exponent k, the level-k slice P_k of the
     working dividend gives the quotient slice at k-1, and y_j * P_k is
@@ -115,10 +111,10 @@ def core_divide_ydiff(core: Core, i: int, j: int) -> Core:
     remainder and must vanish.
     """
     buckets: dict = {}
-    for e, c in core.items():
+    for e, c in poly.num.items():
         buckets.setdefault(e[i], {})[e] = c
     if not buckets:
-        return {}
+        return SparsePoly.from_core(poly.kind, poly.arity, {}, poly.den)
     if min(buckets) < 0:
         # the descent stops at level zero and would drop these terms
         raise ValueError(f"Laurent input in y_{i+1} is outside this division")
@@ -139,13 +135,7 @@ def core_divide_ydiff(core: Core, i: int, j: int) -> Core:
     if left and any(left.values()):
         bad = next(e for e, c in left.items() if c)
         raise NonzeroRemainder(f"division by y_{i+1} - y_{j+1} leaves remainder at {bad}")
-    return out
-
-
-def divide_ydiff(poly: SparsePoly, i: int, j: int) -> SparsePoly:
-    """Exact quotient poly / (y_i - y_j)."""
-    return SparsePoly.from_core(
-        poly.kind, poly.arity, core_divide_ydiff(poly.num, i, j), poly.den)
+    return SparsePoly.from_core(poly.kind, poly.arity, out, poly.den)
 
 
 # ----- operator basis -----------------------------------------------------

@@ -26,12 +26,11 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Dict, Mapping, Sequence
 
-__all__ = ["SparsePoly", "KINDS", "Exponent", "Rational"]
+__all__ = ["SparsePoly", "KINDS", "Exponent"]
 
 KINDS = ("Y", "W", "X", "E")
 
 Exponent = tuple  # tuple[int, ...]
-Rational = Fraction
 
 _VAR_LETTER = {"Y": "y", "W": "w", "X": "x", "E": "e"}
 
@@ -308,10 +307,6 @@ class SparsePoly:
 
     def to_json(self) -> str:
         return json.dumps(self.to_obj(), separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, s: str) -> "SparsePoly":
-        return cls.from_obj(json.loads(s))
 
     def __repr__(self) -> str:
         return f"SparsePoly({self.kind!r}, {self.arity}, {len(self.num)} terms)"

@@ -5,15 +5,19 @@ or value grids), verify (cross-check suites, JSON report), cache
 (inspect, clear, or warm the cell cache).
 
 Exit codes: 0 success, 1 verification mismatch, 2 unavailable
-computation, 3 bad arguments.  All output is deterministic; rationals
-print as p/q in lowest terms.
+computation, 3 bad arguments.  A reader that closes stdout early (as
+`hurwitz cache --cache-dir D | head -2` does) ends the command with exit
+1 and nothing on stderr, Python's convention for a broken pipe.  All
+output is deterministic; rationals print as p/q in lowest terms.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from itertools import chain, islice
@@ -37,6 +41,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_UNAVAILABLE = 2
 EXIT_BAD_ARGS = 3
+EXIT_BROKEN_PIPE = 1
 # Most rows one `table --values` grid may print.  Measured at the largest
 # accepted n_max, the slowest grids (genus 3 with m = 3, genus 0 with m near
 # 70, one part at genus near 60) print in about a second.
@@ -321,8 +326,15 @@ def run_cache(args) -> int:
     if engine.cache_dir is None:
         print("no cache directory configured (pass --cache-dir)")
         return EXIT_BAD_ARGS
+    cdir = engine.cache_dir
+    if args.warm:
+        with contextlib.suppress(OSError):  # refused just below
+            cdir.mkdir(parents=True, exist_ok=True)
+    if (args.warm or cdir.exists()) and not cdir.is_dir():
+        print(f"error: cache directory {cdir} is not a directory", file=sys.stderr)
+        return EXIT_BAD_ARGS
     if args.clear:
-        files = [p for p in sorted(engine.cache_dir.glob("psi_m*_g*.json"))
+        files = [p for p in sorted(cdir.glob("psi_m*_g*.json"))
                  if not p.is_dir()]
         for path in files:
             path.unlink()
@@ -342,7 +354,7 @@ def run_cache(args) -> int:
                 engine.cell(m, g)
                 print(f"computed ({m},{g})")
         return EXIT_OK
-    files = sorted(engine.cache_dir.glob("psi_m*_g*.json"))
+    files = sorted(cdir.glob("psi_m*_g*.json"))
     if not files:
         print("cache is empty")
         return EXIT_OK
@@ -414,7 +426,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("error: --m must be at least 1", file=sys.stderr)
         return EXIT_BAD_ARGS
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone; send what is still buffered nowhere, so that
+        # the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except BudgetExceeded as err:
         print(f"unavailable: {err}", file=sys.stderr)
         return EXIT_UNAVAILABLE

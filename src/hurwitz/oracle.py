@@ -2,8 +2,9 @@
 
 Two independent routes:
 
-  * dfs_count walks every tuple of transpositions (tiny n only), testing
-    transitivity with a union-find over the touched pairs;
+  * dfs_count multiplies every tuple of transpositions through, one
+    transposition at a time (small n only), tallying equal states of
+    product and connected points;
   * all_counts runs a class-vector recurrence (one step = right-multiply
     by a fresh transposition, splitting into cut and join moves), then
     transitive_counts sieves out the non-transitive part by an integer
@@ -39,8 +40,9 @@ __all__ = [
 
 N_BUDGET = 8
 J_BUDGET = 14
-DFS_N_GUARD = 4
-DFS_J_GUARD = 9
+# the slowest call in these guards, (6, 14), takes under a second
+DFS_N_GUARD = 6
+DFS_J_GUARD = 14
 
 
 @dataclass
@@ -72,47 +74,31 @@ def _representative(alpha: Partition) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _dfs_tally(n: int, j: int):
+def _tally(n: int, j: int):
     """Tally every j-tuple of transpositions of {1..n} by its ordered
-    product, in both modes.  Union-find with rollback, no compression."""
+    product, in both modes.  A state is the product so far and, for each
+    point, the least point the transpositions so far connect it to; each
+    step multiplies every state by every transposition and adds up the
+    counts of equal states."""
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    perm = list(range(n))
-    parent = list(range(n))
-    size = [1] * n
-    state = [n]  # component count
+    start = tuple(range(n))
+    states: Dict[Tuple[tuple, tuple], int] = {(start, start): 1}
+    for _ in range(j):
+        after: Dict[Tuple[tuple, tuple], int] = {}
+        for (perm, label), c in states.items():
+            for a, b in pairs:
+                p = list(perm)
+                p[a], p[b] = p[b], p[a]
+                lo, hi = sorted((label[a], label[b]))
+                key = (tuple(p), tuple(lo if x == hi else x for x in label))
+                after[key] = after.get(key, 0) + c
+        states = after
     tally_all: Dict[tuple, int] = {}
     tally_tr: Dict[tuple, int] = {}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def rec(depth: int):
-        if depth == j:
-            key = tuple(perm)
-            tally_all[key] = tally_all.get(key, 0) + 1
-            if state[0] == 1:
-                tally_tr[key] = tally_tr.get(key, 0) + 1
-            return
-        for a, b in pairs:
-            perm[a], perm[b] = perm[b], perm[a]
-            ra, rb = find(a), find(b)
-            merged = ra != rb
-            if merged:
-                if size[ra] < size[rb]:
-                    ra, rb = rb, ra
-                parent[rb] = ra
-                size[ra] += size[rb]
-                state[0] -= 1
-            rec(depth + 1)
-            if merged:
-                parent[rb] = rb
-                size[ra] -= size[rb]
-                state[0] += 1
-            perm[a], perm[b] = perm[b], perm[a]
-
-    rec(0)
+    for (perm, label), c in states.items():
+        tally_all[perm] = tally_all.get(perm, 0) + c
+        if not any(label):
+            tally_tr[perm] = tally_tr.get(perm, 0) + c
     return tally_all, tally_tr
 
 
@@ -125,7 +111,7 @@ def dfs_count(alpha: Partition, j: int, require_transitive: bool) -> int:
             f"direct enumeration is limited to n <= {DFS_N_GUARD}, "
             f"j <= {DFS_J_GUARD}; use the class-vector route instead"
         )
-    tally = _dfs_tally(n, j)[1 if require_transitive else 0]
+    tally = _tally(n, j)[1 if require_transitive else 0]
     return tally.get(_representative(alpha), 0)
 
 

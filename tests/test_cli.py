@@ -1,6 +1,10 @@
 """Command-line surface: routes, formats, exit codes, cache handling."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,9 @@ from hurwitz import cli
 from hurwitz.cli import main
 from hurwitz.engine import CACHE_VERSION, Engine, _deps
 from hurwitz.formulas import f_table
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(argv):
@@ -257,6 +264,41 @@ def test_compute_survives_a_cache_dir_that_is_a_file(tmp_path, capsys):
     assert "c = 80" in capsys.readouterr().out
     assert [p.name for p in tmp_path.iterdir()] == ["cache"]
     assert path.read_text() == "not a directory"
+
+
+@pytest.mark.parametrize("mode", ["status", "--clear", "--warm", "parent"])
+def test_cache_refuses_a_cache_dir_that_is_not_a_directory(mode, tmp_path, capsys):
+    path = tmp_path / "cache"
+    path.write_text("not a directory")
+    if mode == "parent":  # --warm cannot create a directory under a file
+        path, mode = path / "cells", "--warm"
+    argv = ["cache", "--cache-dir", str(path), "--genus", "1", "--m", "1"]
+    assert run(argv + ([] if mode == "status" else [mode])) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "is not a directory" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["cache"]
+    assert (tmp_path / "cache").read_text() == "not a directory"
+
+
+@pytest.mark.parametrize("argv", [
+    ["cache", "--cache-dir", "CACHE"],
+    ["compute", "--alpha", "2,1", "--genus", "1"],
+    ["verify", "--suite", "recurrence"],
+])
+def test_a_reader_closing_stdout_early_ends_without_a_traceback(argv, tmp_path):
+    if "CACHE" in argv:
+        Engine(cache_dir=str(tmp_path)).f_result(2, 1)
+        argv = [str(tmp_path) if a == "CACHE" else a for a in argv]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "hurwitz.cli", *argv], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 def test_cache_status_lists_cells_and_stale_files(tmp_path, capsys):

@@ -7,6 +7,8 @@ import pytest
 
 from hurwitz.errors import BudgetExceeded, CertificationError
 from hurwitz.oracle import (
+    J_BUDGET,
+    N_BUDGET,
     ClassVector,
     FactorizationTable,
     all_counts,
@@ -79,13 +81,13 @@ def test_cutjoin_step_conserves_mass():
 
 
 def test_dfs_agrees_with_recurrence_both_modes():
-    t = all_counts(4, 8)
+    t = all_counts(N_BUDGET, J_BUDGET)
     s = transitive_counts(t)
-    for n in range(1, 5):
+    cases = [(n, j) for n in range(1, 6) for j in range(J_BUDGET + 1)]
+    for n, j in cases + [(6, 10)]:
         for lam in partitions(n):
-            for j in range(9):
-                assert dfs_count(lam, j, False) == t.count(n, j, lam)
-                assert dfs_count(lam, j, True) == s.count(n, j, lam)
+            assert dfs_count(lam, j, False) == t.count(n, j, lam)
+            assert dfs_count(lam, j, True) == s.count(n, j, lam)
 
 
 def test_full_cycle_is_automatically_transitive():
@@ -148,9 +150,9 @@ def test_budget_guards():
     with pytest.raises(BudgetExceeded):
         c_count(Partition.of([8]), 4)  # j = 15
     with pytest.raises(BudgetExceeded):
-        dfs_count(Partition.of([5]), 4, True)
+        dfs_count(Partition.of([7]), 4, True)
     with pytest.raises(BudgetExceeded):
-        dfs_count(Partition.of([2]), 10, True)
+        dfs_count(Partition.of([2]), 15, True)
     with pytest.raises(BudgetExceeded):
         all_counts(9, 3)
 
