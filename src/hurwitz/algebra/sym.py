@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from ..errors import InconsistentSystem, NotSymmetric
@@ -70,12 +71,35 @@ def _arrangements(e: tuple) -> Iterator[tuple]:
         a[i + 1:] = a[:i:-1]
 
 
+@lru_cache(maxsize=None)
+def _reorderings(runs: tuple) -> tuple:
+    """One itemgetter per distinct reordering of an exponent whose runs of
+    equal entries start at the positions in `runs` (one entry per slot)."""
+    getters = []
+    for r in _arrangements(runs):
+        used: Dict[int, int] = {}
+        idx = []
+        for start in r:
+            idx.append(start + used.get(start, 0))
+            used[start] = used.get(start, 0) + 1
+        getters.append(itemgetter(*idx))
+    return tuple(getters)
+
+
 def expand_orbits(orbit: SparsePoly) -> SparsePoly:
-    """The symmetric polynomial whose orbit form is `orbit`."""
+    """The symmetric polynomial whose orbit form is `orbit`.
+
+    Every exponent with the same run lengths has the same reorderings, so
+    they are read off through itemgetters made once per run pattern."""
+    if orbit.arity < 2:
+        return orbit
     num: Dict[tuple, int] = {}
     for e, c in orbit.num.items():
-        for r in _arrangements(e):
-            num[r] = c
+        runs = [0]
+        for i in range(1, len(e)):
+            runs.append(runs[-1] if e[i] == e[i - 1] else i)
+        for get in _reorderings(tuple(runs)):
+            num[get(e)] = c
     return SparsePoly.from_core(orbit.kind, orbit.arity, num, orbit.den)
 
 

@@ -9,15 +9,23 @@ where K collects four kinds of lower-order data: a diagonal limit of the
 cell one genus down with one extra variable (T1), a two-variable merge
 with an exact division by y_r - y_s (T2), and symmetrized products
 pairing a genus-0 cell (T3) or a positive-genus split (T4) against the
-rest.  The scaling substitution w -> t w turns the equation into a
-per-monomial division, so the solve is: take a w-jet of K on a region
-known to contain the answer, divide each w^beta by |beta| + m + 2g - 2,
-lift back to a y-polynomial, and verify the equation exactly.  The
-verification step, not the degree bookkeeping, is what certifies the
-result.
+rest.  K is symmetric, and it is assembled in orbit form, one coefficient
+per weakly decreasing exponent, straight from the orbit forms of the
+lower cells: each factor keeps only the terms whose symmetric blocks are
+sorted, products are convolved over their shared variable one pair of
+blocks at a time, and the sum over placements adds each term to its
+orbit as often as a placement reads it there.  The assembled K must
+vanish at y_1 = 1, as (sum w d/dw + c) Psi does.
 
-Genus 0 cells come from the closed form (sum x_i d/dx_i)^(m-3) V_m and
-never touch the solver.
+The scaling substitution w -> t w turns the equation into a
+per-monomial division, so the solve is: expand K to its dense form, take
+a w-jet of it on a region known to contain the answer, divide each
+w^beta by |beta| + m + 2g - 2, lift back to a y-polynomial, and verify
+the equation exactly.  The verification step, not the degree
+bookkeeping, is what certifies the result.
+
+Genus 0 cells come from the closed form (sum x_i d/dx_i)^(m-3) V_m, built
+in orbit form, and never touch the solver.
 """
 
 from __future__ import annotations
@@ -29,13 +37,11 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra.operators import (
     apply_xdx,
-    core_apply_xdx,
     diag_fold,
     divide_ydiff,
     xdx_basis_convert,
@@ -111,7 +117,8 @@ class PsiRep:
     """A solved cell, held in orbit form: the terms of the symmetric Psi
     with weakly decreasing exponents.  The dense `poly` is expanded from
     the orbit form on first access and kept; a freshly solved cell passes
-    its dense poly in, so only cells read from the cache expand."""
+    its dense poly in, so only genus-0 cells and cells read from the cache
+    expand, and only when a caller asks (extraction does)."""
 
     __slots__ = ("m", "g", "orbit", "_poly")
 
@@ -148,125 +155,180 @@ class FResult:
     f_e: SparsePoly
 
 
+# ----- orbit-form building blocks ---------------------------------------
+# A factor of K is held as the terms of a polynomial whose slots after the
+# special ones form symmetric blocks, keeping only the terms whose blocks
+# are weakly decreasing.  apply_xdx, diag_fold and divide_ydiff act on the
+# special slots alone, so they map these terms to each other unchanged.
+
+Rows = Iterable[Tuple[tuple, tuple, Dict[int, int]]]
+
+
+def _block_view(orbit: SparsePoly, k: int) -> SparsePoly:
+    """The terms of the symmetric polynomial with orbit form `orbit` whose
+    exponents weakly decrease after the first k slots, each once."""
+    num: dict = {}
+    for lam, c in orbit.num.items():
+        heads = [((), lam)]
+        for _ in range(k):
+            heads = [(h + (v,), rest[:i] + rest[i + 1:])
+                     for h, rest in heads
+                     for i, v in enumerate(rest) if i == 0 or rest[i - 1] != v]
+        for h, rest in heads:
+            num[h + rest] = c
+    return SparsePoly.from_core(orbit.kind, orbit.arity, num, orbit.den)
+
+
+def _rows(f: SparsePoly, i: int) -> Rows:
+    """f's terms as (S block, T block, {special exponent: numerator}),
+    reading f's slots as (special, S = the next i, T = the rest)."""
+    rows: dict = {}
+    for e, c in f.num.items():
+        rows.setdefault((e[1:i + 1], e[i + 1:]), {})[e[0]] = c
+    return [(bs, bt, row) for (bs, bt), row in rows.items()]
+
+
+def _product_rows(a: SparsePoly, b: SparsePoly) -> Rows:
+    """The rows of a(y_0, y_S) b(y_0, y_T), one pair of blocks at a time:
+    the two factors are convolved over the shared special slot and the
+    product is never built."""
+    b_rows = _rows(b, 0)
+    for bs, _, ra in _rows(a, a.arity - 1):
+        for _, bt, rb in b_rows:
+            row: dict = {}
+            for p, x in ra.items():
+                for q, y in rb.items():
+                    row[p + q] = row.get(p + q, 0) + x * y
+            yield bs, bt, row
+
+
+def _aut(e: Sequence[int]) -> int:
+    """The order of the stabilizer of e: prod over values of mult!."""
+    n = 1
+    run = 0
+    for i, v in enumerate(e):
+        run = run + 1 if i and e[i - 1] == v else 1
+        n *= run
+    return n
+
+
+def theta_symmetrize(rows: Rows, m: int, den: int = 1) -> SparsePoly:
+    """Orbit form of the sum of a summand over every placement (r; S; T):
+    r one of the m slots and S, T the other slots split in increasing
+    order, with |S| the length of the summand's S blocks.
+
+    The summand comes as rows (bS, bT, {k: c}): its coefficient at
+    y_r^k y_S^bS y_T^bT is c / den, for weakly decreasing bS and bT.  It
+    must be symmetric within S and within T, so that these rows fix it.
+    A term lands on the orbit of its sorted exponent lam once for every
+    placement that reads it there: aut(lam) / (aut(bS) aut(bT)) times,
+    aut(e) being the product of the factorials of e's multiplicities.
+    That is aut(bS + bT) / (aut(bS) aut(bT)) times the multiplicity of k
+    in lam.  There are m C(m-1, |S|) placements in all.
+    """
+    acc: dict = {}
+    for bs, bt, row in rows:
+        tail = bs + bt
+        w = _aut(sorted(tail)) // (_aut(bs) * _aut(bt))
+        for k, c in row.items():
+            lam = tuple(sorted(tail + (k,), reverse=True))
+            acc[lam] = acc.get(lam, 0) + w * (tail.count(k) + 1) * c
+    return SparsePoly.from_core("Y", m, acc, den)
+
+
+def _vanishes_at_one(orbit: SparsePoly) -> bool:
+    """Whether the symmetric polynomial with orbit form `orbit` vanishes
+    at y_1 = 1: the coefficient of y_rest there sums the orbit
+    coefficients at sort(k, rest) over every k."""
+    acc: dict = {}
+    for lam, c in orbit.num.items():
+        for i, v in enumerate(lam):
+            if i == 0 or lam[i - 1] != v:
+                rest = lam[:i] + lam[i + 1:]
+                acc[rest] = acc.get(rest, 0) + c
+    return not any(acc.values())
+
+
 # ----- base cells ---------------------------------------------------------
 
 def psi0_base(m: int) -> PsiRep:
     """Genus 0: (sum_i x_i d/dx_i)^(m-3) applied to prod (y_i - 1).
 
-    A symmetric operator applied to a symmetric polynomial, so the result
-    is symmetric by construction."""
+    A symmetric operator applied to a symmetric polynomial, built in orbit
+    form: sum_i x_i d/dx_i is the placement sum of x_1 d/dx_1 over the
+    choices of the first variable.  The dense view is expanded on access."""
     if m < 3:
         raise ValueError("genus-0 cells start at three variables")
-    core: dict = {}
-    for bits in range(1 << m):
-        e = tuple((bits >> i) & 1 for i in range(m))
-        core[e] = (-1) ** (m - sum(e))
-    poly = SparsePoly.from_core("Y", m, core)
+    orbit = SparsePoly.from_core(
+        "Y", m, {(1,) * j + (0,) * (m - j): (-1) ** (m - j) for j in range(m + 1)})
     for _ in range(m - 3):
-        acc: dict = {}
-        for var in range(m):
-            for e, c in core_apply_xdx(poly.num, var).items():
-                acc[e] = acc.get(e, 0) + c
-        poly = SparsePoly.from_core("Y", m, acc)
-    return PsiRep.from_dense(m, 0, poly)
+        f = apply_xdx(_block_view(orbit, 1), 0)
+        orbit = theta_symmetrize(_rows(f, 0), m, f.den)
+    return PsiRep(m, 0, orbit)
 
 
 # ----- assembly -----------------------------------------------------------
-
-def _sum_permuted(f: SparsePoly, perms) -> SparsePoly:
-    """Sum of f.permute(perm) over perms, accumulated on integer numerators."""
-    acc: dict = {}
-    for perm in perms:
-        for e, c in f.permute(perm).num.items():
-            acc[e] = acc.get(e, 0) + c
-    return SparsePoly.from_core(f.kind, f.arity, acc, f.den)
-
-
-def theta_symmetrize(f: SparsePoly, i: int, m: int) -> SparsePoly:
-    """Sum f over all placements (r; S; T) with |S| = i, S and T sorted.
-
-    f's slots are read as (special, S block, T block); it must already be
-    symmetric inside each block for the sum to be placement-independent.
-    """
-    if f.arity != m:
-        raise ValueError("arity mismatch")
-    if not 0 <= i <= m - 1:
-        raise ValueError("block size out of range")
-    perms = []
-    for r in range(m):
-        rest = [v for v in range(m) if v != r]
-        for S in combinations(rest, i):
-            sset = set(S)
-            perms.append([r] + list(S) + [v for v in rest if v not in sset])
-    return _sum_permuted(f, perms)
-
 
 K11 = SparsePoly(
     "Y", 1, {(4,): Fraction(1, 8), (3,): Fraction(-1, 6), (0,): Fraction(1, 24)}
 )
 
 
-def _pair_product(a: SparsePoly, b: SparsePoly, m: int) -> SparsePoly:
-    """Embed two first-slot-differentiated cells sharing the special
-    variable and multiply: slots (0; 1..k-1; k..m-1)."""
-    k = a.arity
-    ae = a.embed(m, [0] + list(range(1, k)))
-    be = b.embed(m, [0] + list(range(k, m)))
-    return ae * be
-
-
 def assemble_K(m: int, g: int, psi_cache: Mapping[Tuple[int, int], PsiRep]) -> RhsRep:
-    """Right-hand side for cell (m, g), g >= 1, from lower cells."""
+    """Right-hand side for cell (m, g), g >= 1, from the orbit forms of
+    lower cells.  K is built in orbit form and expanded once, here."""
     if g < 1:
         raise ValueError("assembly applies to positive genus")
     if (m, g) == (1, 1):
         return RhsRep(1, 1, K11)
 
-    def cell(mm: int, gg: int) -> SparsePoly:
+    def factor(mm: int, gg: int, k: int = 1) -> SparsePoly:
+        """x_1 d/dx_1 of cell (mm, gg), block-sorted after k slots."""
         try:
-            return psi_cache[(mm, gg)].poly
+            orbit = psi_cache[(mm, gg)].orbit
         except KeyError:
             raise BudgetExceeded(f"assembly of ({m},{g}) needs cell ({mm},{gg})")
+        return apply_xdx(_block_view(orbit, k), 0)
+
+    def theta(f: SparsePoly, i: int) -> SparsePoly:
+        return theta_symmetrize(_rows(f, i), m, f.den)
+
+    def theta2(a: SparsePoly, b: SparsePoly) -> SparsePoly:
+        return theta_symmetrize(_product_rows(a, b), m, a.den * b.den)
 
     half = Fraction(1, 2)
 
-    # T1: two derivatives of the (m+1, g-1) cell, then diagonal y_{m+1} -> y_i
-    src = cell(m + 1, g - 1)
-    folded = diag_fold(apply_xdx(apply_xdx(src, 0), m), 0, m)
-    K = theta_symmetrize(folded, 0, m).scale(half)
+    # T1: two derivatives of the (m+1, g-1) cell, then diagonal y_2 -> y_1
+    folded = diag_fold(apply_xdx(factor(m + 1, g - 1, 2), 1), 0, 1)
+    K = theta(folded, 0).scale(half)
 
-    # T2: merge two variables through the exact-division kernel
+    # T2: merge two variables through the exact-division kernel; the
+    # quotient is symmetric in its first two slots, so the sum over ordered
+    # pairs (r; s) counts each unordered pair twice
     if m >= 2:
-        xg = apply_xdx(cell(m - 1, g), 0)
+        xg = factor(m - 1, g)
         gr = xg.embed(m, [0] + list(range(2, m)))
         gs = xg.embed(m, [1] + list(range(2, m)))
         y_r = SparsePoly.variable("Y", m, 0)
         y_s = SparsePoly.variable("Y", m, 1)
         one = SparsePoly.const("Y", m, 1)
         num = (y_s - one) * y_r * y_r * gr - (y_r - one) * y_s * y_s * gs
-        f01 = divide_ydiff(num, 0, 1)
-        pairs = [
-            [r, s] + [v for v in range(m) if v != r and v != s]
-            for r, s in combinations(range(m), 2)
-        ]
-        K = K + _sum_permuted(f01, pairs)
+        K = K + theta(divide_ydiff(num, 0, 1), 1).scale(half)
 
     # T3: genus-0 factor times the rest, all variable splits
     for k in range(3, m + 1):
-        a = apply_xdx(cell(k, 0), 0)
-        b = apply_xdx(cell(m - k + 1, g), 0)
-        K = K + theta_symmetrize(_pair_product(a, b, m), k - 1, m)
+        K = K + theta2(factor(k, 0), factor(m - k + 1, g))
 
     # T4: positive-genus splits, halved for the double count
     for ga in range(1, g):
         for k in range(1, m + 1):
-            a = apply_xdx(cell(k, ga), 0)
-            b = apply_xdx(cell(m - k + 1, g - ga), 0)
-            K = K + theta_symmetrize(_pair_product(a, b, m), k - 1, m).scale(half)
+            K = K + theta2(factor(k, ga), factor(m - k + 1, g - ga)).scale(half)
 
-    if not K.is_symmetric():
-        raise CertificationError(f"assembled K for ({m},{g}) is not symmetric")
-    return RhsRep(m, g, K)
+    # K = (sum w d/dw + c) Psi keeps Psi's root y_1 = 1: w_1 d/dw_1 sends
+    # y_1^k to k y_1^k (y_1 - 1), and the other terms act on other slots
+    if not _vanishes_at_one(K):
+        raise CertificationError(f"assembled K for ({m},{g}) does not vanish at y_1 = 1")
+    return RhsRep(m, g, expand_orbits(K))
 
 
 # ----- solver -------------------------------------------------------------

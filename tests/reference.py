@@ -3,8 +3,15 @@ the package's live code paths."""
 
 import math
 from fractions import Fraction
+from itertools import combinations
 from typing import Dict, List, Tuple
 
+from hurwitz.algebra.operators import (
+    apply_xdx,
+    core_apply_xdx,
+    diag_fold,
+    divide_ydiff,
+)
 from hurwitz.algebra.poly import SparsePoly
 from hurwitz.algebra.series import TruncSeries, w_power_x_table
 from hurwitz.partitions import Partition, class_size
@@ -82,3 +89,86 @@ def log_sieve(table) -> dict:
             assert val.denominator == 1 and val > 0, (n, j, parts, val)
             entries[(n, j, lam)] = int(val)
     return entries
+
+
+# ----- dense cut-and-join assembly ----------------------------------------
+# The engine builds K and the genus-0 cells in orbit form; these build
+# them from whole polynomials, permuting every summand into place.
+
+def _sum_permuted(f: SparsePoly, perms) -> SparsePoly:
+    """Sum of f.permute(perm) over perms, accumulated on integer numerators."""
+    acc: dict = {}
+    for perm in perms:
+        for e, c in f.permute(perm).num.items():
+            acc[e] = acc.get(e, 0) + c
+    return SparsePoly.from_core(f.kind, f.arity, acc, f.den)
+
+
+def dense_theta(f: SparsePoly, i: int, m: int) -> SparsePoly:
+    """Sum f over all placements (r; S; T) with |S| = i, S and T sorted;
+    f's slots are read as (special, S block, T block)."""
+    perms = []
+    for r in range(m):
+        rest = [v for v in range(m) if v != r]
+        for S in combinations(rest, i):
+            perms.append([r] + list(S) + [v for v in rest if v not in S])
+    return _sum_permuted(f, perms)
+
+
+def _pair_product(a: SparsePoly, b: SparsePoly, m: int) -> SparsePoly:
+    """Embed two first-slot-differentiated cells sharing the special
+    variable and multiply: slots (0; 1..k-1; k..m-1)."""
+    k = a.arity
+    return a.embed(m, [0] + list(range(1, k))) * b.embed(m, [0] + list(range(k, m)))
+
+
+def dense_assemble_K(m: int, g: int, psi_cache) -> SparsePoly:
+    """The dense right-hand side of cell (m, g), g >= 1, (m, g) != (1, 1),
+    from the dense views of the lower cells in `psi_cache`."""
+    def cell(mm, gg):
+        return psi_cache[(mm, gg)].poly
+
+    half = Fraction(1, 2)
+    src = cell(m + 1, g - 1)
+    folded = diag_fold(apply_xdx(apply_xdx(src, 0), m), 0, m)
+    K = dense_theta(folded, 0, m).scale(half)
+    if m >= 2:
+        xg = apply_xdx(cell(m - 1, g), 0)
+        gr = xg.embed(m, [0] + list(range(2, m)))
+        gs = xg.embed(m, [1] + list(range(2, m)))
+        y_r = SparsePoly.variable("Y", m, 0)
+        y_s = SparsePoly.variable("Y", m, 1)
+        one = SparsePoly.const("Y", m, 1)
+        num = (y_s - one) * y_r * y_r * gr - (y_r - one) * y_s * y_s * gs
+        f01 = divide_ydiff(num, 0, 1)
+        pairs = [
+            [r, s] + [v for v in range(m) if v != r and v != s]
+            for r, s in combinations(range(m), 2)
+        ]
+        K = K + _sum_permuted(f01, pairs)
+    for k in range(3, m + 1):
+        a = apply_xdx(cell(k, 0), 0)
+        b = apply_xdx(cell(m - k + 1, g), 0)
+        K = K + dense_theta(_pair_product(a, b, m), k - 1, m)
+    for ga in range(1, g):
+        for k in range(1, m + 1):
+            a = apply_xdx(cell(k, ga), 0)
+            b = apply_xdx(cell(m - k + 1, g - ga), 0)
+            K = K + dense_theta(_pair_product(a, b, m), k - 1, m).scale(half)
+    return K
+
+
+def dense_psi0(m: int) -> SparsePoly:
+    """(sum_i x_i d/dx_i)^(m-3) prod (y_i - 1), one variable at a time."""
+    core: dict = {}
+    for bits in range(1 << m):
+        e = tuple((bits >> i) & 1 for i in range(m))
+        core[e] = (-1) ** (m - sum(e))
+    poly = SparsePoly.from_core("Y", m, core)
+    for _ in range(m - 3):
+        acc: dict = {}
+        for var in range(m):
+            for e, c in core_apply_xdx(poly.num, var).items():
+                acc[e] = acc.get(e, 0) + c
+        poly = SparsePoly.from_core("Y", m, acc)
+    return poly

@@ -31,7 +31,7 @@ from hurwitz.errors import BudgetExceeded, CertificationError, ResidualNonzero
 from hurwitz.formulas import f_table
 from hurwitz.oracle import c_count
 from hurwitz.partitions import Partition
-from reference import compose_with_tree
+from reference import compose_with_tree, dense_assemble_K, dense_psi0
 
 PSI11 = SparsePoly("Y", 1, {
     (3,): Fraction(1, 24),
@@ -163,9 +163,8 @@ def test_two_variable_seed_against_raw_counts():
 
 
 def test_theta_placements():
-    # m=3, block size 1: all ordered pairs (r, s), r != s
-    f = SparsePoly.monomial("Y", (1, 2, 0), 1)
-    got = theta_symmetrize(f, 1, 3)
+    # m=3, |S| = 1: the summand y_r y_s^2 lands on all ordered pairs r != s
+    got = theta_symmetrize([((2,), (0,), {1: 1})], 3)
     expect: dict = {}
     for r in range(3):
         for s in range(3):
@@ -175,10 +174,50 @@ def test_theta_placements():
             e[r] += 1
             e[s] += 2
             expect[tuple(e)] = expect.get(tuple(e), 0) + Fraction(1)
-    assert got == SparsePoly("Y", 3, expect)
+    assert expand_orbits(got) == SparsePoly("Y", 3, expect)
     # placement count: m * C(m-1, i)
-    ones = SparsePoly.const("Y", 4, 1)
-    assert theta_symmetrize(ones, 2, 4) == SparsePoly.const("Y", 4, 4 * 3)
+    assert theta_symmetrize([((0, 0), (0,), {0: 1})], 4) == SparsePoly.const("Y", 4, 4 * 3)
+
+
+def test_psi0_base_matches_the_dense_operator_loop():
+    for m in range(3, 8):
+        rep = psi0_base(m)
+        assert all(is_orbit_exponent(e) for e in rep.orbit.num)
+        assert rep.poly == dense_psi0(m)
+
+
+@pytest.fixture(scope="module")
+def grid():
+    """The cold_grid cells: every budgeted cell with m <= 5."""
+    eng = Engine()
+    for g, top in DEFAULT_BUDGETS.items():
+        for m in range(3 if g == 0 else 1, min(top, 5) + 1):
+            eng.f_result(m, g)
+    return {k: eng.psi(*k) for k in eng.computed_cells()}
+
+
+def test_orbit_built_K_matches_the_dense_assembly(grid):
+    solved = [k for k in grid if k[1] >= 1 and k != (1, 1)]
+    assert len(solved) == 13  # and (1,1), whose K is K11
+    for m, g in solved:
+        assert assemble_K(m, g, grid).poly == dense_assemble_K(m, g, grid), (m, g)
+
+
+def _drop_first_row(rows):
+    return lambda f, i: rows(f, i)[1:]
+
+
+@pytest.mark.parametrize("attr,mutant", [
+    ("_rows", _drop_first_row),
+    ("_aut", lambda aut: lambda e: 1),
+], ids=["a-block-row-dropped", "no-stabilizer-orders"])
+def test_a_mutated_orbit_sum_fails_the_vanishing_check(grid, monkeypatch, attr, mutant):
+    # with m = 2 every block has at most one entry, and no stabilizer is
+    # bigger than one
+    monkeypatch.setattr(engine, attr, mutant(getattr(engine, attr)))
+    for m, g in ((3, 1), (4, 1), (3, 2)):
+        with pytest.raises(CertificationError, match="does not vanish at y_1 = 1"):
+            assemble_K(m, g, grid)
 
 
 def test_psi11_value_and_equation():
@@ -407,14 +446,9 @@ def test_cache_hit_leaves_the_dense_view_unbuilt(tmp_path, monkeypatch):
     assert fresh.psi(2, 1).poly == want.poly
 
 
-def test_orbit_form_of_every_grid_cell_expands_back():
-    eng = Engine()
-    for g, top in DEFAULT_BUDGETS.items():
-        for m in range(3 if g == 0 else 1, min(top, 5) + 1):
-            eng.f_result(m, g)
-    assert len(eng.computed_cells()) == 18  # (6,0) comes in as a dependency
-    for m, g in eng.computed_cells():
-        rep = eng.psi(m, g)
+def test_orbit_form_of_every_grid_cell_expands_back(grid):
+    assert len(grid) == 18  # (6,0) comes in as a dependency
+    for rep in grid.values():
         assert all(is_orbit_exponent(e) for e in rep.orbit.num)
         assert expand_orbits(rep.orbit) == rep.poly
 
