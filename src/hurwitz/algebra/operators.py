@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Tuple
 
 from ..errors import NonzeroRemainder, NotVanishing
@@ -156,12 +157,14 @@ def p_ladder(jmax: int) -> Tuple[list, list]:
     return P, Q
 
 
-def _basis_rows(dmax: int) -> Tuple[list, int]:
+@lru_cache(maxsize=None)
+def _basis_rows(dmax: int) -> Tuple[tuple, int]:
     """rows[k] writes y^k over the per-variable basis, scaled by L.
 
     Label d >= 1 is the P/Q element of degree d and label 0 the constant
     residue; one triangular elimination in Fractions, then every row is
-    multiplied by the lcm L of their denominators.
+    multiplied by the lcm L of their denominators.  Kept per dmax: the
+    cells' extractions share a few tables.
     """
     P, Q = p_ladder(dmax // 2 + 1)
     table = [{0: Fraction(1)}]
@@ -176,17 +179,20 @@ def _basis_rows(dmax: int) -> Tuple[list, int]:
                 row[lab] = row.get(lab, 0) - Fraction(bc, lead) * t
         table.append(row)
     L = math.lcm(*(t.denominator for row in table for t in row.values()))
-    return [sorted((lab, int(t * L)) for lab, t in row.items() if t)
-            for row in table], L
+    return tuple(tuple(sorted((lab, int(t * L)) for lab, t in row.items() if t))
+                 for row in table), L
 
 
 def xdx_basis_convert(p: SparsePoly, m: int) -> Dict[tuple, Fraction]:
-    """p as sum_j c_j prod_i (x_i d/dx_i)^(j_i) V_m, returned as {j: c_j}.
+    """The symmetric p as sum_j c_j prod_i (x_i d/dx_i)^(j_i) V_m, both
+    in orbit form: p's terms and the returned {j: c_j} have weakly
+    decreasing exponents.
 
     The reduction over the P/Q basis is triangular by degree in each
-    variable, so it is unique and exact.  A p that does not vanish at
-    every y_i = 1, or has a term with a w d/dw (Q) factor, is not
-    f(x d/dx) V_m for any f, and raises NotVanishing.
+    variable, so it is unique and exact, and it is one orbit sweep.  A p
+    that does not vanish at y_1 = 1 (so at no y_i = 1), or has a term
+    with a w d/dw (Q) factor, is not f(x d/dx) V_m for any f, and raises
+    NotVanishing.
     """
     if p.kind != "Y":
         raise ValueError("xdx_basis_convert wants a Y polynomial")
@@ -195,9 +201,8 @@ def xdx_basis_convert(p: SparsePoly, m: int) -> Dict[tuple, Fraction]:
     rows, L = _basis_rows(top_exponent(p.num))
     labels = sweep(p.num, m, rows)
     den = p.den * L ** m
-    residues = [lab.index(0) for lab in labels if 0 in lab]
-    if residues:
-        raise NotVanishing(f"input does not vanish at y_{min(residues)+1} = 1")
+    if any(0 in lab for lab in labels):
+        raise NotVanishing("input does not vanish at y_1 = 1")
     for lab in labels:
         if any(d % 2 == 0 for d in lab):
             raise NotVanishing(f"term {lab} carries a w d/dw factor")

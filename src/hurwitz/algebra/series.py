@@ -5,9 +5,13 @@ The coordinate chain is x -> w -> y:
     w = x e^w                 (tree function, [x^n]w = n^(n-1)/n!)
     y = 1/(1 - w),  so  y - 1 = w/(1 - w)
 
-Every change of coordinates is one triangular integer table applied to
-each variable in turn by `sweep`; the four jet passes differ only in the
-table, built once per call (u = y - 1, so w = u/(1 + u)):
+Every polynomial and jet here is symmetric and held in orbit form: the
+terms with weakly decreasing exponents, one per orbit of the symmetric
+group (see `sym`).  Every change of coordinates is one triangular
+integer table applied to every variable by `sweep`, which maps an orbit
+form straight to the orbit form of the image and never expands it; the
+four jet passes differ only in the table, built once per call (u = y - 1,
+so w = u/(1 + u)):
 
     y -> u   y^k = sum_{l <= k} C(k, l) u^l
     u -> y   u^l = sum_{k <= l} (-1)^(l-k) C(l, k) y^k
@@ -28,14 +32,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict
+from functools import lru_cache
+from typing import Dict, Tuple
 
 from .poly import SparsePoly
+from .sym import is_orbit_exponent, removals
 
 __all__ = [
     "TruncSeries",
     "tree_coeffs",
-    "w_power_x_table",
     "expand_y_to_w",
     "x_coefficient",
 ]
@@ -47,7 +52,8 @@ Core = Dict[tuple, int]
 
 @dataclass(frozen=True)
 class TruncSeries:
-    """A jet: polynomial data valid only inside explicit caps.
+    """A symmetric jet: polynomial data valid only inside explicit caps,
+    with `base` in orbit form.
 
     Exponents absent from `base` are zero inside the caps and unknown
     outside them.
@@ -61,6 +67,8 @@ class TruncSeries:
         for e in self.base.num:
             if any(k < 0 or k > self.per_var_cap for k in e) or sum(e) > self.total_cap:
                 raise ValueError(f"stored exponent {e} violates the caps")
+            if not is_orbit_exponent(e):
+                raise ValueError(f"stored exponent {e} is not an orbit representative")
 
     @property
     def kind(self) -> str:
@@ -74,7 +82,7 @@ class TruncSeries:
         exps = tuple(exps)
         if any(k > self.per_var_cap for k in exps) or sum(exps) > self.total_cap:
             raise KeyError(f"{exps} lies outside the caps of this jet")
-        return self.base.coeff(exps)
+        return self.base.coeff(sorted(exps, reverse=True))
 
 
 def tree_coeffs(nmax: int) -> list:
@@ -85,38 +93,47 @@ def tree_coeffs(nmax: int) -> list:
     return out
 
 
-# ----- the per-variable sweep ---------------------------------------------
+# ----- the orbit sweep ------------------------------------------------------
 
 def sweep(core: Core, arity: int, rows, total: int | None = None) -> Core:
-    """Apply one triangular table to every variable in turn.
+    """Apply one triangular table to every variable of a symmetric
+    polynomial, given and returned in orbit form.
 
-    rows[k] lists (l, a) pairs in ascending l: the swept exponent k
-    becomes sum a * (exponent l), the other exponents riding along.  With
+    rows[k] lists (l, a) pairs in ascending l: every exponent k becomes
+    sum a * (exponent l), the other exponents riding along.  With
     `total`, targets beyond total minus the other exponents are dropped.
+
+    A state S + U joins the swept block S to the unswept block U, both
+    weakly decreasing.  One step takes each distinct v of U once (the
+    arrangements of an orbit differ in which value goes where, not in
+    which copy) and appends each target l <= min(S), so that S stays
+    sorted: a term with an unsorted S lies off the orbit form.  After
+    `arity` steps S is the exponent of the image.
     """
-    for var in range(arity):
-        groups: dict = {}
-        for e, c in core.items():
-            rest = e[:var] + e[var + 1:]
-            g = groups.get(rest)
-            if g is None:
-                groups[rest] = [(e[var], c)]
-            else:
-                g.append((e[var], c))
+    if not all(map(is_orbit_exponent, core)):
+        raise ValueError("sweep wants an orbit form: weakly decreasing exponents")
+    for i in range(arity):
         out: Core = {}
-        for rest, g in groups.items():
-            cap = math.inf if total is None else total - sum(rest)
-            acc: dict = {}
-            for k, c in g:
-                for l, a in rows[k]:
+        get = out.get
+        unswept: dict = {}  # removals of each unswept block, made once
+        for e, c in core.items():
+            u = e[i:]
+            rem = unswept.get(u)
+            if rem is None:
+                rem = unswept[u] = removals(u)
+            head = e[:i]
+            top = e[i - 1] if i else math.inf
+            room = math.inf if total is None else total - sum(e)
+            for v, rest in rem:
+                cap = room + v
+                if cap > top:
+                    cap = top
+                for l, a in rows[v]:
                     if l > cap:
                         break
-                    acc[l] = acc.get(l, 0) + a * c
-            head, tail = rest[:var], rest[var:]
-            for l, v in acc.items():
-                if v:
-                    out[head + (l,) + tail] = v
-        core = out
+                    key = head + (l,) + rest
+                    out[key] = get(key, 0) + a * c
+        core = {e: c for e, c in out.items() if c}
     return core
 
 
@@ -177,11 +194,11 @@ def expand_y_to_w(
     *,
     allow_truncation: bool = False,
 ) -> TruncSeries:
-    """w-jet of a polynomial in y.
+    """w-jet of a symmetric polynomial in y, both in orbit form.
 
     By default the cap must dominate the per-variable degree of p, so the
-    jet determines p.  The solver passes allow_truncation=True to take
-    deliberately partial jets on a downward-closed region.
+    jet determines p.  The sampling extraction passes allow_truncation=True
+    to take deliberately partial jets on a downward-closed region.
     """
     if p.kind != "Y":
         raise ValueError("expand_y_to_w wants a Y polynomial")
@@ -200,30 +217,29 @@ def expand_y_to_w(
 
 # ----- x-coordinates ------------------------------------------------------
 
-def w_power_x_table(dmax: int, amax: int) -> list:
-    """table[d][a] = [x^a] w(x)^d."""
-    one = [Fraction(1)] + [Fraction(0)] * amax
-    w1 = tree_coeffs(amax)
-    table = [one]
-    prev = one
-    for _ in range(dmax):
-        cur = [Fraction(0)] * (amax + 1)
-        for a in range(amax + 1):
-            pa = prev[a]
-            if pa == 0:
-                continue
-            for b in range(1, amax - a + 1):
-                cur[a + b] += pa * w1[b]
-        table.append(cur)
-        prev = cur
-    return table
+@lru_cache(maxsize=None)
+def _x_column(a: int) -> Tuple[tuple, int]:
+    """(col, den) with [x^a] w^d = col[d] / den for d <= a.
+
+    [x^a] w^d = d a^(a-d-1) / (a-d)! for 1 <= d <= a (Lagrange), which
+    is d a!/(a-d)! a^(a-d) over a a!; it vanishes for d > a and, at
+    a >= 1, for d = 0."""
+    if not a:
+        return (1,), 1
+    fa = math.factorial(a)
+    return tuple(d * (fa // math.factorial(a - d)) * a ** (a - d)
+                 for d in range(a + 1)), a * fa
 
 
-def x_coefficient(jet: TruncSeries, alpha, table=None) -> Fraction:
-    """[x^alpha] of the function behind a w-jet.
+def x_coefficient(jet: TruncSeries, alpha, memo: dict | None = None) -> Fraction:
+    """[x^alpha] of the symmetric function behind a w-jet.
 
     Needs the jet to cover the box {e <= alpha componentwise}; beyond it
-    nothing contributes since [x^a] w^d = 0 for d > a.
+    nothing contributes since [x^a] w^d = 0 for d > a.  The orbit jet G
+    is contracted one part a of alpha at a time, on integers:
+    G'[U minus v] += G[U] col[v] over the distinct v of U, with the
+    column of `_x_column(a)`.  Calls on one jet that share a `memo`
+    dict share the contraction of a common prefix of alpha.
     """
     if jet.kind != "W":
         raise ValueError("x_coefficient wants a W jet")
@@ -232,16 +248,19 @@ def x_coefficient(jet: TruncSeries, alpha, table=None) -> Fraction:
         raise ValueError("alpha length must match jet arity")
     if any(a > jet.per_var_cap for a in alpha) or sum(alpha) > jet.total_cap:
         raise ValueError("jet caps too small for this x-coefficient")
-    if table is None:
-        table = w_power_x_table(max(alpha), max(alpha))
-    total = Fraction(0)
-    for e, c in jet.base.num.items():
-        if any(d > a for d, a in zip(e, alpha)):
-            continue
-        term = c
-        for d, a in zip(e, alpha):
-            term *= table[d][a]
-            if term == 0:
-                break
-        total += term
-    return total / jet.base.den
+    if memo is None:
+        memo = {}
+    level, den = jet.base.num, jet.base.den
+    for i, a in enumerate(alpha):
+        col, d = _x_column(a)
+        den *= d
+        nxt = memo.get(alpha[:i + 1])
+        if nxt is None:
+            nxt = {}
+            for e, c in level.items():
+                for v, rest in removals(e):
+                    if v <= a and col[v]:
+                        nxt[rest] = nxt.get(rest, 0) + c * col[v]
+            memo[alpha[:i + 1]] = nxt
+        level = nxt
+    return Fraction(level.get((), 0), den)

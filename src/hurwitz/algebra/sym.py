@@ -22,7 +22,7 @@ from .poly import SparsePoly
 
 __all__ = [
     "is_orbit_exponent",
-    "orbit_form",
+    "removals",
     "expand_orbits",
     "e_monomials_by_weight",
     "elementary_values",
@@ -38,14 +38,11 @@ def is_orbit_exponent(e: tuple) -> bool:
     return all(a >= b for a, b in zip(e, e[1:]))
 
 
-def orbit_form(p: SparsePoly) -> SparsePoly:
-    """The orbit form of p, which the caller has checked to be symmetric.
-
-    Every orbit carries one coefficient, so the kept numerators have the
-    content of all of them and the denominator does not change.
-    """
-    num = {e: c for e, c in p.num.items() if is_orbit_exponent(e)}
-    return SparsePoly.from_core(p.kind, p.arity, num, p.den)
+def removals(e: tuple) -> list:
+    """(v, e with one v removed) for each distinct entry v of a weakly
+    decreasing e, in order: the ways to take one variable's exponent
+    from the orbit of e, each arrangement once."""
+    return [(v, e[:i] + e[i + 1:]) for i, v in enumerate(e) if not i or e[i - 1] != v]
 
 
 def _arrangements(e: tuple) -> Iterator[tuple]:
@@ -143,7 +140,11 @@ def _elementary_poly(k: int, m: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def e_monomial_expand(beta: tuple, m: int) -> Mapping[tuple, int]:
-    """Monomial expansion of prod_k e_k^(beta_k) over m variables."""
+    """Orbit form of prod_k e_k^(beta_k) over m variables, as a dict.
+
+    The product is built on whole exponents and only its weakly
+    decreasing terms are kept: it stays small, since its terms number
+    at most C(w + m - 1, m - 1) for weighted degree w."""
     acc: Dict[tuple, int] = {(0,) * m: 1}
     for k, a in enumerate(beta):
         for _ in range(a):
@@ -153,17 +154,19 @@ def e_monomial_expand(beta: tuple, m: int) -> Mapping[tuple, int]:
                     ne = tuple(x + y for x, y in zip(e, v))
                     nxt[ne] = nxt.get(ne, 0) + c
             acc = nxt
-    return acc
+    return {e: c for e, c in acc.items() if is_orbit_exponent(e)}
 
 
-def to_e_basis(mono: Mapping[tuple, Fraction], m: int) -> SparsePoly:
-    """Rewrite a symmetric monomial dict over m variables in the e-basis.
+def to_e_basis(orbit: Mapping[tuple, Fraction], m: int) -> SparsePoly:
+    """Rewrite a symmetric polynomial over m variables, given as the
+    dict of its orbit form, in the e-basis.
 
     Leading subtraction: the lex-greatest exponent lam of a symmetric
     polynomial is a partition, and prod e_k^(lam_k - lam_(k+1)) is the
-    unique e-monomial with lex-leading term lam, coefficient one.
+    unique e-monomial with lex-leading term lam, coefficient one; its
+    orbit terms are subtracted.
     """
-    work: Dict[tuple, Fraction] = {e: c for e, c in mono.items() if c}
+    work: Dict[tuple, Fraction] = {e: c for e, c in orbit.items() if c}
     out: Dict[tuple, Fraction] = {}
     while work:
         lam = max(work)

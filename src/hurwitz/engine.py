@@ -18,11 +18,13 @@ orbit as often as a placement reads it there.  The assembled K must
 vanish at y_1 = 1, as (sum w d/dw + c) Psi does.
 
 The scaling substitution w -> t w turns the equation into a
-per-monomial division, so the solve is: expand K to its dense form, take
-a w-jet of it on a region known to contain the answer, divide each
-w^beta by |beta| + m + 2g - 2, lift back to a y-polynomial, and verify
-the equation exactly.  The verification step, not the degree
-bookkeeping, is what certifies the result.
+per-monomial division, so the solve is: take a w-jet of K on a region
+known to contain the answer, divide each w^beta by |beta| + m + 2g - 2,
+lift back to a y-polynomial, and verify the equation exactly.  Every
+jet pass is an orbit sweep (`series.sweep`) from orbit form to orbit
+form, and so are both extractions; the one step that expands is the
+verification, the residual of the dense Psi against the dense K.  That
+step, not the degree bookkeeping, is what certifies the result.
 
 Genus 0 cells come from the closed form (sum x_i d/dx_i)^(m-3) V_m, built
 in orbit form, and never touch the solver.
@@ -54,13 +56,12 @@ from .algebra.series import (
     core_y_to_u,
     expand_y_to_w,
     x_coefficient,
-    w_power_x_table,
 )
 from .algebra.sym import (
     expand_orbits,
     fit_sym_e_poly,
     is_orbit_exponent,
-    orbit_form,
+    removals,
     to_e_basis,
     weighted_degree,
 )
@@ -116,9 +117,10 @@ def total_bound(m: int, g: int) -> int:
 class PsiRep:
     """A solved cell, held in orbit form: the terms of the symmetric Psi
     with weakly decreasing exponents.  The dense `poly` is expanded from
-    the orbit form on first access and kept; a freshly solved cell passes
-    its dense poly in, so only genus-0 cells and cells read from the cache
-    expand, and only when a caller asks (extraction does)."""
+    the orbit form on first access and kept; the solver expands a fresh
+    cell once, for its residual, and passes that dense poly in, so only
+    genus-0 cells and cells read from the cache expand on access, and
+    only when a caller asks (no engine step does)."""
 
     __slots__ = ("m", "g", "orbit", "_poly")
 
@@ -129,11 +131,6 @@ class PsiRep:
         self.orbit = orbit
         self._poly = poly
 
-    @classmethod
-    def from_dense(cls, m: int, g: int, poly: SparsePoly) -> "PsiRep":
-        """Wrap a dense Psi that is known to be symmetric."""
-        return cls(m, g, orbit_form(poly), poly)
-
     @property
     def poly(self) -> SparsePoly:
         if self._poly is None:
@@ -141,11 +138,11 @@ class PsiRep:
         return self._poly
 
 
-@dataclass(frozen=True)
-class RhsRep:
-    m: int
-    g: int
-    poly: SparsePoly
+class RhsRep(PsiRep):
+    """The right side K of cell (m, g), in orbit form like a cell; the
+    solver reads the dense `poly` only for its residual."""
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -171,9 +168,8 @@ def _block_view(orbit: SparsePoly, k: int) -> SparsePoly:
     for lam, c in orbit.num.items():
         heads = [((), lam)]
         for _ in range(k):
-            heads = [(h + (v,), rest[:i] + rest[i + 1:])
-                     for h, rest in heads
-                     for i, v in enumerate(rest) if i == 0 or rest[i - 1] != v]
+            heads = [(h + (v,), rest) for h, tail in heads
+                     for v, rest in removals(tail)]
         for h, rest in heads:
             num[h + rest] = c
     return SparsePoly.from_core(orbit.kind, orbit.arity, num, orbit.den)
@@ -242,10 +238,8 @@ def _vanishes_at_one(orbit: SparsePoly) -> bool:
     coefficients at sort(k, rest) over every k."""
     acc: dict = {}
     for lam, c in orbit.num.items():
-        for i, v in enumerate(lam):
-            if i == 0 or lam[i - 1] != v:
-                rest = lam[:i] + lam[i + 1:]
-                acc[rest] = acc.get(rest, 0) + c
+        for _, rest in removals(lam):
+            acc[rest] = acc.get(rest, 0) + c
     return not any(acc.values())
 
 
@@ -275,8 +269,8 @@ K11 = SparsePoly(
 
 
 def assemble_K(m: int, g: int, psi_cache: Mapping[Tuple[int, int], PsiRep]) -> RhsRep:
-    """Right-hand side for cell (m, g), g >= 1, from the orbit forms of
-    lower cells.  K is built in orbit form and expanded once, here."""
+    """Right-hand side for cell (m, g), g >= 1, in orbit form, from the
+    orbit forms of lower cells."""
     if g < 1:
         raise ValueError("assembly applies to positive genus")
     if (m, g) == (1, 1):
@@ -328,22 +322,24 @@ def assemble_K(m: int, g: int, psi_cache: Mapping[Tuple[int, int], PsiRep]) -> R
     # y_1^k to k y_1^k (y_1 - 1), and the other terms act on other slots
     if not _vanishes_at_one(K):
         raise CertificationError(f"assembled K for ({m},{g}) does not vanish at y_1 = 1")
-    return RhsRep(m, g, expand_orbits(K))
+    return RhsRep(m, g, K)
 
 
 # ----- solver -------------------------------------------------------------
 
-def _integral_solve(kpoly: SparsePoly, c: int, pv: int, tot: int) -> SparsePoly:
+def _integral_solve(korbit: SparsePoly, c: int, pv: int, tot: int) -> SparsePoly:
     """Solve (sum w d/dw + c) Psi = K for the jet region
-    {per-variable <= pv, total <= tot}; exact on that region."""
-    m = kpoly.arity
-    core = core_y_to_u(kpoly.num, m)
+    {per-variable <= pv, total <= tot}, orbit form in and out; exact on
+    that region.  Dividing w^beta by |beta| + c is symmetric, so it
+    acts on the orbit terms as they are."""
+    m = korbit.arity
+    core = core_y_to_u(korbit.num, m)
     jet = core_u_to_w_jet(core, m, pv, tot)
     scale = math.lcm(*range(c, tot + c + 1))
     jet = {e: v * (scale // (sum(e) + c)) for e, v in jet.items()}
     ucore = core_w_jet_to_u(jet, m, pv, tot)
     ycore = core_u_to_y(ucore, m)
-    return SparsePoly.from_core("Y", m, ycore, kpoly.den * scale)
+    return SparsePoly.from_core("Y", m, ycore, korbit.den * scale)
 
 
 def _residual(psi: SparsePoly, kpoly: SparsePoly, c: int) -> SparsePoly:
@@ -367,38 +363,37 @@ def _residual(psi: SparsePoly, kpoly: SparsePoly, c: int) -> SparsePoly:
     return SparsePoly.from_core("Y", psi.arity, acc, dk * dp)
 
 
-def _validate_psi(poly: SparsePoly, m: int, g: int):
-    if not poly.is_symmetric():
-        raise CertificationError(f"cell ({m},{g}) is not symmetric")
-    for var in range(m):
-        if not poly.substitute_one(var).is_zero():
-            raise CertificationError(
-                f"cell ({m},{g}) does not vanish at y_{var+1} = 1"
-            )
+def _validate_psi(orbit: SparsePoly, m: int, g: int):
+    """The orbit form is symmetric by construction, so vanishing at
+    y_1 = 1 is vanishing at every y_i = 1, and its first exponents carry
+    the per-variable degree."""
+    if not _vanishes_at_one(orbit):
+        raise CertificationError(f"cell ({m},{g}) does not vanish at y_1 = 1")
     if g >= 1:
         bound = per_var_bound(m, g)
-        if any(d > bound for d in poly.per_var_degrees()):
+        if max((e[0] for e in orbit.num), default=0) > bound:
             raise CertificationError(
                 f"cell ({m},{g}) breaks the per-variable bound {bound}"
             )
 
 
 def solve_pde(K: RhsRep) -> PsiRep:
-    """Scaled-integral solve with an exact equation check as the gate."""
+    """Scaled-integral solve on the orbit form, with an exact equation
+    check on the dense polynomials as the gate."""
     m, g = K.m, K.g
     c = m + 2 * g - 2
     if c < 1:
         raise ValueError("scaling constant must be positive")
     pv, tot = per_var_bound(m, g), total_bound(m, g)
-    psi = _integral_solve(K.poly, c, pv, tot)
+    orbit = _integral_solve(K.orbit, c, pv, tot)
+    psi = expand_orbits(orbit)
     if not _residual(psi, K.poly, c).is_zero():
         raise ResidualNonzero(
             f"no y-polynomial solution for ({m},{g}) within degree caps "
             f"{pv} per variable, {tot} total"
         )
-    # the orbit form drops terms, so it is taken only once symmetry holds
-    _validate_psi(psi, m, g)
-    return PsiRep.from_dense(m, g, psi)
+    _validate_psi(orbit, m, g)
+    return PsiRep(m, g, orbit, psi)
 
 
 # ----- checks every cell passes, fresh or cached ---------------------------
@@ -447,15 +442,15 @@ def _sample_plan(m: int, wdeg: int) -> List[Partition]:
     return [p for n in range(m, m + wdeg + 3) for p in partitions_of_length(n, m)]
 
 
-def _extract_by_samples(psi: SparsePoly, m: int, wdeg: int) -> SparsePoly:
+def _extract_by_samples(orbit: SparsePoly, m: int, wdeg: int) -> SparsePoly:
     samples = _sample_plan(m, wdeg)
     nmax = max(p.n for p in samples)
     amax = max(p.parts[0] for p in samples)
-    jet = expand_y_to_w(psi, amax, nmax, allow_truncation=True)
-    table = w_power_x_table(amax, amax)
+    jet = expand_y_to_w(orbit, amax, nmax, allow_truncation=True)
+    memo: dict = {}
     evals = []
     for p in samples:
-        coeff = x_coefficient(jet, p.parts, table)
+        coeff = x_coefficient(jet, p.parts, memo)
         scale = Fraction(1)
         for a in p.parts:
             scale *= Fraction(math.factorial(a), a ** a)
@@ -468,11 +463,12 @@ def extract_f(psi: PsiRep) -> FResult:
 
     Route one rewrites the cell over the x d/dx operator basis as a
     symmetric polynomial; route two samples x-coefficients at partitions
-    and fits.  A disagreement is fatal, and so is a failed `_check_f`.
+    and fits.  Both read the orbit form.  A disagreement is fatal, and so
+    is a failed `_check_f`.
     """
     m, g = psi.m, psi.g
-    f_basis = to_e_basis(xdx_basis_convert(psi.poly, m), m)
-    f_fit = _extract_by_samples(psi.poly, m, max(m + 3 * g - 3, 0))
+    f_basis = to_e_basis(xdx_basis_convert(psi.orbit, m), m)
+    f_fit = _extract_by_samples(psi.orbit, m, max(m + 3 * g - 3, 0))
     if f_basis != f_fit:
         raise RouteDisagreement(
             f"operator-basis and sampling extractions differ at ({m},{g})"

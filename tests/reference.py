@@ -7,30 +7,160 @@ from itertools import combinations
 from typing import Dict, List, Tuple
 
 from hurwitz.algebra.operators import (
+    _basis_rows,
     apply_xdx,
     core_apply_xdx,
     diag_fold,
     divide_ydiff,
 )
 from hurwitz.algebra.poly import SparsePoly
-from hurwitz.algebra.series import TruncSeries, w_power_x_table
+from hurwitz.algebra.series import tree_coeffs
+from hurwitz.algebra.sym import fit_sym_e_poly, is_orbit_exponent, to_e_basis
+from hurwitz.engine import _sample_plan
 from hurwitz.partitions import Partition, class_size
 
 
-def compose_with_tree(s: TruncSeries, order: int) -> TruncSeries:
-    """Substitute w_i = w(x_i) into a w-jet; result is an x-jet to x^order.
+def orbit_form(p: SparsePoly) -> SparsePoly:
+    """The terms of a symmetric p with weakly decreasing exponents."""
+    num = {e: c for e, c in p.num.items() if is_orbit_exponent(e)}
+    return SparsePoly.from_core(p.kind, p.arity, num, p.den)
 
-    A variable-by-variable substitution, where x_coefficient sums
-    products of the same table over the whole box at once.  [x^a] w^d
-    vanishes for d > a, so the jet must carry w-data up to order.
+
+# ----- dense jets, solve and extraction -------------------------------------
+# The engine sweeps orbit forms; these sweep whole polynomials one
+# variable at a time.
+
+def dense_sweep(core: dict, arity: int, rows, total=None) -> dict:
+    """Apply one triangular table to every variable in turn.
+
+    rows[k] lists (l, a) pairs in ascending l: the swept exponent k
+    becomes sum a * (exponent l), the other exponents riding along.  With
+    `total`, targets beyond total minus the other exponents are dropped.
     """
-    if s.kind != "W":
+    for var in range(arity):
+        groups: dict = {}
+        for e, c in core.items():
+            groups.setdefault(e[:var] + e[var + 1:], []).append((e[var], c))
+        out: dict = {}
+        for rest, g in groups.items():
+            cap = math.inf if total is None else total - sum(rest)
+            acc: dict = {}
+            for k, c in g:
+                for l, a in rows[k]:
+                    if l > cap:
+                        break
+                    acc[l] = acc.get(l, 0) + a * c
+            head, tail = rest[:var], rest[var:]
+            for l, v in acc.items():
+                if v:
+                    out[head + (l,) + tail] = v
+        core = out
+    return core
+
+
+def _top(core: dict) -> int:
+    return max(map(max, filter(None, core)), default=0)
+
+
+def dense_y_to_u(core: dict, arity: int) -> dict:
+    rows = [[(l, math.comb(k, l)) for l in range(k + 1)] for k in range(_top(core) + 1)]
+    return dense_sweep(core, arity, rows)
+
+
+def dense_u_to_y(core: dict, arity: int) -> dict:
+    rows = [[(k, (-1) ** (l - k) * math.comb(l, k)) for k in range(l + 1)]
+            for l in range(_top(core) + 1)]
+    return dense_sweep(core, arity, rows)
+
+
+def dense_u_to_w_jet(core: dict, arity: int, per_var: int, total: int) -> dict:
+    rows = [[(0, 1)]] + [[(j, math.comb(j - 1, l - 1)) for j in range(l, per_var + 1)]
+                         for l in range(1, _top(core) + 1)]
+    return dense_sweep(core, arity, rows, total)
+
+
+def dense_w_jet_to_u(core: dict, arity: int, per_var: int, total: int) -> dict:
+    rows = [[(0, 1)]] + [[(l, (-1) ** (l - j) * math.comb(l - 1, j - 1))
+                          for l in range(j, per_var + 1)]
+                         for j in range(1, _top(core) + 1)]
+    return dense_sweep(core, arity, rows, total)
+
+
+def dense_expand_y_to_w(p: SparsePoly, per_var: int, total: int) -> SparsePoly:
+    """The dense w-jet of a y-polynomial on {e_i <= per_var, |e| <= total}."""
+    core = dense_u_to_w_jet(dense_y_to_u(p.num, p.arity), p.arity, per_var, total)
+    return SparsePoly.from_core("W", p.arity, core, p.den)
+
+
+def dense_solve(kpoly: SparsePoly, c: int, pv: int, tot: int) -> SparsePoly:
+    """The scaled-integral solve of (sum w d/dw + c) Psi = K on dense jets."""
+    m = kpoly.arity
+    jet = dense_u_to_w_jet(dense_y_to_u(kpoly.num, m), m, pv, tot)
+    scale = math.lcm(*range(c, tot + c + 1))
+    jet = {e: v * (scale // (sum(e) + c)) for e, v in jet.items()}
+    ycore = dense_u_to_y(dense_w_jet_to_u(jet, m, pv, tot), m)
+    return SparsePoly.from_core("Y", m, ycore, kpoly.den * scale)
+
+
+def w_power_x_table(dmax: int, amax: int) -> list:
+    """table[d][a] = [x^a] w(x)^d, by repeated convolution with w."""
+    w1 = tree_coeffs(amax)
+    table = [[Fraction(1)] + [Fraction(0)] * amax]
+    for _ in range(dmax):
+        prev, cur = table[-1], [Fraction(0)] * (amax + 1)
+        for a in range(amax + 1):
+            if prev[a]:
+                for b in range(1, amax - a + 1):
+                    cur[a + b] += prev[a] * w1[b]
+        table.append(cur)
+    return table
+
+
+def dense_x_coefficient(jet: SparsePoly, alpha, table) -> Fraction:
+    """[x^alpha] of a dense w-jet: every term in the box below alpha,
+    times the product of its per-variable table entries."""
+    total = Fraction(0)
+    for e, c in jet.num.items():
+        if all(d <= a for d, a in zip(e, alpha)):
+            total += c * math.prod(table[d][a] for d, a in zip(e, alpha))
+    return total / jet.den
+
+
+def dense_extract_f(poly: SparsePoly, m: int, g: int) -> SparsePoly:
+    """f of a cell from its dense Psi, by both routes, which must agree."""
+    wdeg = max(m + 3 * g - 3, 0)
+    rows, L = _basis_rows(_top(poly.num))
+    labels = dense_sweep(poly.num, m, rows)
+    assert all(d % 2 for lab in labels for d in lab), "not f(x d/dx) V_m"
+    decomp = {tuple((d - 1) // 2 for d in lab): Fraction(c, poly.den * L ** m)
+              for lab, c in labels.items()}
+    f_basis = to_e_basis({j: c for j, c in decomp.items() if is_orbit_exponent(j)}, m)
+    samples = _sample_plan(m, wdeg)
+    nmax = max(p.n for p in samples)
+    amax = max(p.parts[0] for p in samples)
+    jet = dense_expand_y_to_w(poly, amax, nmax)
+    table = w_power_x_table(amax, amax)
+    evals = [(p.parts, dense_x_coefficient(jet, p.parts, table)
+              * math.prod(Fraction(math.factorial(a), a ** a) for a in p.parts))
+             for p in samples]
+    f_fit = fit_sym_e_poly(evals, m, wdeg)
+    assert f_basis == f_fit, (m, g)
+    return f_basis
+
+
+def compose_with_tree(jet: SparsePoly, order: int) -> SparsePoly:
+    """Substitute w_i = w(x_i) into a dense w-jet; the result is the dense
+    x-jet to x^order.
+
+    A variable-by-variable substitution, where x_coefficient contracts
+    the orbit jet one part at a time.  [x^a] w^d vanishes for d > a, so
+    the jet must carry w-data up to order in every variable and in total.
+    """
+    if jet.kind != "W":
         raise ValueError("compose_with_tree wants a W jet")
-    if s.per_var_cap < order or s.total_cap < order:
-        raise ValueError("jet caps too small for the requested x order")
     table = w_power_x_table(order, order)
-    terms: dict = dict(s.base.terms)
-    for var in range(s.arity):
+    terms: dict = dict(jet.terms)
+    for var in range(jet.arity):
         out: dict = {}
         for e, c in terms.items():
             d = e[var]
@@ -41,7 +171,7 @@ def compose_with_tree(s: TruncSeries, order: int) -> TruncSeries:
                 ne = e[:var] + (a,) + e[var + 1:]
                 out[ne] = out.get(ne, 0) + c * table[d][a]
         terms = out
-    return TruncSeries(SparsePoly("X", s.arity, terms), order, order)
+    return SparsePoly("X", jet.arity, terms)
 
 
 Slice = Dict[Tuple[int, tuple], Fraction]  # key: (j, parts); weight n is the slice index

@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hurwitz.algebra import series
 from hurwitz.algebra.operators import apply_wdw
 from hurwitz.algebra.poly import SparsePoly
-from hurwitz.algebra.series import expand_y_to_w, tree_coeffs
+from hurwitz.algebra.series import tree_coeffs
 from hurwitz.algebra.sym import expand_orbits, is_orbit_exponent, weighted_degree
 from hurwitz import engine
 from hurwitz.engine import (
@@ -27,11 +28,24 @@ from hurwitz.engine import (
     theta_symmetrize,
     total_bound,
 )
-from hurwitz.errors import BudgetExceeded, CertificationError, ResidualNonzero
+from hurwitz.errors import (
+    BudgetExceeded,
+    CertificationError,
+    NotVanishing,
+    ResidualNonzero,
+)
 from hurwitz.formulas import f_table
 from hurwitz.oracle import c_count
 from hurwitz.partitions import Partition
-from reference import compose_with_tree, dense_assemble_K, dense_psi0
+from reference import (
+    compose_with_tree,
+    dense_assemble_K,
+    dense_expand_y_to_w,
+    dense_extract_f,
+    dense_psi0,
+    dense_solve,
+    orbit_form,
+)
 
 PSI11 = SparsePoly("Y", 1, {
     (3,): Fraction(1, 24),
@@ -86,9 +100,8 @@ def test_one_variable_counts_close_the_loop():
 
 
 def _xjet_of_y_poly(p: SparsePoly, order: int) -> dict:
-    wjet = expand_y_to_w(p, order, 2 * order, allow_truncation=True)
-    xjet = compose_with_tree(wjet, order)
-    return dict(xjet.base.terms)
+    xjet = compose_with_tree(dense_expand_y_to_w(p, order, 2 * order), order)
+    return dict(xjet.terms)
 
 
 def _trunc_mul(a: dict, b: dict, order: int) -> dict:
@@ -220,6 +233,38 @@ def test_a_mutated_orbit_sum_fails_the_vanishing_check(grid, monkeypatch, attr, 
             assemble_K(m, g, grid)
 
 
+def test_orbit_solve_and_extraction_match_the_dense_references(grid):
+    for (m, g), rep in grid.items():
+        if g:
+            K = assemble_K(m, g, grid)
+            c, pv, tot = m + 2 * g - 2, per_var_bound(m, g), total_bound(m, g)
+            want = orbit_form(dense_solve(K.poly, c, pv, tot))
+            assert engine._integral_solve(K.orbit, c, pv, tot) == want, (m, g)
+        assert extract_f(rep).f_e == dense_extract_f(rep.poly, m, g), (m, g)
+
+
+def _each_copy(e):
+    """`removals` without its distinct-value skip."""
+    return [(v, e[:i] + e[i + 1:]) for i, v in enumerate(e)]
+
+
+def test_a_sweep_taking_each_copy_of_a_value_fails_extraction(monkeypatch):
+    # a repeated exponent is swept once per copy, which multiplies its
+    # terms; the operator-basis route then finds a constant residue
+    monkeypatch.setattr(series, "removals", _each_copy)
+    with pytest.raises(NotVanishing):
+        Engine().cell(1, 2)
+
+
+def test_a_sweep_without_its_total_cap_fails_the_residual(grid, monkeypatch):
+    sweep = series.sweep
+    monkeypatch.setattr(series, "sweep", lambda core, arity, rows, total=None:
+                        sweep(core, arity, rows))
+    for m, g in ((2, 1), (3, 1), (2, 2)):
+        with pytest.raises(ResidualNonzero):
+            solve_pde(assemble_K(m, g, grid))
+
+
 def test_psi11_value_and_equation():
     psi = Engine().psi(1, 1)
     assert psi.poly == PSI11
@@ -265,7 +310,7 @@ def test_cell_refuses_a_fresh_psi_off_its_total_degree(monkeypatch):
         y = SparsePoly.const("Y", m, 1)
         for i in range(m):
             y = y * SparsePoly.variable("Y", m, i)
-        return PsiRep.from_dense(m, 0, psi0_base(m).poly * y)
+        return PsiRep(m, 0, orbit_form(psi0_base(m).poly * y))
 
     monkeypatch.setattr(engine, "psi0_base", base)
     eng = Engine()
@@ -302,7 +347,7 @@ def test_solver_inverts_the_operator(q):
     rhs = target.scale(c)
     for var in range(2):
         rhs = rhs + apply_wdw(target, var)
-    got = solve_pde(RhsRep(2, 1, rhs))
+    got = solve_pde(RhsRep(2, 1, orbit_form(rhs)))
     assert got.poly == target
 
 

@@ -1,6 +1,7 @@
 """Monomial derivation rules, exact division, and the operator basis."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from hurwitz.algebra.operators import (
 from hurwitz.algebra.poly import SparsePoly
 from hurwitz.algebra.series import expand_y_to_w, x_coefficient
 from hurwitz.errors import NonzeroRemainder, NotVanishing
+from reference import orbit_form
 
 
 def ypolys(arity=2, max_exp=3, max_terms=4, min_exp=0):
@@ -149,18 +151,21 @@ def reconstruct_decomp(b_terms: dict, m: int) -> SparsePoly:
     return out
 
 
-def decomps(m=2, jmax=2):
-    jt = st.tuples(*[st.integers(0, jmax)] * m)
+def decomps(m, jmax=2):
+    """Orbit forms of symmetric decompositions: weakly decreasing j."""
+    jt = st.tuples(*[st.integers(0, jmax)] * m).map(
+        lambda j: tuple(sorted(j, reverse=True)))
     coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(
         lambda f: f != 0
     )
     return st.dictionaries(jt, coeffs, max_size=3)
 
 
-@given(decomps())
+@given(decomps(3))
 @settings(deadline=None, max_examples=40)
 def test_basis_convert_roundtrip(d):
-    assert xdx_basis_convert(reconstruct_decomp(d, 2), 2) == d
+    dense = {p: c for j, c in d.items() for p in set(permutations(j))}
+    assert xdx_basis_convert(orbit_form(reconstruct_decomp(dense, 3)), 3) == d
 
 
 def test_basis_convert_rejects_nonvanishing():
@@ -168,26 +173,31 @@ def test_basis_convert_rejects_nonvanishing():
         xdx_basis_convert(SparsePoly.const("Y", 1, 1), 1)
 
 
+def _symmetrized(a: dict, b: dict) -> SparsePoly:
+    """Orbit form of A(y1) B(y2) + B(y1) A(y2) for univariate {k: c}."""
+    def prod(u, v):
+        return SparsePoly("Y", 2, {(k, l): Fraction(c * d)
+                                   for k, c in u.items() for l, d in v.items()})
+    return orbit_form(prod(a, b) + prod(b, a))
+
+
 def test_basis_convert_names_the_nonvanishing_variable():
-    # (y1 - 1) y2 vanishes at y1 = 1 but not at y2 = 1
-    p = SparsePoly("Y", 2, {(1, 1): 1, (0, 1): -1})
-    with pytest.raises(NotVanishing, match="y_2"):
+    # (y1 - 1) y2 + y1 (y2 - 1) vanishes at no y_i = 1; symmetric, so the
+    # first variable is named
+    p = _symmetrized({1: 1, 0: -1}, {1: 1})
+    with pytest.raises(NotVanishing, match="y_1"):
         xdx_basis_convert(p, 2)
 
 
 def test_basis_convert_rejects_a_single_w_derivation():
     # P_1 x Q_1 carries one w d/dw factor, so it is not f(x d/dx) V_2
     P, Q = p_ladder(1)
-    p1 = SparsePoly("Y", 2, {(k, 0): Fraction(c) for k, c in P[1].items()})
-    q1 = SparsePoly("Y", 2, {(0, k): Fraction(c) for k, c in Q[1].items()})
     with pytest.raises(NotVanishing, match="w d/dw"):
-        xdx_basis_convert(p1 * q1, 2)
+        xdx_basis_convert(_symmetrized(P[1], Q[1]), 2)
 
 
 def test_basis_convert_rejects_double_even():
     # Q_1 x Q_1 has two even labels, outside the decomposable cone
     _, Q = p_ladder(1)
-    q1 = SparsePoly("Y", 2, {(k, 0): Fraction(c) for k, c in Q[1].items()})
-    q2 = SparsePoly("Y", 2, {(0, k): Fraction(c) for k, c in Q[1].items()})
     with pytest.raises(NotVanishing):
-        xdx_basis_convert(q1 * q2, 2)
+        xdx_basis_convert(_symmetrized(Q[1], Q[1]), 2)

@@ -14,15 +14,25 @@ from hurwitz.algebra.series import (
     core_w_jet_to_u,
     core_y_to_u,
     expand_y_to_w,
+    sweep,
     tree_coeffs,
-    w_power_x_table,
     x_coefficient,
 )
-from reference import compose_with_tree
+from hurwitz.algebra.sym import expand_orbits
+from reference import (
+    compose_with_tree,
+    dense_expand_y_to_w,
+    dense_sweep,
+    dense_y_to_u,
+    orbit_form,
+    w_power_x_table,
+)
 
 
 def ypolys(arity=2, max_exp=3, max_terms=4):
-    exps = st.tuples(*[st.integers(0, max_exp)] * arity)
+    """Symmetric y-polynomials in orbit form: weakly decreasing exponents."""
+    exps = st.tuples(*[st.integers(0, max_exp)] * arity).map(
+        lambda e: tuple(sorted(e, reverse=True)))
     coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=4).filter(
         lambda f: f != 0
     )
@@ -114,12 +124,16 @@ def test_x_coefficient_of_y():
 
 
 def test_compose_with_tree_matches_x_coefficient():
+    # y1^2 y2 + y1 y2^2 - 1, from its orbit form; alpha in either order
     p = SparsePoly.monomial("Y", (2, 1), 1) - SparsePoly.const("Y", 2, 1)
     wjet = expand_y_to_w(p, 5, 10)
-    xjet = compose_with_tree(wjet, 5)
+    xjet = compose_with_tree(dense_expand_y_to_w(expand_orbits(p), 5, 10), 5)
+    memo: dict = {}
     for a1 in range(1, 4):
         for a2 in range(1, 3):
-            assert xjet.coeff((a1, a2)) == x_coefficient(wjet, (a1, a2))
+            want = xjet.coeff((a1, a2))
+            assert want == x_coefficient(wjet, (a1, a2))
+            assert want == x_coefficient(wjet, (a1, a2), memo)
 
 
 def test_x_coefficient_bivariate_value():
@@ -159,3 +173,26 @@ def test_u_w_jet_roundtrip(p):
     wcore = core_u_to_w_jet(ucore, 2, per, tot)
     back = core_w_jet_to_u(wcore, 2, per, tot)
     assert back == ucore
+
+
+def test_sweep_refuses_an_exponent_off_the_orbit_form():
+    # a dense polynomial swept as an orbit form would lose its other terms
+    with pytest.raises(ValueError, match="orbit form"):
+        core_y_to_u({(1, 2): 1}, 2)
+
+
+@given(ypolys(arity=1, max_exp=4))
+def test_sweep_at_one_variable_is_the_dense_sweep(p):
+    assert core_y_to_u(p.num, 1) == dense_y_to_u(p.num, 1)
+
+
+@pytest.mark.parametrize("total", [None, 5, 8])
+@given(p=ypolys(arity=3, max_exp=4, max_terms=5))
+@settings(deadline=None, max_examples=40)
+def test_orbit_sweep_is_the_orbit_form_of_the_dense_sweep(p, total):
+    # every table entry nonzero, so a dropped or doubled path shows
+    rows = [[(l, (k + 2) ** l - l) for l in range(k, 7)] for k in range(5)]
+    dense = expand_orbits(p)
+    want = SparsePoly.from_core("Y", 3, dense_sweep(dense.num, 3, rows, total), p.den)
+    got = SparsePoly.from_core("Y", 3, sweep(p.num, 3, rows, total), p.den)
+    assert got == orbit_form(want)

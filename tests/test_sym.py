@@ -8,14 +8,15 @@ import pytest
 
 from hurwitz.algebra.poly import SparsePoly
 from hurwitz.algebra.sym import (
+    e_monomial_expand,
     e_monomials_by_weight,
     elementary_values,
     expand_orbits,
     fit_sym_e_poly,
-    orbit_form,
 )
 from hurwitz.engine import _sample_plan
 from hurwitz.errors import InconsistentSystem
+from reference import orbit_form
 
 
 def known_poly(m, wdeg):
@@ -94,3 +95,17 @@ def test_orbit_form_roundtrip(orbits):
         math.factorial(m) // math.prod(math.factorial(e.count(k)) for k in set(e))
         for e in orbits]
     assert len(expanded) == sum(multinomials)
+
+
+@pytest.mark.parametrize("m,wdeg", [(1, 4), (3, 5), (5, 4)])
+def test_e_monomials_expand_to_their_orbit_forms(m, wdeg):
+    def e(k):
+        return SparsePoly("Y", m, {
+            p: 1 for p in set(permutations((1,) * k + (0,) * (m - k)))})
+
+    for beta in e_monomials_by_weight(m, wdeg):
+        dense = SparsePoly.const("Y", m, 1)
+        for k, a in enumerate(beta):
+            for _ in range(a):
+                dense = dense * e(k + 1)
+        assert SparsePoly("Y", m, e_monomial_expand(beta, m)) == orbit_form(dense)
