@@ -4,7 +4,6 @@ w, and x coordinate systems, the two derivations, and symmetric-function
 utilities."""
 
 from .operators import (
-    apply_wdw,
     apply_xdx,
     diag_fold,
     divide_ydiff,
@@ -29,7 +28,6 @@ __all__ = [
     "SparsePoly",
     "TruncSeries",
     "apply_xdx",
-    "apply_wdw",
     "diag_fold",
     "divide_ydiff",
     "xdx_basis_convert",

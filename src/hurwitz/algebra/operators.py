@@ -33,7 +33,6 @@ from .series import sweep, top_exponent
 
 __all__ = [
     "apply_xdx",
-    "apply_wdw",
     "diag_fold",
     "divide_ydiff",
     "xdx_basis_convert",
@@ -70,21 +69,6 @@ def apply_xdx(poly: SparsePoly, var: int) -> SparsePoly:
     """x_var d/dx_var in y-coordinates."""
     _check_var(poly, var)
     return SparsePoly.from_core("Y", poly.arity, core_apply_xdx(poly.num, var), poly.den)
-
-
-def apply_wdw(poly: SparsePoly, var: int) -> SparsePoly:
-    """w_var d/dw_var in y-coordinates."""
-    _check_var(poly, var)
-    out: Core = {}
-    for e, c in poly.num.items():
-        k = e[var]
-        if not k:
-            continue
-        kc = k * c
-        up1 = e[:var] + (k + 1,) + e[var + 1:]
-        out[up1] = out.get(up1, 0) + kc
-        out[e] = out.get(e, 0) - kc
-    return SparsePoly.from_core("Y", poly.arity, out, poly.den)
 
 
 def diag_fold(poly: SparsePoly, keep: int, drop: int) -> SparsePoly:

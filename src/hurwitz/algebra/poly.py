@@ -217,10 +217,6 @@ class SparsePoly:
 
     # ----- structural operations ---------------------------------------
 
-    def permute(self, perm: Sequence[int]) -> "SparsePoly":
-        """Relabel variables: old variable i becomes variable perm[i]."""
-        return self.embed(self.arity, perm)
-
     def embed(self, arity: int, positions: Sequence[int]) -> "SparsePoly":
         """View this polynomial inside a larger variable set.
 
@@ -239,14 +235,6 @@ class SparsePoly:
             out[tuple(ne)] = c
         return SparsePoly.from_core(self.kind, arity, out, self.den)
 
-    def substitute_one(self, index: int) -> "SparsePoly":
-        """Set variable `index` to 1 (exponent dropped, arity kept)."""
-        out: dict = {}
-        for e, c in self.num.items():
-            ne = e[:index] + (0,) + e[index + 1:]
-            out[ne] = out.get(ne, 0) + c
-        return SparsePoly.from_core(self.kind, self.arity, out, self.den)
-
     def evaluate(self, values: Sequence) -> Fraction:
         """Full evaluation at rational points."""
         if len(values) != self.arity:
@@ -263,22 +251,6 @@ class SparsePoly:
                 term *= v ** k
             total += term
         return total / self.den
-
-    def is_symmetric(self) -> bool:
-        """Invariance under all variable permutations.
-
-        Checked on the generators (adjacent swap and full cycle), which
-        suffices for the whole symmetric group.
-        """
-        m = self.arity
-        if m <= 1:
-            return True
-        swap = list(range(m))
-        swap[0], swap[1] = 1, 0
-        if self.permute(swap) != self:
-            return False
-        cyc = [(i + 1) % m for i in range(m)]
-        return self.permute(cyc) == self
 
     # ----- ordering and serialization -----------------------------------
 

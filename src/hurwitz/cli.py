@@ -425,6 +425,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if getattr(args, "m", None) is not None and args.m < 1:
         print("error: --m must be at least 1", file=sys.stderr)
         return EXIT_BAD_ARGS
+    if getattr(args, "n_max", None) is not None and args.n_max < 1:
+        print("error: --n-max must be at least 1", file=sys.stderr)
+        return EXIT_BAD_ARGS
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -22,9 +22,11 @@ per-monomial division, so the solve is: take a w-jet of K on a region
 known to contain the answer, divide each w^beta by |beta| + m + 2g - 2,
 lift back to a y-polynomial, and verify the equation exactly.  Every
 jet pass is an orbit sweep (`series.sweep`) from orbit form to orbit
-form, and so are both extractions; the one step that expands is the
-verification, the residual of the dense Psi against the dense K.  That
-step, not the degree bookkeeping, is what certifies the result.
+form, and so are both extractions.  The verification is the residual of
+Psi against K, taken on the orbit forms: sum w d/dw + c commutes with
+permuting the variables, so it is zero exactly when the dense residual
+is, and no step of the pipeline expands an orbit form.  That residual,
+not the degree bookkeeping, is what certifies the result.
 
 Genus 0 cells come from the closed form (sum x_i d/dx_i)^(m-3) V_m, built
 in orbit form, and never touch the solver.
@@ -57,7 +59,10 @@ from .algebra.series import (
     expand_y_to_w,
     x_coefficient,
 )
+# fit_sym_e_poly is not called here; it stays bound because the
+# benchmark's layer hooks (perfbench/layers.py) wrap it on this module
 from .algebra.sym import (
+    elementary_values,
     expand_orbits,
     fit_sym_e_poly,
     is_orbit_exponent,
@@ -116,20 +121,17 @@ def total_bound(m: int, g: int) -> int:
 
 class PsiRep:
     """A solved cell, held in orbit form: the terms of the symmetric Psi
-    with weakly decreasing exponents.  The dense `poly` is expanded from
-    the orbit form on first access and kept; the solver expands a fresh
-    cell once, for its residual, and passes that dense poly in, so only
-    genus-0 cells and cells read from the cache expand on access, and
-    only when a caller asks (no engine step does)."""
+    with weakly decreasing exponents.  No engine step reads the dense
+    `poly`; it is expanded from the orbit form on first access, for
+    callers that want the whole polynomial, and kept."""
 
     __slots__ = ("m", "g", "orbit", "_poly")
 
-    def __init__(self, m: int, g: int, orbit: SparsePoly,
-                 poly: Optional[SparsePoly] = None):
+    def __init__(self, m: int, g: int, orbit: SparsePoly):
         self.m = m
         self.g = g
         self.orbit = orbit
-        self._poly = poly
+        self._poly: Optional[SparsePoly] = None
 
     @property
     def poly(self) -> SparsePoly:
@@ -139,8 +141,8 @@ class PsiRep:
 
 
 class RhsRep(PsiRep):
-    """The right side K of cell (m, g), in orbit form like a cell; the
-    solver reads the dense `poly` only for its residual."""
+    """The right side K of cell (m, g), in orbit form like a cell, with
+    the same lazy dense `poly`."""
 
     __slots__ = ()
 
@@ -342,25 +344,31 @@ def _integral_solve(korbit: SparsePoly, c: int, pv: int, tot: int) -> SparsePoly
     return SparsePoly.from_core("Y", m, ycore, korbit.den * scale)
 
 
-def _residual(psi: SparsePoly, kpoly: SparsePoly, c: int) -> SparsePoly:
-    """(sum_i w_i d/dw_i + c) psi - K, by its own integer loop so that the
-    solve gate does not share code with apply_wdw."""
+def _orbit_residual(orbit: SparsePoly, korbit: SparsePoly, c: int) -> SparsePoly:
+    """Orbit form of (sum_i w_i d/dw_i + c) Psi - K, from the orbit forms
+    of Psi and K; the operator commutes with permuting the variables, so
+    this is zero exactly when the dense residual is.
+
+    w d/dw sends y^u to u (y^(u+1) - y^u).  Each orbit term lam of Psi
+    gives (c - |lam|) at lam; for each distinct nonzero value u of lam,
+    raising its first copy keeps the exponent sorted, and the raised
+    orbit mu collects u times the number of copies of u + 1 in mu, one
+    for each entry of mu that lowers back to lam.  Its own integer loop,
+    so that the solve gate shares no code with `series.sweep` or
+    `removals`."""
     acc: dict = {}
-    dk, dp = kpoly.den, psi.den
-    for e, coeff in psi.num.items():
-        coeff *= dk
-        for var in range(psi.arity):
-            k = e[var]
-            if not k:
+    dk, dp = korbit.den, orbit.den
+    for lam, x in orbit.num.items():
+        x *= dk
+        acc[lam] = acc.get(lam, 0) + (c - sum(lam)) * x
+        for i, u in enumerate(lam):
+            if not u or (i and lam[i - 1] == u):
                 continue
-            kc = k * coeff
-            up = e[:var] + (k + 1,) + e[var + 1:]
-            acc[up] = acc.get(up, 0) + kc
-            acc[e] = acc.get(e, 0) - kc
-        acc[e] = acc.get(e, 0) + c * coeff
-    for e, coeff in kpoly.num.items():
-        acc[e] = acc.get(e, 0) - dp * coeff
-    return SparsePoly.from_core("Y", psi.arity, acc, dk * dp)
+            mu = lam[:i] + (u + 1,) + lam[i + 1:]
+            acc[mu] = acc.get(mu, 0) + u * mu.count(u + 1) * x
+    for lam, x in korbit.num.items():
+        acc[lam] = acc.get(lam, 0) - dp * x
+    return SparsePoly.from_core("Y", orbit.arity, acc, dk * dp)
 
 
 def _validate_psi(orbit: SparsePoly, m: int, g: int):
@@ -378,22 +386,21 @@ def _validate_psi(orbit: SparsePoly, m: int, g: int):
 
 
 def solve_pde(K: RhsRep) -> PsiRep:
-    """Scaled-integral solve on the orbit form, with an exact equation
-    check on the dense polynomials as the gate."""
+    """Scaled-integral solve on the orbit form, with the exact equation
+    check on the orbit forms as the gate."""
     m, g = K.m, K.g
     c = m + 2 * g - 2
     if c < 1:
         raise ValueError("scaling constant must be positive")
     pv, tot = per_var_bound(m, g), total_bound(m, g)
     orbit = _integral_solve(K.orbit, c, pv, tot)
-    psi = expand_orbits(orbit)
-    if not _residual(psi, K.poly, c).is_zero():
+    if not _orbit_residual(orbit, K.orbit, c).is_zero():
         raise ResidualNonzero(
             f"no y-polynomial solution for ({m},{g}) within degree caps "
             f"{pv} per variable, {tot} total"
         )
     _validate_psi(orbit, m, g)
-    return PsiRep(m, g, orbit, psi)
+    return PsiRep(m, g, orbit)
 
 
 # ----- checks every cell passes, fresh or cached ---------------------------
@@ -436,13 +443,16 @@ def _sample_plan(m: int, wdeg: int) -> List[Partition]:
 
     They include every 1^m + lam with |lam| <= wdeg, and on those points
     the symmetrized binomial basis sum_sigma prod_i C(lam_i, mu_sigma(i))
-    is triangular under containment with a nonzero diagonal, so the fit
-    is always determined by this one plan.
+    is triangular under containment with a nonzero diagonal, so every
+    e-polynomial of weighted degree <= wdeg is determined by its values
+    on this one plan.
     """
     return [p for n in range(m, m + wdeg + 3) for p in partitions_of_length(n, m)]
 
 
-def _extract_by_samples(orbit: SparsePoly, m: int, wdeg: int) -> SparsePoly:
+def _sampled_values(orbit: SparsePoly, m: int, wdeg: int) -> List[Tuple[tuple, Fraction]]:
+    """(parts, f at parts) for every partition of `_sample_plan`, each
+    value read off an x-coefficient of the cell."""
     samples = _sample_plan(m, wdeg)
     nmax = max(p.n for p in samples)
     amax = max(p.parts[0] for p in samples)
@@ -455,26 +465,38 @@ def _extract_by_samples(orbit: SparsePoly, m: int, wdeg: int) -> SparsePoly:
         for a in p.parts:
             scale *= Fraction(math.factorial(a), a ** a)
         evals.append((p.parts, scale * coeff))
-    return fit_sym_e_poly(evals, m, wdeg)
+    return evals
+
+
+def _e_value(f_e: SparsePoly, parts: tuple) -> Fraction:
+    """f_e at the elementary symmetric values of `parts`, in integers."""
+    ev = elementary_values(parts, f_e.arity)
+    total = sum(c * math.prod(v ** a for v, a in zip(ev, e) if a)
+                for e, c in f_e.num.items())
+    return Fraction(total, f_e.den)
 
 
 def extract_f(psi: PsiRep) -> FResult:
-    """Pull out the symmetric polynomial behind a cell, two ways.
+    """Pull out the symmetric polynomial behind a cell, and check it.
 
-    Route one rewrites the cell over the x d/dx operator basis as a
-    symmetric polynomial; route two samples x-coefficients at partitions
-    and fits.  Both read the orbit form.  A disagreement is fatal, and so
-    is a failed `_check_f`.
+    The operator-basis route rewrites the cell over the x d/dx basis as
+    a symmetric polynomial f, which must pass `_check_f`.  The sampling
+    route reads f's value at every partition of `_sample_plan` off the
+    cell's x-coefficients, and f must take each of those values.  Both
+    read the orbit form.  The plan is unisolvent for e-polynomials of
+    f's weighted degree, so agreement at every sample is exactly
+    agreement with the polynomial the samples fit; a mismatch is fatal.
     """
     m, g = psi.m, psi.g
-    f_basis = to_e_basis(xdx_basis_convert(psi.orbit, m), m)
-    f_fit = _extract_by_samples(psi.orbit, m, max(m + 3 * g - 3, 0))
-    if f_basis != f_fit:
-        raise RouteDisagreement(
-            f"operator-basis and sampling extractions differ at ({m},{g})"
-        )
-    _check_f(f_basis, m, g)
-    return FResult(m, g, f_basis)
+    f_e = to_e_basis(xdx_basis_convert(psi.orbit, m), m)
+    _check_f(f_e, m, g)
+    for parts, value in _sampled_values(psi.orbit, m, max(m + 3 * g - 3, 0)):
+        if _e_value(f_e, parts) != value:
+            raise RouteDisagreement(
+                f"operator-basis extraction misses the sampled value at "
+                f"{parts} of ({m},{g})"
+            )
+    return FResult(m, g, f_e)
 
 
 # ----- disk cache ---------------------------------------------------------

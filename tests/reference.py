@@ -20,6 +20,69 @@ from hurwitz.engine import _sample_plan
 from hurwitz.partitions import Partition, class_size
 
 
+# ----- dense polynomial helpers ---------------------------------------------
+
+def permute(p: SparsePoly, perm) -> SparsePoly:
+    """Relabel variables: old variable i becomes variable perm[i]."""
+    return p.embed(p.arity, perm)
+
+
+def substitute_one(p: SparsePoly, index: int) -> SparsePoly:
+    """Set variable `index` to 1 (exponent dropped, arity kept)."""
+    out: dict = {}
+    for e, c in p.num.items():
+        ne = e[:index] + (0,) + e[index + 1:]
+        out[ne] = out.get(ne, 0) + c
+    return SparsePoly.from_core(p.kind, p.arity, out, p.den)
+
+
+def is_symmetric(p: SparsePoly) -> bool:
+    """Invariance under all variable permutations, checked on the
+    generators (adjacent swap and full cycle) of the symmetric group."""
+    m = p.arity
+    if m <= 1:
+        return True
+    swap = list(range(m))
+    swap[0], swap[1] = 1, 0
+    cyc = [(i + 1) % m for i in range(m)]
+    return permute(p, swap) == p and permute(p, cyc) == p
+
+
+def apply_wdw(poly: SparsePoly, var: int) -> SparsePoly:
+    """w_var d/dw_var in y-coordinates: y^k -> k (y^(k+1) - y^k)."""
+    out: dict = {}
+    for e, c in poly.num.items():
+        k = e[var]
+        if not k:
+            continue
+        kc = k * c
+        up1 = e[:var] + (k + 1,) + e[var + 1:]
+        out[up1] = out.get(up1, 0) + kc
+        out[e] = out.get(e, 0) - kc
+    return SparsePoly.from_core("Y", poly.arity, out, poly.den)
+
+
+def dense_residual(psi: SparsePoly, kpoly: SparsePoly, c: int) -> SparsePoly:
+    """(sum_i w_i d/dw_i + c) psi - K on the dense polynomials, by its own
+    integer loop."""
+    acc: dict = {}
+    dk, dp = kpoly.den, psi.den
+    for e, coeff in psi.num.items():
+        coeff *= dk
+        for var in range(psi.arity):
+            k = e[var]
+            if not k:
+                continue
+            kc = k * coeff
+            up = e[:var] + (k + 1,) + e[var + 1:]
+            acc[up] = acc.get(up, 0) + kc
+            acc[e] = acc.get(e, 0) - kc
+        acc[e] = acc.get(e, 0) + c * coeff
+    for e, coeff in kpoly.num.items():
+        acc[e] = acc.get(e, 0) - dp * coeff
+    return SparsePoly.from_core("Y", psi.arity, acc, dk * dp)
+
+
 def orbit_form(p: SparsePoly) -> SparsePoly:
     """The terms of a symmetric p with weakly decreasing exponents."""
     num = {e: c for e, c in p.num.items() if is_orbit_exponent(e)}
@@ -226,10 +289,10 @@ def log_sieve(table) -> dict:
 # them from whole polynomials, permuting every summand into place.
 
 def _sum_permuted(f: SparsePoly, perms) -> SparsePoly:
-    """Sum of f.permute(perm) over perms, accumulated on integer numerators."""
+    """Sum of permute(f, perm) over perms, accumulated on integer numerators."""
     acc: dict = {}
     for perm in perms:
-        for e, c in f.permute(perm).num.items():
+        for e, c in permute(f, perm).num.items():
             acc[e] = acc.get(e, 0) + c
     return SparsePoly.from_core(f.kind, f.arity, acc, f.den)
 

@@ -336,3 +336,27 @@ def test_compute_rejects_a_forged_cache_file(tmp_path, capsys):
                 "--cache-dir", cdir]) == 0
     assert "c = 80" in capsys.readouterr().out
     assert path.read_text() == good
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "oracle", "--n-max", "-3"],
+    ["verify", "--suite", "oracle", "--n-max", "0"],
+    ["table", "--genus", "1", "--m", "2", "--values", "--n-max", "0"],
+    ["table", "--genus", "1", "--m", "2", "--values", "--n-max", "0",
+     "--format", "csv"],
+])
+def test_n_max_below_one_is_a_bad_argument(argv, capsys):
+    assert run(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--n-max must be at least 1" in err
+
+
+def test_python_dash_m_runs_the_command_line(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "hurwitz", "compute", "--alpha", "2,1",
+                           "--genus", "1"], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "c = 80" in proc.stdout.splitlines()

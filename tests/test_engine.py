@@ -1,18 +1,26 @@
 """The PDE pipeline: seeds, assembly, solver, extraction, orchestration."""
 
+import inspect
 import json
 import math
+import textwrap
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hurwitz.algebra import series
-from hurwitz.algebra.operators import apply_wdw
 from hurwitz.algebra.poly import SparsePoly
-from hurwitz.algebra.series import tree_coeffs
-from hurwitz.algebra.sym import expand_orbits, is_orbit_exponent, weighted_degree
-from hurwitz import engine
+from hurwitz.algebra.series import tree_coeffs, x_coefficient
+from hurwitz.algebra.sym import (
+    e_monomials_by_weight,
+    elementary_values,
+    expand_orbits,
+    fit_sym_e_poly,
+    is_orbit_exponent,
+    weighted_degree,
+)
+from hurwitz import cli, engine, oracle
 from hurwitz.engine import (
     CACHE_VERSION,
     DEFAULT_BUDGETS,
@@ -33,18 +41,22 @@ from hurwitz.errors import (
     CertificationError,
     NotVanishing,
     ResidualNonzero,
+    RouteDisagreement,
 )
 from hurwitz.formulas import f_table
 from hurwitz.oracle import c_count
 from hurwitz.partitions import Partition
 from reference import (
+    apply_wdw,
     compose_with_tree,
     dense_assemble_K,
     dense_expand_y_to_w,
     dense_extract_f,
     dense_psi0,
+    dense_residual,
     dense_solve,
     orbit_form,
+    permute,
 )
 
 PSI11 = SparsePoly("Y", 1, {
@@ -265,6 +277,172 @@ def test_a_sweep_without_its_total_cap_fails_the_residual(grid, monkeypatch):
             solve_pde(assemble_K(m, g, grid))
 
 
+# ----- the orbit residual: the solve gate ---------------------------------
+
+def _solved(grid):
+    """(m, g, c, Psi's orbit form, K) for each solved grid cell."""
+    for (m, g), rep in sorted(grid.items()):
+        if g:
+            yield m, g, m + 2 * g - 2, rep.orbit, assemble_K(m, g, grid)
+
+
+def _raised(orbit: SparsePoly) -> SparsePoly:
+    """`orbit` with its first coefficient raised by one."""
+    num = dict(orbit.num)
+    num[next(iter(num))] += orbit.den
+    return SparsePoly.from_core(orbit.kind, orbit.arity, num, orbit.den)
+
+
+def test_orbit_residual_is_the_orbit_form_of_the_dense_residual(grid):
+    cells = list(_solved(grid))
+    assert len(cells) == 14
+    for m, g, c, orbit, K in cells:
+        assert engine._orbit_residual(orbit, K.orbit, c).is_zero(), (m, g)
+        assert dense_residual(expand_orbits(orbit), K.poly, c).is_zero(), (m, g)
+        bad = _raised(orbit)
+        got = engine._orbit_residual(bad, K.orbit, c)
+        want = dense_residual(expand_orbits(bad), K.poly, c)
+        assert not got.is_zero() and not want.is_zero(), (m, g)
+        assert got == orbit_form(want), (m, g)
+
+
+def _mutated(name: str, old: str, new: str):
+    """engine.<name> rebuilt from its source with `old` replaced by `new`."""
+    src = textwrap.dedent(inspect.getsource(getattr(engine, name)))
+    assert src.count(old) == 1, f"{old!r} is not in {name}"
+    scope: dict = {}
+    exec(compile(src.replace(old, new), f"<mutated {name}>", "exec"), vars(engine), scope)
+    return scope[name]
+
+
+# one variable repeats no value, so only cells with m >= 2 tell the
+# first two mutations apart from the true loop
+@pytest.mark.parametrize("old,new,m_min", [
+    ("u * mu.count(u + 1) * x", "u * x", 2),
+    ("(i and lam[i - 1] == u)", "(i + 1 < len(lam) and lam[i + 1] == u)", 2),
+    ("(c - sum(lam)) * x", "c * x", 1),
+], ids=["no-multiplicity", "last-copy-raised", "no-size-term"])
+def test_a_mutated_orbit_residual_refuses_every_solve(grid, monkeypatch, old, new, m_min):
+    monkeypatch.setattr(engine, "_orbit_residual", _mutated("_orbit_residual", old, new))
+    for m, g, _, _, K in _solved(grid):
+        if m >= m_min:
+            with pytest.raises(ResidualNonzero):
+                solve_pde(K)
+
+
+def test_a_cold_cell_expands_no_orbit_form(monkeypatch):
+    def refuse(orbit):
+        raise AssertionError("the pipeline expanded an orbit form")
+
+    monkeypatch.setattr(engine, "expand_orbits", refuse)
+    assert Engine().f_result(2, 2).f_e == f_table(2, 2)
+
+
+# ----- the evaluation check: the extraction gate -----------------------------
+
+PRIME = (1 << 31) - 1
+
+
+def _pins_every_e_polynomial(plan, m: int, wdeg: int) -> bool:
+    """Whether the m-part partitions of weight <= m + wdeg in `plan` alone
+    determine every e-polynomial of weighted degree <= wdeg by its values.
+
+    `_sample_plan`'s docstring argues that they do: they are the points
+    1^m + lam, |lam| <= wdeg, as many as the e-monomials.  Their matrix of
+    e-monomial values is checked to have full column rank mod PRIME; a
+    nonzero maximal minor mod a prime is nonzero over Q, so the whole
+    plan is then unisolvent.  The plan has about twice as many points as
+    unknowns, so the rank of all of it would survive losing any one."""
+    monos = e_monomials_by_weight(m, wdeg)
+    rows = []
+    for p in plan:
+        if p.n <= m + wdeg:
+            ev = elementary_values(p.parts, m)
+            rows.append([math.prod(pow(ev[k], a, PRIME) for k, a in enumerate(b)) % PRIME
+                         for b in monos])
+    rank = 0
+    for col in range(len(monos)):
+        sel = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if sel is None:
+            continue
+        rows[rank], rows[sel] = rows[sel], rows[rank]
+        inv = pow(rows[rank][col], -1, PRIME)
+        pivot = [v * inv % PRIME for v in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col]
+            rows[i] = [(v - f * w) % PRIME for v, w in zip(rows[i], pivot)]
+        rank += 1
+    return rank == len(monos)
+
+
+def _cells_in_reach():
+    """Every cell the engine may extract: the default budgets, and the
+    budgets of `verify --suite oracle` at the largest --n-max it answers,
+    where the (1^n, g = 2) counts reach the oracle's j budget."""
+    n_top = min(oracle.N_BUDGET, (oracle.J_BUDGET - 2) // 2)
+    cells = set()
+    for budgets in (DEFAULT_BUDGETS, cli._oracle_budgets(n_top)):
+        for g, top in budgets.items():
+            cells.update((m, g) for m in range(3 if g == 0 else 1, top + 1))
+    return sorted(cells)
+
+
+def test_every_sample_plan_in_reach_is_unisolvent():
+    cells = _cells_in_reach()
+    assert (7, 1) in cells and (6, 2) in cells and (2, 4) in cells
+    for m, g in cells:
+        wdeg = max(m + 3 * g - 3, 0)
+        assert _pins_every_e_polynomial(engine._sample_plan(m, wdeg), m, wdeg), (m, g)
+
+
+def test_a_plan_cut_by_one_partition_is_not_certified(grid):
+    for m, g in grid:
+        wdeg = max(m + 3 * g - 3, 0)
+        plan = engine._sample_plan(m, wdeg)
+        heaviest = max(i for i, p in enumerate(plan) if p.n <= m + wdeg)
+        cut = plan[:heaviest] + plan[heaviest + 1:]
+        assert not _pins_every_e_polynomial(cut, m, wdeg), (m, g)
+
+
+def test_the_sampling_fit_equals_the_operator_basis_route(grid):
+    for (m, g), rep in grid.items():
+        wdeg = max(m + 3 * g - 3, 0)
+        evals = engine._sampled_values(rep.orbit, m, wdeg)
+        assert fit_sym_e_poly(evals, m, wdeg) == extract_f(rep).f_e, (m, g)
+
+
+def _first_coefficient_doubled(to_e):
+    def mutant(orbit, m):
+        f = to_e(orbit, m)
+        num = dict(f.num)
+        num[next(iter(num))] *= 2
+        return SparsePoly.from_core(f.kind, f.arity, num, f.den)
+    return mutant
+
+
+def test_a_perturbed_operator_basis_coefficient_is_refused(grid, monkeypatch):
+    monkeypatch.setattr(engine, "to_e_basis", _first_coefficient_doubled(engine.to_e_basis))
+    for (m, g), rep in grid.items():
+        with pytest.raises(RouteDisagreement):
+            extract_f(rep)
+
+
+def test_a_perturbed_sampled_value_is_refused(grid, monkeypatch):
+    target = None
+
+    def perturbed(jet, parts, memo=None):
+        value = x_coefficient(jet, parts, memo)
+        return value + 1 if tuple(parts) == target else value
+
+    monkeypatch.setattr(engine, "x_coefficient", perturbed)
+    for (m, g), rep in grid.items():
+        plan = engine._sample_plan(m, max(m + 3 * g - 3, 0))
+        for p in (plan[0], plan[-1]):
+            target = p.parts
+            with pytest.raises(RouteDisagreement):
+                extract_f(rep)
+
+
 def test_psi11_value_and_equation():
     psi = Engine().psi(1, 1)
     assert psi.poly == PSI11
@@ -342,7 +520,7 @@ def test_solver_inverts_the_operator(q):
     # operator, and demand the solver return exactly the target
     one = SparsePoly.const("Y", 2, 1)
     van = (SparsePoly.variable("Y", 2, 0) - one) * (SparsePoly.variable("Y", 2, 1) - one)
-    target = (q + q.permute([1, 0])) * van
+    target = (q + permute(q, [1, 0])) * van
     c = 2  # cell (2, 1)
     rhs = target.scale(c)
     for var in range(2):

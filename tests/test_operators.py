@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hurwitz.algebra.operators import (
-    apply_wdw,
     apply_xdx,
     diag_fold,
     divide_ydiff,
@@ -17,7 +16,7 @@ from hurwitz.algebra.operators import (
 from hurwitz.algebra.poly import SparsePoly
 from hurwitz.algebra.series import expand_y_to_w, x_coefficient
 from hurwitz.errors import NonzeroRemainder, NotVanishing
-from reference import orbit_form
+from reference import apply_wdw, orbit_form
 
 
 def ypolys(arity=2, max_exp=3, max_terms=4, min_exp=0):

@@ -21,6 +21,7 @@ def _load(name: str):
 
 @pytest.mark.parametrize("module,name", [
     ("engine", "theta_symmetrize"),
+    ("engine", "fit_sym_e_poly"),  # wrapped, though no engine step calls it
     ("oracle", "all_counts"),
     ("oracle", "transitive_counts"),
     ("oracle", "cutjoin_step"),
