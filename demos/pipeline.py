@@ -5,9 +5,7 @@ stage: the assembled right-hand side, the solved polynomial, the
 extracted symmetric function, and the scaling back to integer counts.
 """
 
-from fractions import Fraction
-
-from hurwitz.algebra.sym import elementary_values, weighted_degree
+from hurwitz.algebra.sym import e_value, weighted_degree
 from hurwitz.engine import Engine, assemble_K
 from hurwitz.formulas import hurwitz
 from hurwitz.oracle import c_count
@@ -37,8 +35,7 @@ def main():
     print("\nscaling back to counts, checked against enumeration:")
     for parts in ([2, 1], [3, 1], [2, 2], [4, 1], [3, 2]):
         lam = Partition.of(parts)
-        ev = [Fraction(v) for v in elementary_values(lam.parts, m)]
-        hc = hurwitz(lam, g, fr.f_e.evaluate(ev))
+        hc = hurwitz(lam, g, e_value(fr.f_e, lam.parts))
         independent = c_count(lam, g)
         assert hc.c == independent
         print(f"   alpha={lam}: f={hc.f}  c={hc.c}  mu={hc.mu}  "

@@ -26,6 +26,7 @@ __all__ = [
     "expand_orbits",
     "e_monomials_by_weight",
     "elementary_values",
+    "e_value",
     "e_monomial_expand",
     "to_e_basis",
     "fit_sym_e_poly",
@@ -193,6 +194,16 @@ def elementary_values(alpha: Sequence[int], m: int) -> List[int]:
         for k in range(min(m, len(e) - 1), 0, -1):
             e[k] += a * e[k - 1]
     return e[1:]
+
+
+def e_value(f_e: SparsePoly, parts: Sequence[int]) -> Fraction:
+    """An e-basis polynomial with nonnegative exponents at the elementary
+    symmetric values of `parts`, in integer arithmetic: the value
+    `f_e.evaluate` gives at those points."""
+    ev = elementary_values(parts, f_e.arity)
+    total = sum(c * math.prod(v ** a for v, a in zip(ev, e) if a)
+                for e, c in f_e.num.items())
+    return Fraction(total, f_e.den)
 
 
 def fit_sym_e_poly(

@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 
 from . import formulas, oracle
 from .algebra.poly import SparsePoly
-from .algebra.sym import elementary_values
+from .algebra.sym import e_value
 from .engine import (
     CACHE_VERSION,
     DEFAULT_BUDGETS,
@@ -46,6 +46,10 @@ EXIT_BROKEN_PIPE = 1
 # accepted n_max, the slowest grids (genus 3 with m = 3, genus 0 with m near
 # 70, one part at genus near 60) print in about a second.
 TABLE_ROWS_MAX = 2_500
+# Largest `verify --suite oracle` --n-max: the suite counts every alpha of
+# weight n <= n_max up to genus 2, and 1^n at genus 2 has the largest
+# j = n + m + 2g - 2 = 2n + 2, which the oracle's budgets must cover.
+ORACLE_N_MAX = min(oracle.N_BUDGET, (oracle.J_BUDGET - 2) // 2)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,9 +81,7 @@ def best_route(alpha: Partition, g: int, engine: Engine) -> Tuple[Fraction, str]
     m = alpha.m
     if g >= 1 or m >= 3:
         try:
-            fr = engine.f_result(m, g)
-            ev = [Fraction(v) for v in elementary_values(alpha.parts, m)]
-            return fr.f_e.evaluate(ev), "engine"
+            return e_value(engine.f_result(m, g).f_e, alpha.parts), "engine"
         except BudgetExceeded:
             pass
     f = _f_from_formulas(alpha, g)
@@ -203,10 +205,7 @@ def _suite_oracle(engine: Engine, n_max: int, checks: List[dict]):
                     f = formulas.f_genus0(alpha)
                     label = f"oracle {alpha} g={g} (formulas)"
                 else:
-                    fr = engine.f_result(alpha.m, g)
-                    ev = [Fraction(v) for v in
-                          elementary_values(alpha.parts, alpha.m)]
-                    f = fr.f_e.evaluate(ev)
+                    f = e_value(engine.f_result(alpha.m, g).f_e, alpha.parts)
                     label = f"oracle {alpha} g={g} (engine)"
                 hc = formulas.hurwitz(alpha, g, f)
                 ok = hc.c == c_oracle
@@ -276,6 +275,9 @@ def _oracle_budgets(n_max: int) -> dict:
 def run_verify(args) -> int:
     budgets = None
     if args.suite in ("oracle", "all"):
+        if args.n_max > ORACLE_N_MAX:
+            raise BudgetExceeded(
+                f"the oracle suite is budgeted to --n-max <= {ORACLE_N_MAX}")
         budgets = _oracle_budgets(args.n_max)
     engine = Engine(budgets=budgets, cache_dir=args.cache_dir)
     checks: List[dict] = []

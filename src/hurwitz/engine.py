@@ -41,6 +41,7 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -62,7 +63,7 @@ from .algebra.series import (
 # fit_sym_e_poly is not called here; it stays bound because the
 # benchmark's layer hooks (perfbench/layers.py) wrap it on this module
 from .algebra.sym import (
-    elementary_values,
+    e_value,
     expand_orbits,
     fit_sym_e_poly,
     is_orbit_exponent,
@@ -411,7 +412,10 @@ def _check_orbit_form(orbit: SparsePoly, m: int, g: int):
     """Raise CertificationError unless `orbit` is a canonical orbit form
     over m variables with the degrees every solved cell (m, g) attains:
     total degree total_bound(m, g) and, for g >= 1, per-variable degree
-    per_var_bound(m, g), which is the first exponent of some term."""
+    per_var_bound(m, g), which is the first exponent of some term.  It
+    must also vanish at y_1 = 1, as every cell does: the sampling route
+    reads only the terms whose exponents are all positive, and a change
+    to any one term with a zero exponent breaks the vanishing."""
     if orbit.kind != "Y" or orbit.arity != m:
         raise CertificationError(f"psi is not a Y-form in {m} variables")
     for e in orbit.num:
@@ -423,6 +427,8 @@ def _check_orbit_form(orbit: SparsePoly, m: int, g: int):
     if g and max(e[0] for e in orbit.num) != per_var_bound(m, g):
         raise CertificationError(
             f"psi misses the per-variable degree {per_var_bound(m, g)}")
+    if not _vanishes_at_one(orbit):
+        raise CertificationError("psi does not vanish at y_1 = 1")
 
 
 def _check_f(f_e: SparsePoly, m: int, g: int):
@@ -468,12 +474,18 @@ def _sampled_values(orbit: SparsePoly, m: int, wdeg: int) -> List[Tuple[tuple, F
     return evals
 
 
-def _e_value(f_e: SparsePoly, parts: tuple) -> Fraction:
-    """f_e at the elementary symmetric values of `parts`, in integers."""
-    ev = elementary_values(parts, f_e.arity)
-    total = sum(c * math.prod(v ** a for v, a in zip(ev, e) if a)
-                for e, c in f_e.num.items())
-    return Fraction(total, f_e.den)
+def _check_samples(orbit: SparsePoly, f_e: SparsePoly, m: int, g: int):
+    """Raise RouteDisagreement unless `f_e` takes, at every partition of
+    `_sample_plan`, the value read off the cell's x-coefficients.  The
+    plan is unisolvent for e-polynomials of f's weighted degree, so for
+    an `f_e` that passes `_check_f` this is exactly agreement with the
+    polynomial the samples fit."""
+    for parts, value in _sampled_values(orbit, m, max(m + 3 * g - 3, 0)):
+        if e_value(f_e, parts) != value:
+            raise RouteDisagreement(
+                f"operator-basis extraction misses the sampled value at "
+                f"{parts} of ({m},{g})"
+            )
 
 
 def extract_f(psi: PsiRep) -> FResult:
@@ -482,20 +494,13 @@ def extract_f(psi: PsiRep) -> FResult:
     The operator-basis route rewrites the cell over the x d/dx basis as
     a symmetric polynomial f, which must pass `_check_f`.  The sampling
     route reads f's value at every partition of `_sample_plan` off the
-    cell's x-coefficients, and f must take each of those values.  Both
-    read the orbit form.  The plan is unisolvent for e-polynomials of
-    f's weighted degree, so agreement at every sample is exactly
-    agreement with the polynomial the samples fit; a mismatch is fatal.
+    cell's x-coefficients, and f must take each of those values
+    (`_check_samples`).  Both read the orbit form; a mismatch is fatal.
     """
     m, g = psi.m, psi.g
     f_e = to_e_basis(xdx_basis_convert(psi.orbit, m), m)
     _check_f(f_e, m, g)
-    for parts, value in _sampled_values(psi.orbit, m, max(m + 3 * g - 3, 0)):
-        if _e_value(f_e, parts) != value:
-            raise RouteDisagreement(
-                f"operator-basis extraction misses the sampled value at "
-                f"{parts} of ({m},{g})"
-            )
+    _check_samples(psi.orbit, f_e, m, g)
     return FResult(m, g, f_e)
 
 
@@ -503,15 +508,35 @@ def extract_f(psi: PsiRep) -> FResult:
 
 def read_cell(path: Path) -> Optional[Tuple[PsiRep, FResult]]:
     """The cell stored in a cache file, decoded and checked, without
-    expanding Psi.  None when the file is a miss: a name that is not a
-    cell file, an unreadable or malformed file, another version or cell,
-    or a Psi or f that fails `_check_orbit_form` or `_check_f`."""
+    expanding Psi; None when the file is a miss.  A name that is not a
+    cell file and a file that cannot be read are misses; the bytes read
+    go to `_decode_cell`."""
     name = CELL_FILE.fullmatch(path.name)
     if name is None:
         return None
-    m, g = int(name[1]), int(name[2])
     try:
-        obj = json.loads(path.read_text())
+        data = path.read_bytes()
+    except OSError:
+        return None
+    return _decode_cell(int(name[1]), int(name[2]), data)
+
+
+@lru_cache(maxsize=64)
+def _decode_cell(m: int, g: int, data: bytes) -> Optional[Tuple[PsiRep, FResult]]:
+    """Cell (m, g) from the bytes of its cache file, or None for a miss:
+    malformed JSON or fields, another version or cell, a Psi that fails
+    `_check_orbit_form`, or an f that fails `_check_f` or does not take
+    the values the sampling route reads off that Psi (`_check_samples`),
+    so that `f` is tied to the `Psi` it came from.
+
+    The result is a function of (m, g, data) alone, so it is memoised on
+    exactly those: a process decodes and checks each file's bytes once,
+    a rewritten file is decoded afresh, and a cached cell is trusted no
+    more than a fresh decode.  Engines share the returned objects; none
+    mutates them, and a PsiRep's dense view is a function of its orbit
+    form."""
+    try:
+        obj = json.loads(data)
         if not isinstance(obj, dict) or obj.get("version") != CACHE_VERSION:
             return None
         if obj.get("m") != m or obj.get("g") != g:
@@ -520,7 +545,8 @@ def read_cell(path: Path) -> Optional[Tuple[PsiRep, FResult]]:
         _check_orbit_form(orbit, m, g)
         f_e = SparsePoly.from_obj(obj["f_e"])
         _check_f(f_e, m, g)
-    except (OSError, KeyError, TypeError, ValueError, ArithmeticError):
+        _check_samples(orbit, f_e, m, g)
+    except (KeyError, TypeError, ValueError, ArithmeticError, RouteDisagreement):
         return None
     return PsiRep(m, g, orbit), FResult(m, g, f_e)
 

@@ -14,7 +14,6 @@ a_sequence.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +22,7 @@ from typing import Dict, List, Sequence
 
 from .algebra.poly import SparsePoly
 from .algebra.series import tree_coeffs
-from .algebra.sym import elementary_values
+from .algebra.sym import e_value, elementary_values
 from .errors import BudgetExceeded, CertificationError
 from .partitions import Partition, class_size
 
@@ -99,6 +98,9 @@ _TABLE_DIGEST = "f300528680f4895e04f354d1d963a6e792150be88c35f7c34678a16d9580d75
 
 
 def _compute_digest() -> str:
+    # imported here: hashlib maps OpenSSL, which only this checksum needs
+    import hashlib
+
     h = hashlib.sha256()
     for g in sorted(_DELTAS):
         h.update(f"g={g};d={_D_G[g]};".encode())
@@ -156,9 +158,7 @@ def f_table(g: int, m: int) -> SparsePoly:
 
 
 def f_table_eval(g: int, alpha: Partition) -> Fraction:
-    m = alpha.m
-    poly = f_table(g, m)
-    return poly.evaluate([Fraction(v) for v in elementary_values(alpha.parts, m)])
+    return e_value(f_table(g, alpha.m), alpha.parts)
 
 
 # ----- closed forms -------------------------------------------------------

@@ -4,14 +4,17 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from hurwitz import cli
+from hurwitz import cli, engine, oracle
 from hurwitz.cli import main
 from hurwitz.engine import CACHE_VERSION, Engine, _deps
+from hurwitz.errors import BudgetExceeded
 from hurwitz.formulas import f_table
+from hurwitz.partitions import Partition
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -322,20 +325,97 @@ def test_cache_status_lists_cells_and_stale_files(tmp_path, capsys):
     ]
 
 
-def test_compute_rejects_a_forged_cache_file(tmp_path, capsys):
-    # an empty psi next to a forged f_e (54 times the true one)
+def _scaled_f(obj):
+    obj["f_e"] = f_table(1, 2).scale(54).to_obj()
+
+
+def _empty_psi_scaled_f(obj):
+    obj["psi"]["terms"] = []
+    _scaled_f(obj)
+
+
+def _add(rows, exponent, q):
+    """Add the rational q to the term at `exponent`, a new term if need be."""
+    row = next((r for r in rows if r[0] == exponent), None)
+    if row is None:
+        row = [exponent, "0", "1"]
+        rows.append(row)
+    q += Fraction(int(row[1]), int(row[2]))
+    row[1:] = [str(q.numerator), str(q.denominator)]
+
+
+def _add_vanishing_term(obj):
+    # (y1 - 1)(y2 - 1) y1 y2 / 24: its terms have only positive exponents
+    rows = obj["psi"]["terms"]
+    for exponent, sign in (([2, 2], 1), ([2, 1], -1), ([1, 1], 1)):
+        _add(rows, exponent, Fraction(sign, 24))
+
+
+# Forgeries of the genuine (2,1) file, whose f is (e1^2 - e1 - e2)/24 and
+# whose orbit form holds y1^2 y2 and y1^2 at 1/24 and -1/24.  After the
+# first, each keeps the genuine f or the genuine orbit form.
+FORGERIES = {
+    "empty-psi-f-times-54": _empty_psi_scaled_f,
+    "f-times-54": _scaled_f,
+    "f-middle-coefficient": lambda obj: _add(obj["f_e"]["terms"], [1, 0], Fraction(1)),
+    "psi-one-coefficient": lambda obj: _add(obj["psi"]["terms"], [2, 1], Fraction(1)),
+    "psi-zero-exponent-coefficient": lambda obj: _add(
+        obj["psi"]["terms"], [2, 0], Fraction(1)),
+    "psi-plus-a-vanishing-term": _add_vanishing_term,
+}
+
+
+@pytest.mark.parametrize("forgery", FORGERIES)
+def test_compute_rejects_a_forged_cache_file(forgery, tmp_path, capsys):
     cdir = str(tmp_path)
     Engine(cache_dir=cdir).f_result(2, 1)
     path = tmp_path / "psi_m2_g1.json"
     good = path.read_text()
     obj = json.loads(good)
-    obj["psi"]["terms"] = []
-    obj["f_e"] = f_table(1, 2).scale(54).to_obj()
+    FORGERIES[forgery](obj)
     path.write_text(json.dumps(obj))
     assert run(["compute", "--alpha", "2,1", "--genus", "1",
                 "--cache-dir", cdir]) == 0
     assert "c = 80" in capsys.readouterr().out
     assert path.read_text() == good
+
+
+# The check each forgery needs, and the mutant that drops it from every read.
+# `_check_samples` ties f to the terms of Psi with positive exponents; the
+# vanishing check of `_check_orbit_form` sees the others, and any one changed
+# term.
+MUTANTS = {"_check_samples": lambda *args: None, "_vanishes_at_one": lambda orbit: True}
+
+
+@pytest.mark.parametrize("forgery,check", [
+    ("f-times-54", "_check_samples"),
+    ("f-middle-coefficient", "_check_samples"),
+    ("psi-plus-a-vanishing-term", "_check_samples"),
+    ("psi-zero-exponent-coefficient", "_vanishes_at_one"),
+])
+def test_a_read_without_its_check_serves_the_forgery(forgery, check, tmp_path, capsys,
+                                                     monkeypatch):
+    monkeypatch.setattr(engine, check, MUTANTS[check])
+    with pytest.raises(AssertionError):
+        test_compute_rejects_a_forged_cache_file(forgery, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("suite", ["oracle", "all"])
+def test_verify_refuses_an_over_budget_n_max_before_computing(suite, tmp_path, capsys):
+    argv = ["verify", "--suite", suite, "--n-max", str(cli.ORACLE_N_MAX + 1),
+            "--cache-dir", str(tmp_path)]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--n-max <= 6" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_oracle_suite_limit_is_where_c_count_stops():
+    # 1^n at genus 2 is the suite's largest j; every other count is smaller
+    top = Partition((1,) * cli.ORACLE_N_MAX)
+    assert oracle.c_count(top, 2) > 0
+    with pytest.raises(BudgetExceeded):
+        oracle.c_count(Partition((1,) * (cli.ORACLE_N_MAX + 1)), 2)
 
 
 @pytest.mark.parametrize("argv", [

@@ -14,13 +14,14 @@ from hurwitz.algebra.poly import SparsePoly
 from hurwitz.algebra.series import tree_coeffs, x_coefficient
 from hurwitz.algebra.sym import (
     e_monomials_by_weight,
+    e_value,
     elementary_values,
     expand_orbits,
     fit_sym_e_poly,
     is_orbit_exponent,
     weighted_degree,
 )
-from hurwitz import cli, engine, oracle
+from hurwitz import cli, engine
 from hurwitz.engine import (
     CACHE_VERSION,
     DEFAULT_BUDGETS,
@@ -379,9 +380,8 @@ def _cells_in_reach():
     """Every cell the engine may extract: the default budgets, and the
     budgets of `verify --suite oracle` at the largest --n-max it answers,
     where the (1^n, g = 2) counts reach the oracle's j budget."""
-    n_top = min(oracle.N_BUDGET, (oracle.J_BUDGET - 2) // 2)
     cells = set()
-    for budgets in (DEFAULT_BUDGETS, cli._oracle_budgets(n_top)):
+    for budgets in (DEFAULT_BUDGETS, cli._oracle_budgets(cli.ORACLE_N_MAX)):
         for g, top in budgets.items():
             cells.update((m, g) for m in range(3 if g == 0 else 1, top + 1))
     return sorted(cells)
@@ -441,6 +441,14 @@ def test_a_perturbed_sampled_value_is_refused(grid, monkeypatch):
             target = p.parts
             with pytest.raises(RouteDisagreement):
                 extract_f(rep)
+
+
+def test_e_value_is_evaluate_at_the_elementary_values(grid):
+    for (m, g), rep in grid.items():
+        f_e = extract_f(rep).f_e
+        for p in engine._sample_plan(m, max(m + 3 * g - 3, 0)):
+            ev = [Fraction(v) for v in elementary_values(p.parts, m)]
+            assert e_value(f_e, p.parts) == f_e.evaluate(ev), (m, g, p.parts)
 
 
 def test_psi11_value_and_equation():
@@ -692,3 +700,45 @@ def test_cell_from_cached_dependencies_matches_a_cold_engine(tmp_path, monkeypat
     want = Engine().cell(2, 2)
     assert got[0].poly == want[0].poly
     assert got[1].f_e == want[1].f_e
+
+
+def _counted_sample_checks(monkeypatch) -> list:
+    """The cells `_check_samples` runs on from now on, in call order."""
+    calls = []
+    check = engine._check_samples
+
+    def counted(orbit, f_e, m, g):
+        calls.append((m, g))
+        return check(orbit, f_e, m, g)
+
+    monkeypatch.setattr(engine, "_check_samples", counted)
+    return calls
+
+
+def test_a_second_engine_reuses_the_decode_of_the_same_bytes(tmp_path, monkeypatch):
+    Engine(cache_dir=str(tmp_path)).f_result(2, 1)
+    calls = _counted_sample_checks(monkeypatch)
+    first = Engine(cache_dir=str(tmp_path)).cell(2, 1)
+    assert calls == [(2, 1)]
+    second = Engine(cache_dir=str(tmp_path)).cell(2, 1)
+    assert calls == [(2, 1)]
+    assert second[0] is first[0] and second[1] is first[1]
+
+
+def test_a_rewritten_cache_file_is_decoded_afresh(tmp_path, monkeypatch):
+    Engine(cache_dir=str(tmp_path)).f_result(2, 1)
+    path = tmp_path / "psi_m2_g1.json"
+    good = path.read_text()
+    calls = _counted_sample_checks(monkeypatch)
+    want = Engine(cache_dir=str(tmp_path)).f_result(2, 1)
+    # the same cell in other bytes is a decode of its own
+    path.write_text(json.dumps(json.loads(good), indent=1))
+    got = Engine(cache_dir=str(tmp_path)).f_result(2, 1)
+    assert calls == [(2, 1), (2, 1)]
+    assert got.f_e == want.f_e and got is not want
+    # and forged bytes are a miss, however often the genuine ones were read
+    obj = json.loads(good)
+    obj["f_e"] = f_table(1, 2).scale(54).to_obj()
+    path.write_text(json.dumps(obj))
+    assert Engine(cache_dir=str(tmp_path)).f_result(2, 1).f_e == f_table(1, 2)
+    assert path.read_text() == good
