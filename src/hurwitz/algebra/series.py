@@ -30,7 +30,6 @@ SparsePoly; its shared denominator passes through unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Tuple
@@ -50,7 +49,6 @@ Core = Dict[tuple, int]
 
 # ----- truncated series ---------------------------------------------------
 
-@dataclass(frozen=True)
 class TruncSeries:
     """A symmetric jet: polynomial data valid only inside explicit caps,
     with `base` in orbit form.
@@ -59,13 +57,14 @@ class TruncSeries:
     outside them.
     """
 
-    base: SparsePoly
-    per_var_cap: int
-    total_cap: int
+    __slots__ = ("base", "per_var_cap", "total_cap")
 
-    def __post_init__(self):
-        for e in self.base.num:
-            if any(k < 0 or k > self.per_var_cap for k in e) or sum(e) > self.total_cap:
+    def __init__(self, base: SparsePoly, per_var_cap: int, total_cap: int):
+        self.base = base
+        self.per_var_cap = per_var_cap
+        self.total_cap = total_cap
+        for e in base.num:
+            if any(k < 0 or k > per_var_cap for k in e) or sum(e) > total_cap:
                 raise ValueError(f"stored exponent {e} violates the caps")
             if not is_orbit_exponent(e):
                 raise ValueError(f"stored exponent {e} is not an orbit representative")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -247,7 +248,7 @@ def _suite_closedform(checks: List[dict]):
         poly = formulas.f_table(g, 1)
         for n in range(1, 11):
             want = formulas.f_one_part(n, g)
-            got = poly.evaluate([Fraction(n)])
+            got = e_value(poly, (n,))
             ok = got == want
             checks.append(_check(
                 f"one-part g={g} n={n}", ok,
@@ -374,7 +375,10 @@ def _partition_arg(text: str) -> Partition:
         raise argparse.ArgumentTypeError(str(err))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  It holds no runner:
+    `main` looks `run_<command>` up when it dispatches."""
     parser = _Parser(prog="hurwitz", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -385,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--format", choices=("csv", "json", "text"),
                            default="text")
     p_compute.add_argument("--cache-dir", default=None)
-    p_compute.set_defaults(func=run_compute)
 
     p_table = sub.add_parser("table", help="emit f polynomials or value grids")
     p_table.add_argument("--genus", type=int, required=True)
@@ -395,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--n-max", type=int, default=None)
     p_table.add_argument("--format", choices=("csv", "json", "text"),
                          default="text")
-    p_table.set_defaults(func=run_table)
 
     p_verify = sub.add_parser("verify", help="cross-check suites")
     p_verify.add_argument("--suite", required=True,
@@ -403,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "closedform", "all"))
     p_verify.add_argument("--n-max", type=int, default=5)
     p_verify.add_argument("--cache-dir", default=None)
-    p_verify.set_defaults(func=run_verify)
 
     p_cache = sub.add_parser("cache", help="inspect, clear, or warm the cache")
     p_cache.add_argument("--cache-dir", default=None)
@@ -411,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cache.add_argument("--warm", action="store_true")
     p_cache.add_argument("--genus", type=int, default=None)
     p_cache.add_argument("--m", type=int, default=None)
-    p_cache.set_defaults(func=run_cache)
 
     return parser
 
@@ -431,7 +431,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("error: --n-max must be at least 1", file=sys.stderr)
         return EXIT_BAD_ARGS
     try:
-        code = args.func(args)
+        code = globals()[f"run_{args.command}"](args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

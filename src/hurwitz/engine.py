@@ -39,11 +39,12 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from .algebra.operators import (
     apply_xdx,
@@ -148,8 +149,7 @@ class RhsRep(PsiRep):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FResult:
+class FResult(NamedTuple):
     m: int
     g: int
     f_e: SparsePoly

@@ -15,10 +15,9 @@ a_sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Sequence
+from typing import Dict, List, NamedTuple
 
 from .algebra.poly import SparsePoly
 from .algebra.series import tree_coeffs
@@ -97,11 +96,21 @@ _D_G = {
 _TABLE_DIGEST = "f300528680f4895e04f354d1d963a6e792150be88c35f7c34678a16d9580d756"
 
 
-def _compute_digest() -> str:
-    # imported here: hashlib maps OpenSSL, which only this checksum needs
-    import hashlib
+def _sha256():
+    """CPython's built-in SHA-256, which needs no OpenSSL; hashlib (which
+    maps it) only where neither module exists."""
+    try:
+        from _sha2 import sha256  # CPython 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython up to 3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256()
 
-    h = hashlib.sha256()
+
+def _compute_digest() -> str:
+    h = _sha256()
     for g in sorted(_DELTAS):
         h.update(f"g={g};d={_D_G[g]};".encode())
         for k, delta in enumerate(_DELTAS[g], start=1):
@@ -111,18 +120,24 @@ def _compute_digest() -> str:
     return h.hexdigest()
 
 
-@dataclass(frozen=True)
-class AppendixTable:
+class AppendixTable(NamedTuple):
     g: int
     d: int
     deltas: tuple  # SparsePoly (E, arity 3) for Delta_1 .. Delta_mMax
 
 
 @lru_cache(maxsize=None)
+def _table_certified() -> bool:
+    """Whether the embedded constants match their checksum; computed once
+    per process."""
+    return _compute_digest() == _TABLE_DIGEST
+
+
+@lru_cache(maxsize=None)
 def appendix_table(g: int) -> AppendixTable:
     if g not in _DELTAS:
         raise BudgetExceeded(f"no table for genus {g}")
-    if _compute_digest() != _TABLE_DIGEST:
+    if not _table_certified():
         raise CertificationError("table constants fail their transcription checksum")
     deltas = tuple(SparsePoly("E", 3, d) for d in _DELTAS[g])
     return AppendixTable(g, _D_G[g], deltas)
@@ -172,16 +187,15 @@ def f_one_part(n: int, g: int) -> Fraction:
     """One-part f: (1/4^g) n^(2g-2) [x^(2g)] (sinh x / x)^(n-1)."""
     if n < 1 or g < 0:
         raise ValueError("need n >= 1 and g >= 0")
-    # series in t = x^2: A = sinh x / x = sum a_i t^i, a_i = 1/(2i+1)!, and
-    # P = A^(n-1) by the power recurrence t P_t = sum (n i - t) a_i P_(t-i)
-    # (from A P' = (n-1) A' P, using a_0 = 1)
-    base = [Fraction(1, math.factorial(2 * i + 1)) for i in range(g + 1)]
-    power = [Fraction(1)]
-    for t in range(1, g + 1):
-        power.append(sum(
-            (n * i - t) * base[i] * power[t - i] for i in range(1, t + 1)
-        ) / t)
-    return Fraction(1, 4 ** g) * Fraction(n) ** (2 * g - 2) * power[g]
+    # with r = n - 1 and p = 2g + r, expanding sinh^r x = 2^-r (e^x - e^-x)^r
+    # gives [x^(2g)] (sinh x / x)^r = 2^-r / p! sum_k (-1)^k C(r,k) (r-2k)^p
+    r = n - 1
+    p = 2 * g + r
+    s = sum((-1) ** k * math.comb(r, k) * (r - 2 * k) ** p for k in range(r + 1))
+    den = 4 ** g * 2 ** r * math.factorial(p)
+    if g == 0:
+        return Fraction(s, den * n * n)
+    return Fraction(s * n ** (2 * g - 2), den)
 
 
 def f1_simple(n: int) -> Fraction:
@@ -206,8 +220,7 @@ def f1_conjecture(alpha: Partition) -> Fraction:
 
 # ----- scaling chain ------------------------------------------------------
 
-@dataclass(frozen=True)
-class HurwitzCount:
+class HurwitzCount(NamedTuple):
     alpha: Partition
     g: int
     f: Fraction
@@ -217,10 +230,11 @@ class HurwitzCount:
 
 def count_scale(alpha: Partition, g: int) -> Fraction:
     """The factor c / f: j! prod_i a_i^a_i / (a_i - 1)!."""
-    scale = Fraction(math.factorial(alpha.j_for_genus(g)))
+    num, den = math.factorial(alpha.j_for_genus(g)), 1
     for a in alpha.parts:
-        scale *= Fraction(a ** a, math.factorial(a - 1))
-    return scale
+        num *= a ** a
+        den *= math.factorial(a - 1)
+    return Fraction(num, den)
 
 
 def hurwitz(alpha: Partition, g: int, f: Fraction) -> HurwitzCount:
@@ -268,30 +282,33 @@ def a_sequence(n_max: int) -> List[int]:
     if n_max < 2:
         raise ValueError("need n_max >= 2")
     direct = [24 * n * f1_simple(n) for n in range(1, n_max + 1)]
-    rec: List[Fraction] = []
+    rec: List[int] = []
     for n in range(1, n_max + 1):
-        s = Fraction((n - 1) * n ** (n - 1))
+        s = (n - 1) * n ** (n - 1)
         for jj in range(1, n - 1):
             s += math.comb(n, jj) * jj ** (jj - 1) * rec[n - jj - 1]
         rec.append(s)
-    # third route: n! [x^n] w^2/(1-w)^2 with w the tree series
-    w = tree_coeffs(n_max)
-    wpow = [Fraction(0)] * (n_max + 1)
-    wpow[0] = Fraction(1)
-    series = [Fraction(0)] * (n_max + 1)
+    # third route: n! [x^n] w^2/(1-w)^2 with w the tree series, in
+    # exponential scaling t[d] = d! [x^d] w, so that the powers W_k of w
+    # multiply by binomial convolution
+    t = [math.factorial(d) * c for d, c in enumerate(tree_coeffs(n_max))]
+    if any(c.denominator != 1 for c in t):
+        raise CertificationError("the tree series has a non-integral d! [x^d] w")
+    t = [int(c) for c in t]
+    wpow = [1] + [0] * n_max
+    tree = [0] * (n_max + 1)
     for k in range(1, n_max + 1):
         wpow = [
-            sum(wpow[i] * w[d - i] for i in range(d + 1))
+            sum(math.comb(d, i) * wpow[i] * t[d - i] for i in range(d + 1))
             for d in range(n_max + 1)
         ]
         if k >= 2:
             # w^2/(1-w)^2 = sum_{k>=2} (k-1) w^k
             for d in range(n_max + 1):
-                series[d] += (k - 1) * wpow[d]
-    tree = [math.factorial(n) * series[n] for n in range(1, n_max + 1)]
+                tree[d] += (k - 1) * wpow[d]
     out: List[int] = []
     for n in range(1, n_max + 1):
-        a, b, c = direct[n - 1], rec[n - 1], tree[n - 1]
+        a, b, c = direct[n - 1], rec[n - 1], tree[n]
         if not (a == b == c) or a.denominator != 1:
             raise CertificationError(
                 f"a_{n} disagrees across routes: direct {a}, recurrence {b}, "

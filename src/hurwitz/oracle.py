@@ -17,10 +17,9 @@ total divides evenly by the class size and the quotient is stored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import BudgetExceeded, CertificationError
 from .partitions import Partition, class_size, partitions
@@ -45,16 +44,21 @@ DFS_N_GUARD = 6
 DFS_J_GUARD = 14
 
 
-@dataclass
 class ClassVector:
-    n: int
-    counts: Dict[Partition, int] = field(default_factory=dict)
+    __slots__ = ("n", "counts")
+
+    def __init__(self, n: int, counts: Optional[Dict[Partition, int]] = None):
+        self.n = n
+        self.counts = {} if counts is None else counts
 
 
-@dataclass
 class FactorizationTable:
-    mode: str  # "all" or "transitive"
-    entries: Dict[Tuple[int, int, Partition], int] = field(default_factory=dict)
+    __slots__ = ("mode", "entries")
+
+    def __init__(self, mode: str,
+                 entries: Optional[Dict[Tuple[int, int, Partition], int]] = None):
+        self.mode = mode  # "all" or "transitive"
+        self.entries = {} if entries is None else entries
 
     def count(self, n: int, j: int, alpha: Partition) -> int:
         return self.entries.get((n, j, alpha), 0)

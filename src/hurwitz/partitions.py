@@ -8,23 +8,49 @@ count n + m - 2 hang off the same object.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from typing import Iterator, Sequence, Tuple
 
 __all__ = ["Partition", "partitions", "partitions_of_length", "class_size"]
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class Partition:
-    parts: Tuple[int, ...]
+    """Immutable; equal, hashed and ordered by `parts`."""
 
-    def __post_init__(self):
-        p = self.parts
-        if any(a < 1 for a in p):
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: Tuple[int, ...]):
+        if any(a < 1 for a in parts):
             raise ValueError("parts must be positive")
-        if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
+        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("parts must be weakly decreasing")
+        object.__setattr__(self, "parts", parts)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts < other.parts
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
+
+    def __reduce__(self):
+        return Partition, (self.parts,)
+
+    def __repr__(self) -> str:
+        return f"Partition(parts={self.parts!r})"
 
     @staticmethod
     def of(parts: Sequence[int]) -> "Partition":

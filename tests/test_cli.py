@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -440,3 +441,66 @@ def test_python_dash_m_runs_the_command_line(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "c = 80" in proc.stdout.splitlines()
+
+
+def test_the_parser_is_built_once_and_keeps_no_state(tmp_path, monkeypatch, capsys):
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    calls = [
+        ["compute", "--alpha", "2,1", "--genus", "1", "--format", "json"],
+        ["table", "--genus", "1", "--m", "2", "--values", "--format", "csv"],
+        ["verify", "--suite", "recurrence"],
+        ["cache", "--cache-dir", str(tmp_path / "cache")],
+        ["compute", "--alpha", "2,x", "--genus", "1"],
+        ["--help"],
+        ["table", "--help"],
+    ]
+    try:
+        first = []
+        for argv in calls * 2:
+            code = run(argv)
+            out, err = capsys.readouterr()
+            first.append((code, out, err))
+        # the top parser and one parser per subcommand, all from one build
+        assert len(built) == 5
+    finally:
+        cli.build_parser.cache_clear()
+    assert [code for code, _, _ in first[:len(calls)]] == [0, 0, 0, 0, 3, 0, 0]
+    assert first[len(calls):] == first[:len(calls)]
+
+
+def test_a_rebound_runner_is_the_one_called(monkeypatch, capsys):
+    assert run(["compute", "--alpha", "2,1", "--genus", "1"]) == 0
+    capsys.readouterr()
+    seen = []
+    monkeypatch.setattr(cli, "run_compute", lambda args: seen.append(args.alpha) or 7)
+    assert run(["compute", "--alpha", "2,1", "--genus", "1"]) == 7
+    assert seen == [Partition.of([2, 1])]
+    assert capsys.readouterr().out == ""
+
+
+def test_warm_requests_load_no_heavy_module():
+    script = textwrap.dedent("""\
+        import contextlib, io, sys
+        import hurwitz.cli as cli
+        for argv in (["compute", "--alpha", "2,1", "--genus", "1"],
+                     ["table", "--genus", "2", "--m", "2", "--values"],
+                     ["verify", "--suite", "closedform"],
+                     ["verify", "--suite", "recurrence"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0, argv
+        print(sorted({"_hashlib", "dataclasses", "inspect"} & set(sys.modules)))
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]"]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hurwitz import formulas
-from hurwitz.errors import BudgetExceeded
+from hurwitz.errors import BudgetExceeded, CertificationError
 from hurwitz.formulas import (
     TABLE_M_MAX,
     a_sequence,
@@ -36,7 +36,7 @@ def f1_two(n: int, r: int) -> Fraction:
 
 def f_one_part_by_convolution(n: int, g: int) -> Fraction:
     """One-part f with (sinh x / x)^(n-1) raised by n - 1 convolutions,
-    the reference for the power recurrence in f_one_part."""
+    a reference for the closed form in f_one_part."""
     base = [Fraction(1, math.factorial(2 * k + 1)) for k in range(g + 1)]
     power = [Fraction(1)] + [Fraction(0)] * g
     for _ in range(n - 1):
@@ -47,8 +47,44 @@ def f_one_part_by_convolution(n: int, g: int) -> Fraction:
     return Fraction(1, 4 ** g) * Fraction(n) ** (2 * g - 2) * power[g]
 
 
+def f_one_part_by_recurrence(n: int, g: int) -> Fraction:
+    """One-part f with (sinh x / x)^(n-1) raised by its power recurrence,
+    a second reference for the closed form in f_one_part."""
+    # series in t = x^2: A = sinh x / x = sum a_i t^i, a_i = 1/(2i+1)!, and
+    # P = A^(n-1) by the power recurrence t P_t = sum (n i - t) a_i P_(t-i)
+    # (from A P' = (n-1) A' P, using a_0 = 1)
+    base = [Fraction(1, math.factorial(2 * i + 1)) for i in range(g + 1)]
+    power = [Fraction(1)]
+    for t in range(1, g + 1):
+        power.append(sum(
+            (n * i - t) * base[i] * power[t - i] for i in range(1, t + 1)
+        ) / t)
+    return Fraction(1, 4 ** g) * Fraction(n) ** (2 * g - 2) * power[g]
+
+
 def test_table_digest_is_current():
     assert formulas._compute_digest() == formulas._TABLE_DIGEST
+
+
+def test_table_digest_is_sha256_without_openssl(monkeypatch):
+    import hashlib
+
+    assert type(formulas._sha256()).__module__ in ("_sha256", "_sha2")
+    builtin = formulas._compute_digest()
+    monkeypatch.setattr(formulas, "_sha256", hashlib.sha256)
+    assert formulas._compute_digest() == builtin
+
+
+def test_a_changed_table_constant_fails_the_checksum(monkeypatch):
+    monkeypatch.setitem(formulas._DELTAS[1][0], (0, 0, 0), 2)
+    formulas._table_certified.cache_clear()
+    formulas.appendix_table.cache_clear()
+    try:
+        with pytest.raises(CertificationError):
+            appendix_table(1)
+    finally:
+        formulas._table_certified.cache_clear()
+        formulas.appendix_table.cache_clear()
 
 
 def test_table_loads_for_all_genera():
@@ -109,6 +145,16 @@ def test_one_part_matches_convolution():
     grid += [(2, 40), (25, 20), (40, 7)]
     for n, g in grid:
         assert f_one_part(n, g) == f_one_part_by_convolution(n, g), (n, g)
+
+
+# the edge of the compute bound j = n + 2g - 1 <= 160
+ONE_PART_EDGE = [(53, 54), (40, 60), (10, 75), (100, 30), (80, 40)]
+
+
+def test_one_part_matches_power_recurrence():
+    grid = [(n, g) for n in range(1, 13) for g in range(0, 10)]
+    for n, g in grid + ONE_PART_EDGE:
+        assert f_one_part(n, g) == f_one_part_by_recurrence(n, g), (n, g)
 
 
 def test_one_part_matches_tables():
@@ -192,6 +238,20 @@ def test_a_sequence_routes_disagree_loudly(monkeypatch):
     monkeypatch.setattr(formulas, "f1_simple", lambda n: Fraction(1))
     with pytest.raises(ArithmeticError):
         a_sequence(4)
+
+
+@pytest.mark.parametrize("bump", [Fraction(1), Fraction(1, 2 * 720)])
+def test_a_sequence_refuses_a_changed_tree_term(monkeypatch, bump):
+    tree_coeffs = formulas.tree_coeffs
+
+    def changed(n):
+        w = tree_coeffs(n)
+        w[6] += bump
+        return w
+
+    monkeypatch.setattr(formulas, "tree_coeffs", changed)
+    with pytest.raises(CertificationError):
+        a_sequence(8)
 
 
 @given(st.integers(2, 30), st.integers(1, 29))

@@ -1,6 +1,7 @@
 """Partition objects and conjugacy class sizes."""
 
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -68,3 +69,18 @@ def test_class_sizes_small():
 @given(st.integers(1, 9))
 def test_class_sizes_sum_to_group_order(n):
     assert sum(class_size(p) for p in partitions(n)) == math.factorial(n)
+
+
+def test_value_semantics():
+    a, b, c = Partition((2, 1)), Partition.of([1, 2]), Partition((3,))
+    assert a == b and hash(a) == hash(b) == hash(((2, 1),))
+    assert a != c and a != (2, 1) and a != ((2, 1),)
+    assert a < c and c > a and a <= b and sorted([c, a]) == [a, c]
+    with pytest.raises(TypeError):
+        a < ((3,),)
+    assert repr(a) == "Partition(parts=(2, 1))" and str(a) == "(2,1)"
+    assert pickle.loads(pickle.dumps(a)) == a
+    with pytest.raises(AttributeError):
+        a.parts = (3,)
+    with pytest.raises(AttributeError):
+        del a.parts
