@@ -141,29 +141,38 @@ def p_ladder(jmax: int) -> Tuple[list, list]:
     return P, Q
 
 
+# row d writes y^d over the P/Q basis in Fractions; it depends on the rows
+# below it alone, so one table serves every dmax and grows on demand
+_BASIS: list = [{0: Fraction(1)}]
+
+
 @lru_cache(maxsize=None)
 def _basis_rows(dmax: int) -> Tuple[tuple, int]:
     """rows[k] writes y^k over the per-variable basis, scaled by L.
 
     Label d >= 1 is the P/Q element of degree d and label 0 the constant
-    residue; one triangular elimination in Fractions, then every row is
-    multiplied by the lcm L of their denominators.  Kept per dmax: the
-    cells' extractions share a few tables.
+    residue.  The rows come from one triangular elimination in
+    Fractions, made once per process up to the largest dmax asked for;
+    each dmax multiplies rows 0 .. dmax by the lcm L of their
+    denominators.  Kept per dmax: the cells' extractions share a few
+    tables.
     """
-    P, Q = p_ladder(dmax // 2 + 1)
-    table = [{0: Fraction(1)}]
-    for d in range(1, dmax + 1):
-        B = P[(d - 1) // 2] if d % 2 else Q[d // 2]
-        lead = B[d]
-        row = {d: Fraction(1, lead)}
-        for deg, bc in B.items():
-            if deg == d:
-                continue
-            for lab, t in table[deg].items():
-                row[lab] = row.get(lab, 0) - Fraction(bc, lead) * t
-        table.append(row)
+    if len(_BASIS) <= dmax:
+        P, Q = p_ladder(dmax // 2 + 1)
+        for d in range(len(_BASIS), dmax + 1):
+            B = P[(d - 1) // 2] if d % 2 else Q[d // 2]
+            lead = B[d]
+            row = {d: Fraction(1, lead)}
+            for deg, bc in B.items():
+                if deg == d:
+                    continue
+                for lab, t in _BASIS[deg].items():
+                    row[lab] = row.get(lab, 0) - Fraction(bc, lead) * t
+            _BASIS.append(row)
+    table = _BASIS[:dmax + 1]
     L = math.lcm(*(t.denominator for row in table for t in row.values()))
-    return tuple(tuple(sorted((lab, int(t * L)) for lab, t in row.items() if t))
+    return tuple(tuple(sorted((lab, t.numerator * (L // t.denominator))
+                              for lab, t in row.items() if t))
                  for row in table), L
 
 

@@ -21,10 +21,12 @@ so w = u/(1 + u)):
 The last two are unitriangular and inverse to each other, so converting
 between y-polynomials and w-jets needs no divisions and inverts exactly
 on any downward-closed exponent region (a per-variable cap together with
-a total-degree cap).  This is what makes the jet fits in the solver
-trustworthy: coefficients recovered inside the region are the true ones
-unconditionally.  The transforms run on the integer numerators of a
-SparsePoly; its shared denominator passes through unchanged.
+a total-degree cap): coefficients recovered inside the region are the
+true ones unconditionally.  The sampling extraction reads x-coefficients
+off such a jet (`expand_y_to_w`, the first and third passes); the engine
+solves in y and calls none of the passes itself.  The transforms run on
+the integer numerators of a SparsePoly; its shared denominator passes
+through unchanged.
 """
 
 from __future__ import annotations

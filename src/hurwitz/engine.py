@@ -17,16 +17,18 @@ blocks at a time, and the sum over placements adds each term to its
 orbit as often as a placement reads it there.  The assembled K must
 vanish at y_1 = 1, as (sum w d/dw + c) Psi does.
 
-The scaling substitution w -> t w turns the equation into a
-per-monomial division, so the solve is: take a w-jet of K on a region
-known to contain the answer, divide each w^beta by |beta| + m + 2g - 2,
-lift back to a y-polynomial, and verify the equation exactly.  Every
-jet pass is an orbit sweep (`series.sweep`) from orbit form to orbit
-form, and so are both extractions.  The verification is the residual of
-Psi against K, taken on the orbit forms: sum w d/dw + c commutes with
-permuting the variables, so it is zero exactly when the dense residual
-is, and no step of the pipeline expands an orbit form.  That residual,
-not the degree bookkeeping, is what certifies the result.
+In y itself the operator is triangular: w d/dw sends y^u to
+u y^(u+1) - u y^u, so the part of K of degree d + 1 fixes the part of
+Psi of degree d once the higher parts are known.  The solve reads Psi
+off K by one back-substitution on the orbit forms, from the top degree
+the caps allow down to the constant term, with no change of
+coordinates, and then verifies the equation exactly.  The verification
+is the residual of Psi against K, taken on the orbit forms: sum w d/dw
++ c commutes with permuting the variables, so it is zero exactly when
+the dense residual is, and no step of the pipeline expands an orbit
+form.  That residual, not the degree bookkeeping, is what certifies the
+result.  Both extractions are orbit sweeps (`series.sweep`) from orbit
+form to orbit form.
 
 Genus 0 cells come from the closed form (sum x_i d/dx_i)^(m-3) V_m, built
 in orbit form, and never touch the solver.
@@ -53,6 +55,8 @@ from .algebra.operators import (
     xdx_basis_convert,
 )
 from .algebra.poly import SparsePoly
+# the four core_* jet passes are not called here; they stay bound because
+# the benchmark's layer hooks (perfbench/layers.py) wrap them on this module
 from .algebra.series import (
     core_u_to_w_jet,
     core_u_to_y,
@@ -330,19 +334,62 @@ def assemble_K(m: int, g: int, psi_cache: Mapping[Tuple[int, int], PsiRep]) -> R
 
 # ----- solver -------------------------------------------------------------
 
-def _integral_solve(korbit: SparsePoly, c: int, pv: int, tot: int) -> SparsePoly:
-    """Solve (sum w d/dw + c) Psi = K for the jet region
-    {per-variable <= pv, total <= tot}, orbit form in and out; exact on
-    that region.  Dividing w^beta by |beta| + c is symmetric, so it
-    acts on the orbit terms as they are."""
+def _back_substitute(korbit: SparsePoly, c: int, pv: int, tot: int) -> SparsePoly:
+    """Solve (sum w d/dw + c) Psi = K for Psi in {per-variable <= pv,
+    total <= tot}, orbit form in and out, with no change of coordinates.
+
+    By degree the equation reads (c - d) Psi_d + R(Psi_{d-1}) = K_d.  R
+    raises the first copy of each distinct nonzero value u of an orbit
+    term lam to u + 1, with weight u times the multiplicity of u + 1 in
+    the raised term (as in `_orbit_residual`).  Its lex-leading image
+    raises lam[0], with weight lam[0]; the other images keep lam's first
+    entry.  So from degree d = tot + 1 down, with Psi_d known, the terms
+    still owed at degree d are taken bucket by bucket, by first entry b
+    from the top: each mu with b - 1 >= mu[1] gives Psi at
+    lam = (b - 1,) + mu[1:], owed / (b - 1), and lam's other images are
+    subtracted in bucket b - 1, which comes later.  Walking the buckets,
+    not a snapshot of K's terms, reaches the terms that those
+    subtractions create.  The constant term is K_0 / c.
+
+    Psi's numerators over K.den * lcm(c .. c + tot) are integers when a
+    solution exists (in the w coordinates the solve divides each w^beta
+    by |beta| + c, and the changes of coordinates are integral), so
+    every division is then exact.  A term owed
+    that no Psi in the region produces is left owed, and a division with
+    a remainder means there is no solution; either way the residual gate
+    refuses the result."""
     m = korbit.arity
-    core = core_y_to_u(korbit.num, m)
-    jet = core_u_to_w_jet(core, m, pv, tot)
-    scale = math.lcm(*range(c, tot + c + 1))
-    jet = {e: v * (scale // (sum(e) + c)) for e, v in jet.items()}
-    ucore = core_w_jet_to_u(jet, m, pv, tot)
-    ycore = core_u_to_y(ucore, m)
-    return SparsePoly.from_core("Y", m, ycore, korbit.den * scale)
+    scale = math.lcm(*range(c, c + tot + 1))
+    owed: dict = {}  # (degree, first entry) -> {orbit term: numerator}
+    for lam, x in korbit.num.items():
+        if lam[-1] < 0 or not is_orbit_exponent(lam):
+            raise ValueError(f"K term {lam} is not an orbit term of a polynomial")
+        owed.setdefault((sum(lam), lam[0]), {})[lam] = x * scale
+    psi: dict = {}
+    for d in range(tot + 1, 1, -1):
+        for b in range(min(d, pv + 1), 1, -1):
+            bucket = owed.pop((d, b), None)
+            if not bucket:
+                continue
+            a = b - 1
+            same = owed.setdefault((d, a), {})
+            low = owed.setdefault((d - 1, a), {})
+            for mu, t in bucket.items():
+                if not t or (m > 1 and mu[1] > a):
+                    continue
+                lam = (a,) + mu[1:]
+                x = t // a
+                psi[lam] = x
+                low[lam] = low.get(lam, 0) - (c - d + 1) * x
+                for i in range(1, m):
+                    u = lam[i]
+                    if not u or lam[i - 1] == u:
+                        continue
+                    nu = lam[:i] + (u + 1,) + lam[i + 1:]
+                    same[nu] = same.get(nu, 0) - u * nu.count(u + 1) * x
+    zero = (0,) * m
+    psi[zero] = korbit.num.get(zero, 0) * scale // c
+    return SparsePoly.from_core("Y", m, psi, korbit.den * scale)
 
 
 def _orbit_residual(orbit: SparsePoly, korbit: SparsePoly, c: int) -> SparsePoly:
@@ -387,14 +434,15 @@ def _validate_psi(orbit: SparsePoly, m: int, g: int):
 
 
 def solve_pde(K: RhsRep) -> PsiRep:
-    """Scaled-integral solve on the orbit form, with the exact equation
-    check on the orbit forms as the gate."""
+    """Back-substitution on the orbit form (`_back_substitute`), with
+    the exact equation check on the orbit forms (`_orbit_residual`) as
+    the gate."""
     m, g = K.m, K.g
     c = m + 2 * g - 2
     if c < 1:
         raise ValueError("scaling constant must be positive")
     pv, tot = per_var_bound(m, g), total_bound(m, g)
-    orbit = _integral_solve(K.orbit, c, pv, tot)
+    orbit = _back_substitute(K.orbit, c, pv, tot)
     if not _orbit_residual(orbit, K.orbit, c).is_zero():
         raise ResidualNonzero(
             f"no y-polynomial solution for ({m},{g}) within degree caps "

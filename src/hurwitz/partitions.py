@@ -58,11 +58,15 @@ class Partition:
 
     @staticmethod
     def parse(text: str) -> "Partition":
-        """Comma-separated parts, any order; normalized descending."""
-        try:
-            parts = [int(tok) for tok in text.split(",") if tok.strip()]
-        except ValueError:
+        """Comma-separated parts, any order; normalized descending.
+
+        Each nonblank field must be ASCII digits, with spaces around them
+        allowed; blank fields are skipped.  `int` alone would also read
+        `3_0` as 30, and accept a sign or non-ASCII digits."""
+        fields = [tok for tok in map(str.strip, text.split(",")) if tok]
+        if not all(tok.isascii() and tok.isdigit() for tok in fields):
             raise ValueError(f"cannot parse partition {text!r}")
+        parts = [int(tok) for tok in fields]
         if not parts:
             raise ValueError("empty partition")
         return Partition.of(parts)

@@ -12,6 +12,7 @@ from hurwitz.algebra.operators import (
     core_apply_xdx,
     diag_fold,
     divide_ydiff,
+    p_ladder,
 )
 from hurwitz.algebra.poly import SparsePoly
 from hurwitz.algebra.series import tree_coeffs
@@ -163,6 +164,27 @@ def dense_solve(kpoly: SparsePoly, c: int, pv: int, tot: int) -> SparsePoly:
     jet = {e: v * (scale // (sum(e) + c)) for e, v in jet.items()}
     ycore = dense_u_to_y(dense_w_jet_to_u(jet, m, pv, tot), m)
     return SparsePoly.from_core("Y", m, ycore, kpoly.den * scale)
+
+
+def fresh_basis_rows(dmax: int) -> Tuple[tuple, int]:
+    """`_basis_rows(dmax)` built from nothing: the triangular elimination
+    of rows 0 .. dmax in Fractions, scaled by the lcm of their
+    denominators."""
+    P, Q = p_ladder(dmax // 2 + 1)
+    table = [{0: Fraction(1)}]
+    for d in range(1, dmax + 1):
+        B = P[(d - 1) // 2] if d % 2 else Q[d // 2]
+        lead = B[d]
+        row = {d: Fraction(1, lead)}
+        for deg, bc in B.items():
+            if deg == d:
+                continue
+            for lab, t in table[deg].items():
+                row[lab] = row.get(lab, 0) - Fraction(bc, lead) * t
+        table.append(row)
+    L = math.lcm(*(t.denominator for row in table for t in row.values()))
+    return tuple(tuple(sorted((lab, int(t * L)) for lab, t in row.items() if t))
+                 for row in table), L
 
 
 def w_power_x_table(dmax: int, amax: int) -> list:

@@ -71,6 +71,9 @@ def test_compute_unavailable_everywhere(capsys):
 
 def test_bad_args(tmp_path):
     assert run(["compute", "--alpha", "0,1", "--genus", "0"]) == 3
+    # int() alone would read these as (30,1), (3,1) and (3,1)
+    for alpha in ("3_0,1", "+3,1", "\u0663,1"):
+        assert run(["compute", "--alpha", alpha, "--genus", "0"]) == 3
     assert run(["compute", "--alpha", "2,1", "--genus", "-1"]) == 3
     assert run(["verify", "--suite", "bogus"]) == 3
     assert run([]) == 3

@@ -1,8 +1,10 @@
 """The PDE pipeline: seeds, assembly, solver, extraction, orchestration."""
 
+import functools
 import inspect
 import json
 import math
+import random
 import textwrap
 from fractions import Fraction
 
@@ -252,7 +254,7 @@ def test_orbit_solve_and_extraction_match_the_dense_references(grid):
             K = assemble_K(m, g, grid)
             c, pv, tot = m + 2 * g - 2, per_var_bound(m, g), total_bound(m, g)
             want = orbit_form(dense_solve(K.poly, c, pv, tot))
-            assert engine._integral_solve(K.orbit, c, pv, tot) == want, (m, g)
+            assert engine._back_substitute(K.orbit, c, pv, tot) == want, (m, g)
         assert extract_f(rep).f_e == dense_extract_f(rep.poly, m, g), (m, g)
 
 
@@ -267,15 +269,6 @@ def test_a_sweep_taking_each_copy_of_a_value_fails_extraction(monkeypatch):
     monkeypatch.setattr(series, "removals", _each_copy)
     with pytest.raises(NotVanishing):
         Engine().cell(1, 2)
-
-
-def test_a_sweep_without_its_total_cap_fails_the_residual(grid, monkeypatch):
-    sweep = series.sweep
-    monkeypatch.setattr(series, "sweep", lambda core, arity, rows, total=None:
-                        sweep(core, arity, rows))
-    for m, g in ((2, 1), (3, 1), (2, 2)):
-        with pytest.raises(ResidualNonzero):
-            solve_pde(assemble_K(m, g, grid))
 
 
 # ----- the orbit residual: the solve gate ---------------------------------
@@ -329,6 +322,107 @@ def test_a_mutated_orbit_residual_refuses_every_solve(grid, monkeypatch, old, ne
         if m >= m_min:
             with pytest.raises(ResidualNonzero):
                 solve_pde(K)
+
+
+# ----- the back-substitution: the solve ----------------------------------
+
+def _applied(psi: SparsePoly, c: int) -> SparsePoly:
+    """Orbit form of (sum w d/dw + c) Psi, by the dense forward rule."""
+    return orbit_form(dense_residual(expand_orbits(psi), SparsePoly.zero("Y", psi.arity), c))
+
+
+def _random_orbit(rng: random.Random, m: int, pv: int, tot: int) -> SparsePoly:
+    """A few orbit terms with first entry <= pv and total <= tot."""
+    num: dict = {}
+    for _ in range(rng.randint(1, 6)):
+        lam = tuple(sorted((rng.randint(0, pv) for _ in range(m)), reverse=True))
+        if sum(lam) <= tot:
+            num[lam] = rng.choice((-3, -2, -1, 1, 2, 3))
+    return SparsePoly("Y", m, num)
+
+
+# Walking a snapshot of each degree's terms, sorted, misses this Psi: K
+# has no (4,3), since (3,3) and (4,2) both raise to it and cancel there,
+# but solving (5,2) for (4,2) leaves -6 owed at (4,3), which only (3,3)
+# can pay.  Buckets by first entry reach the new term.
+SNAPSHOT_MISS = SparsePoly("Y", 2, {(4, 2): 3, (3, 3): -2})
+
+
+@functools.cache
+def _round_trips() -> list:
+    """(K, c, pv, tot, Psi) for SNAPSHOT_MISS and 600 seeded random
+    orbit forms within the caps of a cell with m <= 3, K = D Psi."""
+    rng = random.Random(19)
+    cells = [(2, 1, SNAPSHOT_MISS)]
+    for _ in range(600):
+        m, g = rng.randint(1, 3), rng.randint(1, 2)
+        cells.append((m, g, _random_orbit(rng, m, per_var_bound(m, g), total_bound(m, g))))
+    out = []
+    for m, g, psi in cells:
+        c = m + 2 * g - 2
+        out.append((_applied(psi, c), c, per_var_bound(m, g), total_bound(m, g), psi))
+    return out
+
+
+def _round_trip_misses(solve) -> list:
+    return [psi for K, c, pv, tot, psi in _round_trips() if solve(K, c, pv, tot) != psi]
+
+
+def test_back_substitution_inverts_the_operator_on_random_orbit_forms():
+    assert (4, 3) not in _applied(SNAPSHOT_MISS, 2).num
+    assert _round_trip_misses(engine._back_substitute) == []
+
+
+# Each mutation must fail the round trip, and the residual must refuse
+# it on every solved grid cell it can reach: with one variable there are
+# no other images, with two no raised value repeats, and no solved grid
+# cell has a constant term but (1,1), where c = 1.
+@pytest.mark.parametrize("old,new,reach", [
+    ("x = t // a", "x = t // (a + 1)", lambda m, c: True),
+    ("- (c - d + 1) * x", "+ (c - d + 1) * x", lambda m, c: True),
+    ("u * nu.count(u + 1) * x", "u * x", lambda m, c: m >= 3),
+    ("for i in range(1, m):", "for i in range(1, 1):", lambda m, c: m >= 2),
+    ("* scale // c", "* scale", lambda m, c: False),
+], ids=["divisor-plus-one", "size-term-sign", "no-multiplicity", "no-other-images",
+        "constant-not-divided"])
+def test_a_mutated_back_substitution_fails(grid, monkeypatch, old, new, reach):
+    mutant = _mutated("_back_substitute", old, new)
+    assert _round_trip_misses(mutant)
+    monkeypatch.setattr(engine, "_back_substitute", mutant)
+    for m, g, c, _, K in _solved(grid):
+        if reach(m, c):
+            with pytest.raises(ResidualNonzero):
+                solve_pde(K)
+
+
+# (2,1) has caps 5 per variable and 6 in total.  Each Psi keeps one cap
+# and breaks the other, so the solve must not reach it; the residual
+# refuses its K only because of that cap, since without the cap the
+# back-substitution finds that Psi.
+@pytest.mark.parametrize("terms,old,new", [
+    ({(5, 2): 1, (4, 3): -2, (1, 0): 3},
+     "range(tot + 1, 1, -1)", "range(max(map(sum, korbit.num)), 1, -1)"),
+    ({(6, 0): 1, (3, 2): -2, (1, 0): 3},
+     "range(min(d, pv + 1), 1, -1)", "range(d, 1, -1)"),
+], ids=["total", "per-variable"])
+def test_solver_rejects_a_rhs_past_a_cap(terms, old, new):
+    m, g, c = 2, 1, 2
+    pv, tot = per_var_bound(m, g), total_bound(m, g)
+    psi = SparsePoly("Y", m, terms)
+    assert (psi.total_degree() > tot) != (max(map(max, psi.num)) > pv)
+    K = _applied(psi, c)
+    with pytest.raises(ResidualNonzero):
+        solve_pde(RhsRep(m, g, K))
+    assert _mutated("_back_substitute", old, new)(K, c, pv, tot) == psi
+
+
+def test_a_term_no_psi_produces_is_left_owed():
+    # (3,3) raises only the second entry of (3,2); as a lex-leading image
+    # it would need the unsorted (2,3)
+    K = SparsePoly("Y", 2, {(3, 3): 2})
+    assert engine._back_substitute(K, 2, 5, 6).is_zero()
+    with pytest.raises(ResidualNonzero):
+        solve_pde(RhsRep(2, 1, K))
 
 
 def test_a_cold_cell_expands_no_orbit_form(monkeypatch):
@@ -535,6 +629,12 @@ def test_solver_inverts_the_operator(q):
         rhs = rhs + apply_wdw(target, var)
     got = solve_pde(RhsRep(2, 1, orbit_form(rhs)))
     assert got.poly == target
+
+
+@pytest.mark.parametrize("term", [(1, 2), (1, -1)], ids=["unsorted", "laurent"])
+def test_solver_refuses_a_rhs_that_is_not_a_polynomial_orbit_form(term):
+    with pytest.raises(ValueError, match="not an orbit term"):
+        solve_pde(RhsRep(2, 1, SparsePoly("Y", 2, {term: 1})))
 
 
 def test_solver_rejects_unreachable_rhs():

@@ -1,11 +1,13 @@
 """Monomial derivation rules, exact division, and the operator basis."""
 
+import random
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hurwitz.algebra import operators
 from hurwitz.algebra.operators import (
     apply_xdx,
     diag_fold,
@@ -16,7 +18,7 @@ from hurwitz.algebra.operators import (
 from hurwitz.algebra.poly import SparsePoly
 from hurwitz.algebra.series import expand_y_to_w, x_coefficient
 from hurwitz.errors import NonzeroRemainder, NotVanishing
-from reference import apply_wdw, orbit_form
+from reference import apply_wdw, fresh_basis_rows, orbit_form
 
 
 def ypolys(arity=2, max_exp=3, max_terms=4, min_exp=0):
@@ -127,6 +129,25 @@ def test_p_ladder_matches_iterated_xdx():
     for j in range(5):
         assert p == SparsePoly("Y", 1, {(k,): Fraction(c) for k, c in P[j].items()})
         p = apply_xdx(p, 0)
+
+
+def test_the_basis_table_grown_on_demand_matches_a_fresh_build(monkeypatch):
+    # the one Fraction table grows to the largest dmax asked for; every
+    # dmax must still get exactly the rows and scale of its own build
+    want = [fresh_basis_rows(d) for d in range(26)]
+    orders = [list(range(26)), list(range(25, -1, -1))]
+    for seed in range(3):
+        order = list(range(26))
+        random.Random(seed).shuffle(order)
+        orders.append(order)
+    try:
+        for order in orders:
+            monkeypatch.setattr(operators, "_BASIS", operators._BASIS[:1])
+            operators._basis_rows.cache_clear()
+            for d in order:
+                assert operators._basis_rows(d) == want[d], (order, d)
+    finally:
+        operators._basis_rows.cache_clear()
 
 
 def reconstruct_decomp(b_terms: dict, m: int) -> SparsePoly:

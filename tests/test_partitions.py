@@ -22,6 +22,16 @@ def test_construction_and_normalization():
         Partition.parse("")
 
 
+def test_parse_reads_ascii_digits_only():
+    # spaces around a field and blank fields are allowed, as before
+    assert Partition.parse(" 3 , 1 ,") == Partition.of([3, 1])
+    assert Partition.parse(",2,,1") == Partition.of([2, 1])
+    # int() alone reads each of these as a number
+    for text in ("3_0,1", "+3,1", "\u0663,1", "3,\uff11"):
+        with pytest.raises(ValueError, match="cannot parse"):
+            Partition.parse(text)
+
+
 def test_derived_quantities():
     lam = Partition.of([2, 1])
     assert lam.n == 3 and lam.m == 2
