@@ -22,11 +22,19 @@ The last two are unitriangular and inverse to each other, so converting
 between y-polynomials and w-jets needs no divisions and inverts exactly
 on any downward-closed exponent region (a per-variable cap together with
 a total-degree cap): coefficients recovered inside the region are the
-true ones unconditionally.  The sampling extraction reads x-coefficients
-off such a jet (`expand_y_to_w`, the first and third passes); the engine
-solves in y and calls none of the passes itself.  The transforms run on
-the integer numerators of a SparsePoly; its shared denominator passes
-through unchanged.
+true ones unconditionally.  The transforms run on the integer numerators
+of a SparsePoly; its shared denominator passes through unchanged.
+
+The sampling extraction skips w.  `x_orbit` reads x-coefficients off a
+y-polynomial by two sweeps, y -> u restricted to exponents 1 .. amax,
+then the raising table
+
+    u -> x   a! [x^a] u^l = l (a-1)! sum_{i=0}^{a-l} C(l+i, i) a^(a-l-i) / (a-l-i)!
+
+(`u_to_x_rows`, for 1 <= l <= a), which is Lagrange inversion of
+w = x e^w with u = w/(1 - w).  The engine solves in y and calls none of
+the four jet passes; `expand_y_to_w` and `x_coefficient` remain as the
+w-jet route the sampling values are tested against.
 """
 
 from __future__ import annotations
@@ -44,6 +52,8 @@ __all__ = [
     "tree_coeffs",
     "expand_y_to_w",
     "x_coefficient",
+    "u_to_x_rows",
+    "x_orbit",
 ]
 
 Core = Dict[tuple, int]
@@ -198,8 +208,10 @@ def expand_y_to_w(
     """w-jet of a symmetric polynomial in y, both in orbit form.
 
     By default the cap must dominate the per-variable degree of p, so the
-    jet determines p.  The sampling extraction passes allow_truncation=True
-    to take deliberately partial jets on a downward-closed region.
+    jet determines p.  allow_truncation=True takes a deliberately partial
+    jet on a downward-closed region, such as the box the sampling values
+    are read from by `x_coefficient` (the route `x_orbit` is tested
+    against).
     """
     if p.kind != "Y":
         raise ValueError("expand_y_to_w wants a Y polynomial")
@@ -265,3 +277,44 @@ def x_coefficient(jet: TruncSeries, alpha, memo: dict | None = None) -> Fraction
             memo[alpha[:i + 1]] = nxt
         level = nxt
     return Fraction(level.get((), 0), den)
+
+
+@lru_cache(maxsize=None)
+def u_to_x_rows(amax: int) -> tuple:
+    """The u -> x raising table up to x^amax, as sweep rows: rows[l]
+    lists (a, a! [x^a] u^l) for l <= a <= amax.
+
+    By Lagrange inversion of w = x e^w, [x^a] H(w) is
+    (1/a) [w^(a-1)] H'(w) e^(aw); for H = u^l = (w/(1 - w))^l,
+    H' = l w^(l-1) (1 - w)^-(l+1), so
+
+        a! [x^a] u^l = l (a-1)! sum_{i=0}^{a-l} C(l+i, i) a^(a-l-i) / (a-l-i)!
+
+    and every term is an integer, since a - l - i <= a - 1 for l >= 1.
+    Row 0 is u^0 = x^0."""
+    rows = [((0, 1),)]
+    for l in range(1, amax + 1):
+        rows.append(tuple(
+            (a, l * sum(math.comb(l + i, i) * a ** (a - l - i)
+                        * (math.factorial(a - 1) // math.factorial(a - l - i))
+                        for i in range(a - l + 1)))
+            for a in range(l, amax + 1)))
+    return tuple(rows)
+
+
+def x_orbit(p: SparsePoly, amax: int, total: int) -> Core:
+    """The x-coefficients of a symmetric y-polynomial at every exponent
+    alpha with entries in 1 .. amax and |alpha| <= total, in orbit form:
+    alpha maps to p.den prod_i alpha_i! [x^alpha] p, an integer.
+
+    Two sweeps.  y -> u keeps only the targets 1 <= l <= amax: [x^a] u^0
+    vanishes at a >= 1, and u^l reaches only x^a with a >= l, so the
+    dropped terms reach no such alpha.  u -> x (`u_to_x_rows`) only
+    raises exponents, so its total cap drops nothing inside the region.
+    """
+    if p.kind != "Y":
+        raise ValueError("x_orbit wants a Y polynomial")
+    rows = [[(l, math.comb(k, l)) for l in range(1, min(k, amax) + 1)]
+            for k in range(top_exponent(p.num) + 1)]
+    core = sweep(p.num, p.arity, rows)
+    return sweep(core, p.arity, u_to_x_rows(amax), total)

@@ -17,7 +17,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
-from ..errors import InconsistentSystem, NotSymmetric
+from ..errors import CertificationError, InconsistentSystem, NotSymmetric
 from .poly import SparsePoly
 
 __all__ = [
@@ -121,41 +121,55 @@ def e_monomials_by_weight(m: int, wmax: int) -> List[tuple]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _elementary_poly(k: int, m: int) -> tuple:
-    """e_k in m variables as a tuple of 0/1 exponent vectors."""
-    vecs = []
+def _times_e(orbit: Mapping[tuple, int], k: int) -> Dict[tuple, int]:
+    """Orbit form of a symmetric polynomial times e_k, by the Pieri rule.
 
-    def rec(start: int, need: int, acc: list):
-        if not need:
-            vecs.append(tuple(acc))
-            return
-        for i in range(start, m - need + 1):
-            rec(i + 1, need - 1, acc + [0] * (i - len(acc)) + [1])
-
-    if k == 0:
-        return ((0,) * m,)
-    rec(0, k, [])
-    return tuple(v + (0,) * (m - len(v)) for v in vecs)
+    m_lam e_k raises k entries of lam by one.  Raising j_r copies of each
+    run of equal values v_r of lam, with sum j_r = k, gives each sorted
+    mu once when the raised copies are the first of their run; mu's
+    coefficient counts the k-sets of its entries that lower back to an
+    arrangement of lam, prod_r C(multiplicity of v_r + 1 in mu, j_r).
+    The v_r + 1 entries of mu are the j_r raised copies and, when
+    v_(r-1) = v_r + 1, the unraised copies of the run before.
+    """
+    out: Dict[tuple, int] = {}
+    for lam, c in orbit.items():
+        runs = []  # [value, copies], in lam's (decreasing) order
+        for i, v in enumerate(lam):
+            if i and lam[i - 1] == v:
+                runs[-1][1] += 1
+            else:
+                runs.append([v, 1])
+        # partial states: (mu so far, raises left, weight, kept copies of
+        # the last run, that run's value)
+        states = [((), k, c, 0, None)]
+        for v, n in runs:
+            nxt = []
+            for mu, left, w, kept, pv in states:
+                up = kept if pv == v + 1 else 0
+                for j in range(min(n, left) + 1):
+                    nxt.append((mu + (v + 1,) * j + (v,) * (n - j), left - j,
+                                w * math.comb(up + j, j), n - j, v))
+            states = nxt
+        for mu, left, w, _, _ in states:
+            if not left:
+                out[mu] = out.get(mu, 0) + w
+    return out
 
 
 @lru_cache(maxsize=None)
 def e_monomial_expand(beta: tuple, m: int) -> Mapping[tuple, int]:
     """Orbit form of prod_k e_k^(beta_k) over m variables, as a dict.
 
-    The product is built on whole exponents and only its weakly
-    decreasing terms are kept: it stays small, since its terms number
-    at most C(w + m - 1, m - 1) for weighted degree w."""
-    acc: Dict[tuple, int] = {(0,) * m: 1}
-    for k, a in enumerate(beta):
-        for _ in range(a):
-            nxt: Dict[tuple, int] = {}
-            for e, c in acc.items():
-                for v in _elementary_poly(k + 1, m):
-                    ne = tuple(x + y for x, y in zip(e, v))
-                    nxt[ne] = nxt.get(ne, 0) + c
-            acc = nxt
-    return {e: c for e, c in acc.items() if is_orbit_exponent(e)}
+    Built in orbit form, one factor at a time: the product with one
+    factor e_k fewer (memoised too, so products share their prefixes)
+    times e_k by the Pieri rule (`_times_e`).  No 0-1 vector of length m
+    is enumerated, and the terms number at most the partitions of the
+    weighted degree into at most m parts."""
+    k = max((i for i, a in enumerate(beta) if a), default=None)
+    if k is None:
+        return {(0,) * m: 1}
+    return _times_e(e_monomial_expand(beta[:k] + (beta[k] - 1,) + beta[k + 1:], m), k + 1)
 
 
 def to_e_basis(orbit: Mapping[tuple, Fraction], m: int) -> SparsePoly:
@@ -178,7 +192,10 @@ def to_e_basis(orbit: Mapping[tuple, Fraction], m: int) -> SparsePoly:
             lam[k] - (lam[k + 1] if k + 1 < m else 0) for k in range(m)
         )
         out[beta] = c
-        for e, ec in e_monomial_expand(beta, m).items():
+        terms = e_monomial_expand(beta, m)
+        if terms.get(lam) != 1:  # else lam stays the leader and the loop never ends
+            raise CertificationError(f"e-monomial {beta} does not lead with {lam}")
+        for e, ec in terms.items():
             v = work.get(e, 0) - c * ec
             if v:
                 work[e] = v

@@ -28,7 +28,10 @@ is the residual of Psi against K, taken on the orbit forms: sum w d/dw
 the dense residual is, and no step of the pipeline expands an orbit
 form.  That residual, not the degree bookkeeping, is what certifies the
 result.  Both extractions are orbit sweeps (`series.sweep`) from orbit
-form to orbit form.
+form to orbit form: the operator-basis route rewrites Psi over the
+x d/dx basis and then in the e-basis, and the sampling route reads f's
+values off Psi's x-coefficients by two sweeps, y -> u and u -> x, with
+no w-jet between them.
 
 Genus 0 cells come from the closed form (sum x_i d/dx_i)^(m-3) V_m, built
 in orbit form, and never touch the solver.
@@ -55,8 +58,9 @@ from .algebra.operators import (
     xdx_basis_convert,
 )
 from .algebra.poly import SparsePoly
-# the four core_* jet passes are not called here; they stay bound because
-# the benchmark's layer hooks (perfbench/layers.py) wrap them on this module
+# the four core_* jet passes, expand_y_to_w and x_coefficient are not
+# called here; they stay bound because the benchmark's layer hooks
+# (perfbench/layers.py) wrap them on this module
 from .algebra.series import (
     core_u_to_w_jet,
     core_u_to_y,
@@ -64,6 +68,7 @@ from .algebra.series import (
     core_y_to_u,
     expand_y_to_w,
     x_coefficient,
+    x_orbit,
 )
 # fit_sym_e_poly is not called here; it stays bound because the
 # benchmark's layer hooks (perfbench/layers.py) wrap it on this module
@@ -505,29 +510,25 @@ def _sample_plan(m: int, wdeg: int) -> List[Partition]:
 
 
 def _sampled_values(orbit: SparsePoly, m: int, wdeg: int) -> List[Tuple[tuple, Fraction]]:
-    """(parts, f at parts) for every partition of `_sample_plan`, each
-    value read off an x-coefficient of the cell."""
+    """(parts, f at parts) for every partition of `_sample_plan`, all
+    read off one x-orbit form of the cell (`series.x_orbit`, two sweeps:
+    y -> u, then u -> x).  f at parts is [x^parts] Psi prod a!/a^a, and
+    the x-orbit form holds Psi.den prod a! [x^parts] Psi."""
     samples = _sample_plan(m, wdeg)
     nmax = max(p.n for p in samples)
     amax = max(p.parts[0] for p in samples)
-    jet = expand_y_to_w(orbit, amax, nmax, allow_truncation=True)
-    memo: dict = {}
-    evals = []
-    for p in samples:
-        coeff = x_coefficient(jet, p.parts, memo)
-        scale = Fraction(1)
-        for a in p.parts:
-            scale *= Fraction(math.factorial(a), a ** a)
-        evals.append((p.parts, scale * coeff))
-    return evals
+    xs = x_orbit(orbit, amax, nmax)
+    return [(p.parts, Fraction(xs.get(p.parts, 0),
+                               orbit.den * math.prod(a ** a for a in p.parts)))
+            for p in samples]
 
 
 def _check_samples(orbit: SparsePoly, f_e: SparsePoly, m: int, g: int):
     """Raise RouteDisagreement unless `f_e` takes, at every partition of
-    `_sample_plan`, the value read off the cell's x-coefficients.  The
-    plan is unisolvent for e-polynomials of f's weighted degree, so for
-    an `f_e` that passes `_check_f` this is exactly agreement with the
-    polynomial the samples fit."""
+    `_sample_plan`, the value read off the cell's x-coefficients
+    (`_sampled_values`).  The plan is unisolvent for e-polynomials of
+    f's weighted degree, so for an `f_e` that passes `_check_f` this is
+    exactly agreement with the polynomial the samples fit."""
     for parts, value in _sampled_values(orbit, m, max(m + 3 * g - 3, 0)):
         if e_value(f_e, parts) != value:
             raise RouteDisagreement(

@@ -15,7 +15,7 @@ from hurwitz.algebra.operators import (
     p_ladder,
 )
 from hurwitz.algebra.poly import SparsePoly
-from hurwitz.algebra.series import tree_coeffs
+from hurwitz.algebra.series import expand_y_to_w, tree_coeffs, x_coefficient
 from hurwitz.algebra.sym import fit_sym_e_poly, is_orbit_exponent, to_e_basis
 from hurwitz.engine import _sample_plan
 from hurwitz.partitions import Partition, class_size
@@ -82,6 +82,39 @@ def dense_residual(psi: SparsePoly, kpoly: SparsePoly, c: int) -> SparsePoly:
     for e, coeff in kpoly.num.items():
         acc[e] = acc.get(e, 0) - dp * coeff
     return SparsePoly.from_core("Y", psi.arity, acc, dk * dp)
+
+
+def elementary_vectors(k: int, m: int) -> tuple:
+    """e_k in m variables as a tuple of 0/1 exponent vectors."""
+    vecs = []
+
+    def rec(start: int, need: int, acc: list):
+        if not need:
+            vecs.append(tuple(acc))
+            return
+        for i in range(start, m - need + 1):
+            rec(i + 1, need - 1, acc + [0] * (i - len(acc)) + [1])
+
+    if k == 0:
+        return ((0,) * m,)
+    rec(0, k, [])
+    return tuple(v + (0,) * (m - len(v)) for v in vecs)
+
+
+def product_e_monomial_expand(beta: tuple, m: int) -> dict:
+    """Orbit form of prod_k e_k^(beta_k) over m variables, built on whole
+    exponents: each factor multiplies every term by every 0-1 vector of
+    e_k, and only the weakly decreasing terms are kept at the end."""
+    acc = {(0,) * m: 1}
+    for k, a in enumerate(beta):
+        for _ in range(a):
+            nxt: dict = {}
+            for e, c in acc.items():
+                for v in elementary_vectors(k + 1, m):
+                    ne = tuple(x + y for x, y in zip(e, v))
+                    nxt[ne] = nxt.get(ne, 0) + c
+            acc = nxt
+    return {e: c for e, c in acc.items() if is_orbit_exponent(e)}
 
 
 def orbit_form(p: SparsePoly) -> SparsePoly:
@@ -211,6 +244,35 @@ def dense_x_coefficient(jet: SparsePoly, alpha, table) -> Fraction:
     return total / jet.den
 
 
+def _sample_scale(parts) -> Fraction:
+    return math.prod(Fraction(math.factorial(a), a ** a) for a in parts)
+
+
+def dense_sampled_values(poly: SparsePoly, m: int, wdeg: int) -> list:
+    """(parts, f at parts) over `_sample_plan`, read off the dense w-jet
+    of a dense Psi through the table of [x^a] w^d."""
+    samples = _sample_plan(m, wdeg)
+    nmax = max(p.n for p in samples)
+    amax = max(p.parts[0] for p in samples)
+    jet = dense_expand_y_to_w(poly, amax, nmax)
+    table = w_power_x_table(amax, amax)
+    return [(p.parts, dense_x_coefficient(jet, p.parts, table) * _sample_scale(p.parts))
+            for p in samples]
+
+
+def w_jet_sampled_values(orbit: SparsePoly, m: int, wdeg: int) -> list:
+    """(parts, f at parts) over `_sample_plan`, read off the truncated
+    orbit w-jet of Psi (`expand_y_to_w`) one x-coefficient at a time
+    (`x_coefficient`)."""
+    samples = _sample_plan(m, wdeg)
+    nmax = max(p.n for p in samples)
+    amax = max(p.parts[0] for p in samples)
+    jet = expand_y_to_w(orbit, amax, nmax, allow_truncation=True)
+    memo: dict = {}
+    return [(p.parts, x_coefficient(jet, p.parts, memo) * _sample_scale(p.parts))
+            for p in samples]
+
+
 def dense_extract_f(poly: SparsePoly, m: int, g: int) -> SparsePoly:
     """f of a cell from its dense Psi, by both routes, which must agree."""
     wdeg = max(m + 3 * g - 3, 0)
@@ -220,15 +282,7 @@ def dense_extract_f(poly: SparsePoly, m: int, g: int) -> SparsePoly:
     decomp = {tuple((d - 1) // 2 for d in lab): Fraction(c, poly.den * L ** m)
               for lab, c in labels.items()}
     f_basis = to_e_basis({j: c for j, c in decomp.items() if is_orbit_exponent(j)}, m)
-    samples = _sample_plan(m, wdeg)
-    nmax = max(p.n for p in samples)
-    amax = max(p.parts[0] for p in samples)
-    jet = dense_expand_y_to_w(poly, amax, nmax)
-    table = w_power_x_table(amax, amax)
-    evals = [(p.parts, dense_x_coefficient(jet, p.parts, table)
-              * math.prod(Fraction(math.factorial(a), a ** a) for a in p.parts))
-             for p in samples]
-    f_fit = fit_sym_e_poly(evals, m, wdeg)
+    f_fit = fit_sym_e_poly(dense_sampled_values(poly, m, wdeg), m, wdeg)
     assert f_basis == f_fit, (m, g)
     return f_basis
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from hurwitz.algebra import series
 from hurwitz.algebra.poly import SparsePoly
-from hurwitz.algebra.series import tree_coeffs, x_coefficient
+from hurwitz.algebra.series import tree_coeffs
 from hurwitz.algebra.sym import (
     e_monomials_by_weight,
     e_value,
@@ -57,9 +57,11 @@ from reference import (
     dense_extract_f,
     dense_psi0,
     dense_residual,
+    dense_sampled_values,
     dense_solve,
     orbit_form,
     permute,
+    w_jet_sampled_values,
 )
 
 PSI11 = SparsePoly("Y", 1, {
@@ -524,17 +526,27 @@ def test_a_perturbed_operator_basis_coefficient_is_refused(grid, monkeypatch):
 def test_a_perturbed_sampled_value_is_refused(grid, monkeypatch):
     target = None
 
-    def perturbed(jet, parts, memo=None):
-        value = x_coefficient(jet, parts, memo)
-        return value + 1 if tuple(parts) == target else value
+    def perturbed(p, amax, total):
+        xs = series.x_orbit(p, amax, total)
+        xs[target] = xs.get(target, 0) + 1
+        return xs
 
-    monkeypatch.setattr(engine, "x_coefficient", perturbed)
+    monkeypatch.setattr(engine, "x_orbit", perturbed)
     for (m, g), rep in grid.items():
         plan = engine._sample_plan(m, max(m + 3 * g - 3, 0))
         for p in (plan[0], plan[-1]):
             target = p.parts
             with pytest.raises(RouteDisagreement):
                 extract_f(rep)
+
+
+def test_two_sweep_values_equal_the_w_jet_and_dense_routes(grid):
+    assert len(grid) == 18 and (6, 0) in grid
+    for (m, g), rep in grid.items():
+        wdeg = max(m + 3 * g - 3, 0)
+        got = engine._sampled_values(rep.orbit, m, wdeg)
+        assert got == w_jet_sampled_values(rep.orbit, m, wdeg), (m, g)
+        assert got == dense_sampled_values(rep.poly, m, wdeg), (m, g)
 
 
 def test_e_value_is_evaluate_at_the_elementary_values(grid):

@@ -16,9 +16,11 @@ from hurwitz.algebra.series import (
     expand_y_to_w,
     sweep,
     tree_coeffs,
+    u_to_x_rows,
     x_coefficient,
+    x_orbit,
 )
-from hurwitz.algebra.sym import expand_orbits
+from hurwitz.algebra.sym import expand_orbits, is_orbit_exponent
 from reference import (
     compose_with_tree,
     dense_expand_y_to_w,
@@ -134,6 +136,35 @@ def test_compose_with_tree_matches_x_coefficient():
             want = xjet.coeff((a1, a2))
             assert want == x_coefficient(wjet, (a1, a2))
             assert want == x_coefficient(wjet, (a1, a2), memo)
+
+
+@pytest.mark.parametrize("amax", range(16))
+def test_u_to_x_rows_compose_u_to_w_with_the_tree_powers(amax):
+    # u^l = sum_{j >= l} C(j-1, l-1) w^j, then [x^a] w^j from the table
+    table = w_power_x_table(amax, amax)
+    rows = u_to_x_rows(amax)
+    assert rows[0] == ((0, 1),) and len(rows) == amax + 1
+    for l in range(1, amax + 1):
+        want = tuple(
+            (a, math.factorial(a) * sum(math.comb(j - 1, l - 1) * table[j][a]
+                                        for j in range(l, a + 1)))
+            for a in range(l, amax + 1))
+        assert rows[l] == want
+        assert all(type(v) is int for _, v in rows[l])
+
+
+@settings(max_examples=40, deadline=None)
+@given(ypolys(arity=3, max_exp=4, max_terms=5))
+def test_x_orbit_matches_the_dense_x_jet(p):
+    # every exponent with entries >= 1 and total <= order, nothing else
+    order = 6
+    xs = x_orbit(p, order, order)
+    xjet = compose_with_tree(dense_expand_y_to_w(expand_orbits(p), order, order), order)
+    assert all(e[-1] >= 1 and sum(e) <= order for e in xs)
+    region = {e for e in xjet.terms if e[-1] >= 1 and is_orbit_exponent(e)}
+    for e in region | set(xs):
+        want = xjet.coeff(e) * p.den * math.prod(map(math.factorial, e))
+        assert xs.get(e, 0) == want, e
 
 
 def test_x_coefficient_bivariate_value():

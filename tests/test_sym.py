@@ -6,6 +6,7 @@ from itertools import permutations
 
 import pytest
 
+from hurwitz.algebra import sym
 from hurwitz.algebra.poly import SparsePoly
 from hurwitz.algebra.sym import (
     e_monomial_expand,
@@ -13,10 +14,11 @@ from hurwitz.algebra.sym import (
     elementary_values,
     expand_orbits,
     fit_sym_e_poly,
+    to_e_basis,
 )
 from hurwitz.engine import _sample_plan
-from hurwitz.errors import InconsistentSystem
-from reference import orbit_form
+from hurwitz.errors import CertificationError, InconsistentSystem
+from reference import orbit_form, product_e_monomial_expand
 
 
 def known_poly(m, wdeg):
@@ -97,7 +99,7 @@ def test_orbit_form_roundtrip(orbits):
     assert len(expanded) == sum(multinomials)
 
 
-@pytest.mark.parametrize("m,wdeg", [(1, 4), (3, 5), (5, 4)])
+@pytest.mark.parametrize("m,wdeg", [(1, 4), (3, 5), (5, 4), (6, 5), (7, 3)])
 def test_e_monomials_expand_to_their_orbit_forms(m, wdeg):
     def e(k):
         return SparsePoly("Y", m, {
@@ -108,4 +110,23 @@ def test_e_monomials_expand_to_their_orbit_forms(m, wdeg):
         for k, a in enumerate(beta):
             for _ in range(a):
                 dense = dense * e(k + 1)
-        assert SparsePoly("Y", m, e_monomial_expand(beta, m)) == orbit_form(dense)
+        got = e_monomial_expand(beta, m)
+        assert SparsePoly("Y", m, got) == orbit_form(dense)
+        assert got == product_e_monomial_expand(beta, m)
+
+
+def test_to_e_basis_inverts_the_product_built_e_monomials():
+    m = 8
+    monos = e_monomials_by_weight(m, 6)
+    assert len(monos) == 30
+    for beta in monos:
+        orbit = product_e_monomial_expand(beta, m)
+        assert e_monomial_expand(beta, m) == orbit
+        assert to_e_basis(orbit, m) == SparsePoly("E", m, {beta: 1}), beta
+
+
+def test_an_expansion_that_misses_its_leading_term_is_refused(monkeypatch):
+    # without the check the leading exponent would never leave the work dict
+    monkeypatch.setattr(sym, "e_monomial_expand", lambda beta, m: {(0,) * m: 1})
+    with pytest.raises(CertificationError, match="does not lead"):
+        to_e_basis({(1, 0): 1}, 2)

@@ -22,6 +22,9 @@ def _load(name: str):
 @pytest.mark.parametrize("module,name", [
     ("engine", "theta_symmetrize"),
     ("engine", "fit_sym_e_poly"),  # wrapped, though no engine step calls it
+    ("engine", "expand_y_to_w"),  # the same
+    ("engine", "x_coefficient"),  # the same
+    ("engine", "core_y_to_u"),  # the same; it counts solve attempts
     ("oracle", "all_counts"),
     ("oracle", "transitive_counts"),
     ("oracle", "cutjoin_step"),
