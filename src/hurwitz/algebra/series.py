@@ -309,12 +309,14 @@ def x_orbit(p: SparsePoly, amax: int, total: int) -> Core:
 
     Two sweeps.  y -> u keeps only the targets 1 <= l <= amax: [x^a] u^0
     vanishes at a >= 1, and u^l reaches only x^a with a >= l, so the
-    dropped terms reach no such alpha.  u -> x (`u_to_x_rows`) only
-    raises exponents, so its total cap drops nothing inside the region.
+    dropped terms reach no such alpha.  So row 0 is empty, and the terms
+    with a zero exponent are left out before the sweep.  u -> x
+    (`u_to_x_rows`) only raises exponents, so its total cap drops
+    nothing inside the region.
     """
     if p.kind != "Y":
         raise ValueError("x_orbit wants a Y polynomial")
     rows = [[(l, math.comb(k, l)) for l in range(1, min(k, amax) + 1)]
             for k in range(top_exponent(p.num) + 1)]
-    core = sweep(p.num, p.arity, rows)
+    core = sweep({e: c for e, c in p.num.items() if not e or e[-1]}, p.arity, rows)
     return sweep(core, p.arity, u_to_x_rows(amax), total)

@@ -10,12 +10,19 @@ cell one genus down with one extra variable (T1), a two-variable merge
 with an exact division by y_r - y_s (T2), and symmetrized products
 pairing a genus-0 cell (T3) or a positive-genus split (T4) against the
 rest.  K is symmetric, and it is assembled in orbit form, one coefficient
-per weakly decreasing exponent, straight from the orbit forms of the
-lower cells: each factor keeps only the terms whose symmetric blocks are
-sorted, products are convolved over their shared variable one pair of
-blocks at a time, and the sum over placements adds each term to its
-orbit as often as a placement reads it there.  The assembled K must
-vanish at y_1 = 1, as (sum w d/dw + c) Psi does.
+per weakly decreasing exponent, straight from the orbit terms of the
+lower cells.  Each summand is built as rows (S block, T block,
+{exponent of the special variable: numerator}) that keep only the terms
+whose symmetric blocks are sorted: x d/dx of a cell is read off its
+orbit terms, T1's two derivatives and diagonal limit and T2's division
+are closed forms, products are convolved over their shared variable one
+pair of blocks at a time, and T4 takes each unordered split once.  All
+the rows, scaled to one common denominator, go through one sum over
+placements, which adds each term to its orbit as often as a placement
+reads it there.  The assembled K must vanish at y_1 = 1, as
+(sum w d/dw + c) Psi does.  `apply_xdx`, `diag_fold` and `divide_ydiff`
+now serve only the dense reference route of the tests and the
+benchmark's layer hooks.
 
 In y itself the operator is triangular: w d/dw sends y^u to
 u y^(u+1) - u y^u, so the part of K of degree d + 1 fixes the part of
@@ -51,6 +58,10 @@ from typing import (
     Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
 )
 
+# apply_xdx, diag_fold and divide_ydiff are not called here: assembly
+# applies them in closed form to rows of orbit terms.  They stay bound
+# because the benchmark's layer hooks (perfbench/layers.py) wrap them on
+# this module
 from .algebra.operators import (
     apply_xdx,
     diag_fold,
@@ -165,44 +176,79 @@ class FResult(NamedTuple):
 
 
 # ----- orbit-form building blocks ---------------------------------------
-# A factor of K is held as the terms of a polynomial whose slots after the
-# special ones form symmetric blocks, keeping only the terms whose blocks
-# are weakly decreasing.  apply_xdx, diag_fold and divide_ydiff act on the
-# special slots alone, so they map these terms to each other unchanged.
+# Every summand of K is built as rows (S block, T block, {exponent of the
+# special variable: numerator}) straight from the orbit terms of the
+# lower cells, keeping only the terms whose blocks are weakly decreasing.
+# x d/dx, the diagonal limit and the division by y_r - y_s act on the
+# special slots alone, so each is a closed form on these rows.
 
 Rows = Iterable[Tuple[tuple, tuple, Dict[int, int]]]
 
 
-def _block_view(orbit: SparsePoly, k: int) -> SparsePoly:
-    """The terms of the symmetric polynomial with orbit form `orbit` whose
-    exponents weakly decrease after the first k slots, each once."""
-    num: dict = {}
-    for lam, c in orbit.num.items():
-        heads = [((), lam)]
-        for _ in range(k):
-            heads = [(h + (v,), rest) for h, tail in heads
-                     for v, rest in removals(tail)]
-        for h, rest in heads:
-            num[h + rest] = c
-    return SparsePoly.from_core(orbit.kind, orbit.arity, num, orbit.den)
-
-
-def _rows(f: SparsePoly, i: int) -> Rows:
-    """f's terms as (S block, T block, {special exponent: numerator}),
-    reading f's slots as (special, S = the next i, T = the rest)."""
+def _factor_rows(orbit: SparsePoly, scale: int = 1) -> Dict[tuple, Dict[int, int]]:
+    """x_1 d/dx_1 of the symmetric polynomial with orbit form `orbit`,
+    times scale * orbit.den, as {rest: {exponent of y_1: numerator}} with
+    rest weakly decreasing.  Each distinct value v an orbit term gives y_1
+    is taken once, and x d/dx sends y^v to v (y^(v+2) - y^(v+1))."""
     rows: dict = {}
-    for e, c in f.num.items():
-        rows.setdefault((e[1:i + 1], e[i + 1:]), {})[e[0]] = c
-    return [(bs, bt, row) for (bs, bt), row in rows.items()]
+    for lam, c in orbit.num.items():
+        c *= scale
+        for v, rest in removals(lam):
+            if v:
+                row = rows.setdefault(rest, {})
+                row[v + 2] = row.get(v + 2, 0) + v * c
+                row[v + 1] = row.get(v + 1, 0) - v * c
+    return rows
 
 
-def _product_rows(a: SparsePoly, b: SparsePoly) -> Rows:
-    """The rows of a(y_0, y_S) b(y_0, y_T), one pair of blocks at a time:
-    the two factors are convolved over the shared special slot and the
-    product is never built."""
-    b_rows = _rows(b, 0)
-    for bs, _, ra in _rows(a, a.arity - 1):
-        for _, bt, rb in b_rows:
+def _diag_rows(orbit: SparsePoly, scale: int) -> Rows:
+    """T1's rows, with S empty: x_1 d/dx_1 x_2 d/dx_2 of the cell, then
+    y_2 -> y_1.  Each term y_1^v1 y_2^v2 y^rest read off an orbit term
+    (v1, then v2, both nonzero) goes to p y^(s+2) (y - 1)^2, with
+    s = v1 + v2 and p = v1 v2 c."""
+    rows: dict = {}
+    for lam, c in orbit.num.items():
+        c *= scale
+        for v1, rest1 in removals(lam):
+            if not v1:
+                continue
+            for v2, rest in removals(rest1):
+                if v2:
+                    s, p = v1 + v2, v1 * v2 * c
+                    row = rows.setdefault(rest, {})
+                    row[s + 4] = row.get(s + 4, 0) + p
+                    row[s + 3] = row.get(s + 3, 0) - 2 * p
+                    row[s + 2] = row.get(s + 2, 0) + p
+    return [((), rest, row) for rest, row in rows.items()]
+
+
+def _merge_rows(orbit: SparsePoly, scale: int) -> Rows:
+    """T2's rows, with S = (s,): the quotient of
+    (y_s - 1) y_r^2 G(y_r) - (y_r - 1) y_s^2 G(y_s) by y_r - y_s, G being
+    x_1 d/dx_1 of the cell.  A term y^k of G, with A = k + 2, gives
+    y_r y_s h_(A-2) - h_(A-1), h_n = sum_i y_r^i y_s^(n-i): at y_s^b that
+    is y_r^(A-b) for 1 <= b < A, less y_r^(A-1-b) for 0 <= b < A."""
+    for rest, row in _factor_rows(orbit, scale).items():
+        by_s: dict = {}
+        for k, c in row.items():
+            a = k + 2
+            for b in range(a):
+                r = by_s.setdefault(b, {})
+                if b:
+                    r[a - b] = r.get(a - b, 0) + c
+                r[a - 1 - b] = r.get(a - 1 - b, 0) - c
+        for b, r in by_s.items():
+            yield (b,), rest, r
+
+
+def _product_rows(a: SparsePoly, b: SparsePoly, scale: int) -> Rows:
+    """The rows of A(y_0, y_S) B(y_0, y_T), A and B being x_0 d/dx_0 of
+    the two cells, one pair of blocks at a time: the factor rows are
+    convolved over the shared special slot and the product is never
+    built."""
+    b_rows = _factor_rows(b).items()
+    for bs, ra in _factor_rows(a, scale).items():
+        for bt, rb in b_rows:
             row: dict = {}
             for p, x in ra.items():
                 for q, y in rb.items():
@@ -232,7 +278,8 @@ def theta_symmetrize(rows: Rows, m: int, den: int = 1) -> SparsePoly:
     placement that reads it there: aut(lam) / (aut(bS) aut(bT)) times,
     aut(e) being the product of the factorials of e's multiplicities.
     That is aut(bS + bT) / (aut(bS) aut(bT)) times the multiplicity of k
-    in lam.  There are m C(m-1, |S|) placements in all.
+    in lam.  There are m C(m-1, |S|) placements in all.  Rows of several
+    summands, each with its own S length, may share one call.
     """
     acc: dict = {}
     for bs, bt, row in rows:
@@ -268,8 +315,8 @@ def psi0_base(m: int) -> PsiRep:
     orbit = SparsePoly.from_core(
         "Y", m, {(1,) * j + (0,) * (m - j): (-1) ** (m - j) for j in range(m + 1)})
     for _ in range(m - 3):
-        f = apply_xdx(_block_view(orbit, 1), 0)
-        orbit = theta_symmetrize(_rows(f, 0), m, f.den)
+        rows = _factor_rows(orbit).items()
+        orbit = theta_symmetrize((((), rest, row) for rest, row in rows), m, orbit.den)
     return PsiRep(m, 0, orbit)
 
 
@@ -282,53 +329,45 @@ K11 = SparsePoly(
 
 def assemble_K(m: int, g: int, psi_cache: Mapping[Tuple[int, int], PsiRep]) -> RhsRep:
     """Right-hand side for cell (m, g), g >= 1, in orbit form, from the
-    orbit forms of lower cells."""
+    orbit forms of lower cells.  Each summand's rows are scaled to one
+    common denominator and all of them go through one placement sum."""
     if g < 1:
         raise ValueError("assembly applies to positive genus")
     if (m, g) == (1, 1):
         return RhsRep(1, 1, K11)
 
-    def factor(mm: int, gg: int, k: int = 1) -> SparsePoly:
-        """x_1 d/dx_1 of cell (mm, gg), block-sorted after k slots."""
+    def cell(mm: int, gg: int) -> SparsePoly:
         try:
-            orbit = psi_cache[(mm, gg)].orbit
+            return psi_cache[(mm, gg)].orbit
         except KeyError:
             raise BudgetExceeded(f"assembly of ({m},{g}) needs cell ({mm},{gg})")
-        return apply_xdx(_block_view(orbit, k), 0)
 
-    def theta(f: SparsePoly, i: int) -> SparsePoly:
-        return theta_symmetrize(_rows(f, i), m, f.den)
-
-    def theta2(a: SparsePoly, b: SparsePoly) -> SparsePoly:
-        return theta_symmetrize(_product_rows(a, b), m, a.den * b.den)
-
-    half = Fraction(1, 2)
-
+    # (divisor, row builder, cells) of each summand
     # T1: two derivatives of the (m+1, g-1) cell, then diagonal y_2 -> y_1
-    folded = diag_fold(apply_xdx(factor(m + 1, g - 1, 2), 1), 0, 1)
-    K = theta(folded, 0).scale(half)
-
-    # T2: merge two variables through the exact-division kernel; the
-    # quotient is symmetric in its first two slots, so the sum over ordered
-    # pairs (r; s) counts each unordered pair twice
+    parts = [(2, _diag_rows, (cell(m + 1, g - 1),))]
+    # T2: merge two variables through the exact division by y_r - y_s; the
+    # quotient is symmetric in r and s, so the sum over ordered pairs
+    # (r; s) counts each unordered pair twice
     if m >= 2:
-        xg = factor(m - 1, g)
-        gr = xg.embed(m, [0] + list(range(2, m)))
-        gs = xg.embed(m, [1] + list(range(2, m)))
-        y_r = SparsePoly.variable("Y", m, 0)
-        y_s = SparsePoly.variable("Y", m, 1)
-        one = SparsePoly.const("Y", m, 1)
-        num = (y_s - one) * y_r * y_r * gr - (y_r - one) * y_s * y_s * gs
-        K = K + theta(divide_ydiff(num, 0, 1), 1).scale(half)
-
+        parts.append((2, _merge_rows, (cell(m - 1, g),)))
     # T3: genus-0 factor times the rest, all variable splits
     for k in range(3, m + 1):
-        K = K + theta2(factor(k, 0), factor(m - k + 1, g))
-
-    # T4: positive-genus splits, halved for the double count
+        parts.append((1, _product_rows, (cell(k, 0), cell(m - k + 1, g))))
+    # T4: positive-genus splits.  Swapping the factors swaps S and T, which
+    # the sum over placements does not see, so each unordered pair
+    # {(k, ga), (m-k+1, g-ga)} is taken once and only the pair that is its
+    # own mirror is halved
     for ga in range(1, g):
         for k in range(1, m + 1):
-            K = K + theta2(factor(k, ga), factor(m - k + 1, g - ga)).scale(half)
+            mirror = (g - ga, m - k + 1)
+            if (ga, k) <= mirror:
+                parts.append((2 if (ga, k) == mirror else 1, _product_rows,
+                              (cell(k, ga), cell(m - k + 1, g - ga))))
+
+    dens = [div * math.prod(f.den for f in fs) for div, _, fs in parts]
+    den = math.lcm(*dens)
+    rows = (row for d, (_, make, fs) in zip(dens, parts) for row in make(*fs, den // d))
+    K = theta_symmetrize(rows, m, den)
 
     # K = (sum w d/dw + c) Psi keeps Psi's root y_1 = 1: w_1 d/dw_1 sends
     # y_1^k to k y_1^k (y_1 - 1), and the other terms act on other slots

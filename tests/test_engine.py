@@ -226,19 +226,25 @@ def grid():
     return {k: eng.psi(*k) for k in eng.computed_cells()}
 
 
-def test_orbit_built_K_matches_the_dense_assembly(grid):
-    solved = [k for k in grid if k[1] >= 1 and k != (1, 1)]
-    assert len(solved) == 13  # and (1,1), whose K is K11
-    for m, g in solved:
-        assert assemble_K(m, g, grid).poly == dense_assemble_K(m, g, grid), (m, g)
+@pytest.fixture(scope="module")
+def dense_K(grid):
+    """The dense K of every solved grid cell but (1,1), whose K is K11."""
+    return {(m, g): dense_assemble_K(m, g, grid)
+            for m, g in grid if g >= 1 and (m, g) != (1, 1)}
+
+
+def test_orbit_built_K_matches_the_dense_assembly(grid, dense_K):
+    assert len(dense_K) == 13
+    for (m, g), want in dense_K.items():
+        assert assemble_K(m, g, grid).poly == want, (m, g)
 
 
 def _drop_first_row(rows):
-    return lambda f, i: rows(f, i)[1:]
+    return lambda *args: dict(list(rows(*args).items())[1:])
 
 
 @pytest.mark.parametrize("attr,mutant", [
-    ("_rows", _drop_first_row),
+    ("_factor_rows", _drop_first_row),
     ("_aut", lambda aut: lambda e: 1),
 ], ids=["a-block-row-dropped", "no-stabilizer-orders"])
 def test_a_mutated_orbit_sum_fails_the_vanishing_check(grid, monkeypatch, attr, mutant):
@@ -248,6 +254,28 @@ def test_a_mutated_orbit_sum_fails_the_vanishing_check(grid, monkeypatch, attr, 
     for m, g in ((3, 1), (4, 1), (3, 2)):
         with pytest.raises(CertificationError, match="does not vanish at y_1 = 1"):
             assemble_K(m, g, grid)
+
+
+# T4's self-mirrored pairs sit at odd m and even g: (1,2), (3,2), (1,4)
+@pytest.mark.parametrize("name,old,new", [
+    ("assemble_K", "2 if (ga, k) == mirror else 1", "1"),
+    ("assemble_K", "if (ga, k) <= mirror:", "if True:"),
+    ("_merge_rows", "if b:", "if True:"),
+    ("_diag_rows", "- 2 * p", "- p"),
+    ("assemble_K", "(2, _merge_rows", "(1, _merge_rows"),
+], ids=["self-mirrored-T4-unhalved", "mirrored-T4-pair-twice",
+        "T2-one-h-term-too-many", "T1-middle-weight-one", "T2-unhalved"])
+def test_a_mutated_assembly_is_refused_or_misses_the_dense_K(
+        grid, dense_K, monkeypatch, name, old, new):
+    monkeypatch.setattr(engine, name, _mutated(name, old, new))
+    caught = []
+    for (m, g), want in dense_K.items():
+        try:
+            if engine.assemble_K(m, g, grid).poly != want:
+                caught.append((m, g))
+        except CertificationError:
+            caught.append((m, g))
+    assert caught
 
 
 def test_orbit_solve_and_extraction_match_the_dense_references(grid):
@@ -663,6 +691,14 @@ def test_budget_guard_reports_progress():
     assert "(2, 1)" in str(ei.value)
     with pytest.raises(BudgetExceeded):
         eng.cell(2, 0)  # no genus-0 cell below three variables
+
+
+def test_every_budgeted_cell_depends_on_budgeted_cells():
+    eng = Engine()
+    for g, top in DEFAULT_BUDGETS.items():
+        for m in range(3 if g == 0 else 1, top + 1):
+            for dep in engine._deps(m, g):
+                eng._check_budget(*dep)
 
 
 def test_cell_pulls_dependencies():

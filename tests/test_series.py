@@ -167,6 +167,13 @@ def test_x_orbit_matches_the_dense_x_jet(p):
         assert xs.get(e, 0) == want, e
 
 
+def test_x_orbit_of_terms_that_each_have_a_zero_exponent_is_empty():
+    # y^0 reaches no x^a with a >= 1, and every alpha the sweep keeps has
+    # all its entries >= 1
+    p = SparsePoly("Y", 3, {(4, 2, 0): 3, (5, 0, 0): -2, (0, 0, 0): 1})
+    assert x_orbit(p, 6, 12) == {}
+
+
 def test_x_coefficient_bivariate_value():
     # [x1^2 x2^3] y1 y2 = (2^2/2!)(3^3/3!) since the variables separate
     p = SparsePoly.monomial("Y", (1, 1), 1)
