@@ -18,6 +18,14 @@ A multivariate polynomial vanishing on every y_i = 1 hyperplane therefore
 decomposes uniquely into products of P's and Q's; terms that are pure P
 are images of monomials in the x_i d/dx_i applied to V_m = prod (y_i - 1),
 which is exactly the shape the extracted symmetric forms take.
+
+`xdx_basis_convert` reads that decomposition off without a table of y^k
+over the basis: the lex-leading term of a product of P's is the product
+of their leading terms, and every other term lies componentwise below
+it, so the decomposition is peeled off the leading term down, each step
+one exact division and one subtraction of an integer P-image.  A leading
+term with an even or zero exponent is a Q factor or a constant residue,
+and is refused there.
 """
 
 from __future__ import annotations
@@ -29,7 +37,8 @@ from typing import Dict, Tuple
 
 from ..errors import NonzeroRemainder, NotVanishing
 from .poly import SparsePoly
-from .series import sweep, top_exponent
+from .series import sweep
+from .sym import is_orbit_exponent
 
 __all__ = [
     "apply_xdx",
@@ -141,39 +150,11 @@ def p_ladder(jmax: int) -> Tuple[list, list]:
     return P, Q
 
 
-# row d writes y^d over the P/Q basis in Fractions; it depends on the rows
-# below it alone, so one table serves every dmax and grows on demand
-_BASIS: list = [{0: Fraction(1)}]
-
-
 @lru_cache(maxsize=None)
-def _basis_rows(dmax: int) -> Tuple[tuple, int]:
-    """rows[k] writes y^k over the per-variable basis, scaled by L.
-
-    Label d >= 1 is the P/Q element of degree d and label 0 the constant
-    residue.  The rows come from one triangular elimination in
-    Fractions, made once per process up to the largest dmax asked for;
-    each dmax multiplies rows 0 .. dmax by the lcm L of their
-    denominators.  Kept per dmax: the cells' extractions share a few
-    tables.
-    """
-    if len(_BASIS) <= dmax:
-        P, Q = p_ladder(dmax // 2 + 1)
-        for d in range(len(_BASIS), dmax + 1):
-            B = P[(d - 1) // 2] if d % 2 else Q[d // 2]
-            lead = B[d]
-            row = {d: Fraction(1, lead)}
-            for deg, bc in B.items():
-                if deg == d:
-                    continue
-                for lab, t in _BASIS[deg].items():
-                    row[lab] = row.get(lab, 0) - Fraction(bc, lead) * t
-            _BASIS.append(row)
-    table = _BASIS[:dmax + 1]
-    L = math.lcm(*(t.denominator for row in table for t in row.values()))
-    return tuple(tuple(sorted((lab, t.numerator * (L // t.denominator))
-                              for lab, t in row.items() if t))
-                 for row in table), L
+def _ladder_rows(jmax: int) -> tuple:
+    """P_0 .. P_jmax as sweep rows: rows[j] lists P_j's (degree,
+    coefficient) pairs in ascending degree."""
+    return tuple(tuple(sorted(P.items())) for P in p_ladder(jmax)[0])
 
 
 def xdx_basis_convert(p: SparsePoly, m: int) -> Dict[tuple, Fraction]:
@@ -181,23 +162,53 @@ def xdx_basis_convert(p: SparsePoly, m: int) -> Dict[tuple, Fraction]:
     in orbit form: p's terms and the returned {j: c_j} have weakly
     decreasing exponents.
 
-    The reduction over the P/Q basis is triangular by degree in each
-    variable, so it is unique and exact, and it is one orbit sweep.  A p
-    that does not vanish at y_1 = 1 (so at no y_i = 1), or has a term
-    with a w d/dw (Q) factor, is not f(x d/dx) V_m for any f, and raises
-    NotVanishing.
+    A leading-term peel.  The lex-greatest remaining exponent d must
+    have every entry odd, d = 2j + 1: it is then the leading term of
+    the image of j alone, one sweep of the single term {j: 1} over the
+    ladder, so its coefficient is divided out exactly and the image
+    subtracted.  A zero entry means p does not vanish at y_1 = 1 (so at
+    no y_i = 1), and an even entry a w d/dw factor; either way p is not
+    f(x d/dx) V_m for any f, and NotVanishing is raised.  The peel ends
+    only when every term has been subtracted away exactly, which
+    certifies p = f(x d/dx) V_m, and by triangularity the c_j are
+    unique.  A leading coefficient the divisor does not divide scales
+    the remaining work and its denominator up, so no step rounds.
     """
     if p.kind != "Y":
         raise ValueError("xdx_basis_convert wants a Y polynomial")
     if p.arity != m:
         raise ValueError("arity mismatch")
-    rows, L = _basis_rows(top_exponent(p.num))
-    labels = sweep(p.num, m, rows)
-    den = p.den * L ** m
-    if any(0 in lab for lab in labels):
-        raise NotVanishing("input does not vanish at y_1 = 1")
-    for lab in labels:
-        if any(d % 2 == 0 for d in lab):
-            raise NotVanishing(f"term {lab} carries a w d/dw factor")
-    return {tuple((d - 1) // 2 for d in lab): Fraction(c, den)
-            for lab, c in labels.items()}
+    if not all(map(is_orbit_exponent, p.num)):
+        raise ValueError("xdx_basis_convert wants an orbit form: weakly decreasing exponents")
+    if any(e and e[-1] < 0 for e in p.num):
+        raise ValueError("negative exponent has no polynomial form")
+    work, den = dict(p.num), p.den
+    out: Dict[tuple, Fraction] = {}
+    while work:
+        d = max(work)
+        c = work.pop(d)
+        if 0 in d:
+            raise NotVanishing("input does not vanish at y_1 = 1")
+        if any(k % 2 == 0 for k in d):
+            raise NotVanishing(f"term {d} carries a w d/dw factor")
+        j = tuple(k // 2 for k in d)
+        # prod_i (x_i d/dx_i)^(j_i) V_m over the orbit of j: its leading
+        # term is at d with coefficient prod_i (2j_i - 1)!!, and every
+        # other term lies componentwise below d
+        image = sweep({j: 1}, m, _ladder_rows(max(j, default=0)))
+        lead = image[d]
+        if c % lead:
+            s = lead // math.gcd(c, lead)
+            work = {e: s * v for e, v in work.items()}
+            den *= s
+            c *= s
+        q = c // lead
+        out[j] = Fraction(q, den)
+        for e, a in image.items():
+            if e != d:
+                v = work.get(e, 0) - q * a
+                if v:
+                    work[e] = v
+                else:
+                    del work[e]
+    return out

@@ -259,14 +259,14 @@ class SparsePoly:
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
     def to_obj(self) -> dict:
-        return {
-            "kind": self.kind,
-            "arity": self.arity,
-            "terms": [
-                [list(e), str(c.numerator), str(c.denominator)]
-                for e, c in self.sorted_terms()
-            ],
-        }
+        """Each term as [exponent, numerator, denominator] in lowest
+        terms, the order of `sorted_terms`."""
+        num, den = self.num, self.den
+        terms = []
+        for e in sorted(num, key=lambda e: (sum(e), e)):
+            g = math.gcd(num[e], den)
+            terms.append([list(e), str(num[e] // g), str(den // g)])
+        return {"kind": self.kind, "arity": self.arity, "terms": terms}
 
     @classmethod
     def from_obj(cls, obj: Mapping) -> "SparsePoly":

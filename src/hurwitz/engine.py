@@ -34,11 +34,13 @@ is the residual of Psi against K, taken on the orbit forms: sum w d/dw
 + c commutes with permuting the variables, so it is zero exactly when
 the dense residual is, and no step of the pipeline expands an orbit
 form.  That residual, not the degree bookkeeping, is what certifies the
-result.  Both extractions are orbit sweeps (`series.sweep`) from orbit
-form to orbit form: the operator-basis route rewrites Psi over the
-x d/dx basis and then in the e-basis, and the sampling route reads f's
-values off Psi's x-coefficients by two sweeps, y -> u and u -> x, with
-no w-jet between them.
+result.  Both extractions read the orbit form and never expand it.
+The operator-basis route peels Psi's lex-leading terms against the
+integer images of the x d/dx ladder, one exact division and one
+subtraction per term of f (`xdx_basis_convert`), and then rewrites f in
+the e-basis.  The sampling route reads f's values off Psi's
+x-coefficients by two orbit sweeps (`series.sweep`), y -> u and u -> x,
+with no w-jet between them.
 
 Genus 0 cells come from the closed form (sum x_i d/dx_i)^(m-3) V_m, built
 in orbit form, and never touch the solver.

@@ -3,11 +3,11 @@ the package's live code paths."""
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Dict, List, Tuple
 
 from hurwitz.algebra.operators import (
-    _basis_rows,
     apply_xdx,
     core_apply_xdx,
     diag_fold,
@@ -15,9 +15,10 @@ from hurwitz.algebra.operators import (
     p_ladder,
 )
 from hurwitz.algebra.poly import SparsePoly
-from hurwitz.algebra.series import expand_y_to_w, tree_coeffs, x_coefficient
+from hurwitz.algebra.series import expand_y_to_w, sweep, tree_coeffs, x_coefficient
 from hurwitz.algebra.sym import fit_sym_e_poly, is_orbit_exponent, to_e_basis
 from hurwitz.engine import _sample_plan
+from hurwitz.errors import NotVanishing
 from hurwitz.partitions import Partition, class_size
 
 
@@ -199,10 +200,13 @@ def dense_solve(kpoly: SparsePoly, c: int, pv: int, tot: int) -> SparsePoly:
     return SparsePoly.from_core("Y", m, ycore, kpoly.den * scale)
 
 
+@lru_cache(maxsize=None)
 def fresh_basis_rows(dmax: int) -> Tuple[tuple, int]:
-    """`_basis_rows(dmax)` built from nothing: the triangular elimination
-    of rows 0 .. dmax in Fractions, scaled by the lcm of their
-    denominators."""
+    """(rows, L): rows[k] writes y^k over the per-variable P/Q basis,
+    scaled by L.  Label d >= 1 is the P/Q element of degree d (odd
+    degrees P, even Q) and label 0 the constant residue; the rows come
+    from the triangular elimination of rows 0 .. dmax in Fractions, and
+    L is the lcm of their denominators."""
     P, Q = p_ladder(dmax // 2 + 1)
     table = [{0: Fraction(1)}]
     for d in range(1, dmax + 1):
@@ -218,6 +222,26 @@ def fresh_basis_rows(dmax: int) -> Tuple[tuple, int]:
     L = math.lcm(*(t.denominator for row in table for t in row.values()))
     return tuple(tuple(sorted((lab, int(t * L)) for lab, t in row.items() if t))
                  for row in table), L
+
+
+def _labels_to_decomp(labels: dict, den: int) -> Dict[tuple, Fraction]:
+    """{j: c_j} from swept P/Q labels over `den`, refusing a zero or an
+    even label as the package's xdx_basis_convert does."""
+    if any(0 in lab for lab in labels):
+        raise NotVanishing("input does not vanish at y_1 = 1")
+    for lab in labels:
+        if any(d % 2 == 0 for d in lab):
+            raise NotVanishing(f"term {lab} carries a w d/dw factor")
+    return {tuple((d - 1) // 2 for d in lab): Fraction(c, den)
+            for lab, c in labels.items()}
+
+
+def forward_basis_convert(orbit: SparsePoly, m: int) -> Dict[tuple, Fraction]:
+    """xdx_basis_convert by the dense forward route: every term of the
+    orbit form is swept through the table of y^k over the P/Q basis
+    (`fresh_basis_rows`), and every label must be odd."""
+    rows, L = fresh_basis_rows(_top(orbit.num))
+    return _labels_to_decomp(sweep(orbit.num, m, rows), orbit.den * L ** m)
 
 
 def w_power_x_table(dmax: int, amax: int) -> list:
@@ -276,11 +300,8 @@ def w_jet_sampled_values(orbit: SparsePoly, m: int, wdeg: int) -> list:
 def dense_extract_f(poly: SparsePoly, m: int, g: int) -> SparsePoly:
     """f of a cell from its dense Psi, by both routes, which must agree."""
     wdeg = max(m + 3 * g - 3, 0)
-    rows, L = _basis_rows(_top(poly.num))
-    labels = dense_sweep(poly.num, m, rows)
-    assert all(d % 2 for lab in labels for d in lab), "not f(x d/dx) V_m"
-    decomp = {tuple((d - 1) // 2 for d in lab): Fraction(c, poly.den * L ** m)
-              for lab, c in labels.items()}
+    rows, L = fresh_basis_rows(_top(poly.num))
+    decomp = _labels_to_decomp(dense_sweep(poly.num, m, rows), poly.den * L ** m)
     f_basis = to_e_basis({j: c for j, c in decomp.items() if is_orbit_exponent(j)}, m)
     f_fit = fit_sym_e_poly(dense_sampled_values(poly, m, wdeg), m, wdeg)
     assert f_basis == f_fit, (m, g)

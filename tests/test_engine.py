@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hurwitz.algebra import series
+from hurwitz.algebra.operators import xdx_basis_convert
 from hurwitz.algebra.poly import SparsePoly
 from hurwitz.algebra.series import tree_coeffs
 from hurwitz.algebra.sym import (
@@ -42,7 +43,6 @@ from hurwitz.engine import (
 from hurwitz.errors import (
     BudgetExceeded,
     CertificationError,
-    NotVanishing,
     ResidualNonzero,
     RouteDisagreement,
 )
@@ -59,6 +59,7 @@ from reference import (
     dense_residual,
     dense_sampled_values,
     dense_solve,
+    forward_basis_convert,
     orbit_form,
     permute,
     w_jet_sampled_values,
@@ -295,10 +296,39 @@ def _each_copy(e):
 
 def test_a_sweep_taking_each_copy_of_a_value_fails_extraction(monkeypatch):
     # a repeated exponent is swept once per copy, which multiplies its
-    # terms; the operator-basis route then finds a constant residue
+    # terms.  The peel never sweeps Psi, and the P-image of a repeated
+    # exponent comes out multiplied, so the peel still uses Psi up, with
+    # c_(0,0,0) = 1/6 at (3,0); the sampling sweeps then read values that
+    # f does not take, at the first cell extracted
     monkeypatch.setattr(series, "removals", _each_copy)
-    with pytest.raises(NotVanishing):
+    with pytest.raises(RouteDisagreement, match=r"at \(1, 1, 1\) of \(3,0\)$") as err:
         Engine().cell(1, 2)
+    assert type(err.value) is RouteDisagreement
+
+
+def test_the_peel_matches_the_dense_forward_route_on_every_grid_cell(grid):
+    assert len(grid) == 18
+    for (m, g), rep in grid.items():
+        assert xdx_basis_convert(rep.orbit, m) == forward_basis_convert(rep.orbit, m), (m, g)
+
+
+def test_the_peel_matches_the_dense_forward_route_on_the_staircase():
+    budgets = {0: 9, 1: 8, 2: 6, 3: 5, 4: 4}
+    eng = Engine(budgets)
+    for g, top in budgets.items():
+        eng.psi(top, g)
+    assert len(eng.computed_cells()) == 30
+    for m, g in eng.computed_cells():
+        orbit = eng.psi(m, g).orbit
+        assert xdx_basis_convert(orbit, m) == forward_basis_convert(orbit, m), (m, g)
+
+
+def test_to_obj_matches_the_form_built_from_fractions(grid):
+    for (m, g), rep in grid.items():
+        for p in (rep.orbit, extract_f(rep).f_e):
+            want = [[list(e), str(c.numerator), str(c.denominator)]
+                    for e, c in p.sorted_terms()]
+            assert p.to_obj() == {"kind": p.kind, "arity": p.arity, "terms": want}, (m, g)
 
 
 # ----- the orbit residual: the solve gate ---------------------------------

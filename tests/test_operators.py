@@ -1,13 +1,11 @@
 """Monomial derivation rules, exact division, and the operator basis."""
 
-import random
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hurwitz.algebra import operators
 from hurwitz.algebra.operators import (
     apply_xdx,
     diag_fold,
@@ -18,7 +16,7 @@ from hurwitz.algebra.operators import (
 from hurwitz.algebra.poly import SparsePoly
 from hurwitz.algebra.series import expand_y_to_w, x_coefficient
 from hurwitz.errors import NonzeroRemainder, NotVanishing
-from reference import apply_wdw, fresh_basis_rows, orbit_form
+from reference import apply_wdw, forward_basis_convert, orbit_form
 
 
 def ypolys(arity=2, max_exp=3, max_terms=4, min_exp=0):
@@ -131,25 +129,6 @@ def test_p_ladder_matches_iterated_xdx():
         p = apply_xdx(p, 0)
 
 
-def test_the_basis_table_grown_on_demand_matches_a_fresh_build(monkeypatch):
-    # the one Fraction table grows to the largest dmax asked for; every
-    # dmax must still get exactly the rows and scale of its own build
-    want = [fresh_basis_rows(d) for d in range(26)]
-    orders = [list(range(26)), list(range(25, -1, -1))]
-    for seed in range(3):
-        order = list(range(26))
-        random.Random(seed).shuffle(order)
-        orders.append(order)
-    try:
-        for order in orders:
-            monkeypatch.setattr(operators, "_BASIS", operators._BASIS[:1])
-            operators._basis_rows.cache_clear()
-            for d in order:
-                assert operators._basis_rows(d) == want[d], (order, d)
-    finally:
-        operators._basis_rows.cache_clear()
-
-
 def reconstruct_decomp(b_terms: dict, m: int) -> SparsePoly:
     """Expand a decomposition back to an explicit y-polynomial, as sums of
     products of the univariate P ladders; the reference that
@@ -221,3 +200,39 @@ def test_basis_convert_rejects_double_even():
     _, Q = p_ladder(1)
     with pytest.raises(NotVanishing):
         xdx_basis_convert(_symmetrized(Q[1], Q[1]), 2)
+
+
+# ----- the peel's rescale branch ------------------------------------------
+# P_2 = 3 y^5 - 5 y^4 + 2 y^3.  An input whose leading y^5 has coefficient
+# 1 is not divided exactly by P_2's leading 3, so the peel scales the work
+# by 3 before it subtracts P_2.  No input in the span takes this branch:
+# P_0 .. P_20 stay independent modulo every prime dividing a leading
+# (2j - 1)!!, so they are a basis of the integer polynomials in their span
+# and an input's c_j times its denominator are integers.
+
+def test_the_peel_rescales_the_work_it_subtracts_from():
+    # 3 p - P_2 = -10 y^4 + 4 y^3 is a Q_2 term.  Subtracting P_2 from
+    # the unscaled p instead would use p up and return c_2 = 1/3
+    p = SparsePoly("Y", 1, {(5,): 1, (4,): -5, (3,): 2})
+    with pytest.raises(NotVanishing, match=r"term \(4,\) carries a w d/dw factor"):
+        xdx_basis_convert(p, 1)
+    with pytest.raises(NotVanishing):
+        forward_basis_convert(p, 1)
+
+
+def test_the_peel_does_not_round_an_inexact_leading_division():
+    # p = y^5 + P_1: 3 p - P_2 = 5 y^4 + y^3 - 3 y^2 is refused.  Rounding
+    # 1/3 down to 0 would peel P_1 alone and return {(2,): 0, (1,): 1}
+    p = SparsePoly("Y", 1, {(5,): 1, (3,): 1, (2,): -1})
+    with pytest.raises(NotVanishing, match=r"term \(4,\) carries a w d/dw factor"):
+        xdx_basis_convert(p, 1)
+
+
+def test_the_peel_rescales_and_then_finds_a_constant_residue():
+    # y1^5 y2: 3 p minus the orbit of P_2(y1) P_0(y2) leads with 3 y1^5,
+    # which does not vanish at y_2 = 1
+    p = SparsePoly("Y", 2, {(5, 1): 1})
+    with pytest.raises(NotVanishing, match="does not vanish at y_1 = 1"):
+        xdx_basis_convert(p, 2)
+    with pytest.raises(NotVanishing, match="does not vanish at y_1 = 1"):
+        forward_basis_convert(p, 2)
