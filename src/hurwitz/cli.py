@@ -375,6 +375,14 @@ def _partition_arg(text: str) -> Partition:
         raise argparse.ArgumentTypeError(str(err))
 
 
+def _int_arg(text: str) -> int:
+    """ASCII digits after an optional `-`; `int` would also take `1_0`."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+    return int(text)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process.  It holds no runner:
@@ -385,17 +393,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute = sub.add_parser("compute", help="one alpha, best route")
     p_compute.add_argument("--alpha", type=_partition_arg, required=True,
                            help="partition, comma-separated parts")
-    p_compute.add_argument("--genus", type=int, required=True)
+    p_compute.add_argument("--genus", type=_int_arg, required=True)
     p_compute.add_argument("--format", choices=("csv", "json", "text"),
                            default="text")
     p_compute.add_argument("--cache-dir", default=None)
 
     p_table = sub.add_parser("table", help="emit f polynomials or value grids")
-    p_table.add_argument("--genus", type=int, required=True)
-    p_table.add_argument("--m", type=int, required=True)
+    p_table.add_argument("--genus", type=_int_arg, required=True)
+    p_table.add_argument("--m", type=_int_arg, required=True)
     p_table.add_argument("--values", action="store_true",
                          help="value grid instead of the e-basis polynomial")
-    p_table.add_argument("--n-max", type=int, default=None)
+    p_table.add_argument("--n-max", type=_int_arg, default=None)
     p_table.add_argument("--format", choices=("csv", "json", "text"),
                          default="text")
 
@@ -403,15 +411,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", required=True,
                           choices=("appendix", "oracle", "recurrence",
                                    "closedform", "all"))
-    p_verify.add_argument("--n-max", type=int, default=5)
+    p_verify.add_argument("--n-max", type=_int_arg, default=5)
     p_verify.add_argument("--cache-dir", default=None)
 
     p_cache = sub.add_parser("cache", help="inspect, clear, or warm the cache")
     p_cache.add_argument("--cache-dir", default=None)
     p_cache.add_argument("--clear", action="store_true")
     p_cache.add_argument("--warm", action="store_true")
-    p_cache.add_argument("--genus", type=int, default=None)
-    p_cache.add_argument("--m", type=int, default=None)
+    p_cache.add_argument("--genus", type=_int_arg, default=None)
+    p_cache.add_argument("--m", type=_int_arg, default=None)
 
     return parser
 

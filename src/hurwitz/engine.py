@@ -16,13 +16,13 @@ lower cells.  Each summand is built as rows (S block, T block,
 whose symmetric blocks are sorted: x d/dx of a cell is read off its
 orbit terms, T1's two derivatives and diagonal limit and T2's division
 are closed forms, products are convolved over their shared variable one
-pair of blocks at a time, and T4 takes each unordered split once.  All
-the rows, scaled to one common denominator, go through one sum over
-placements, which adds each term to its orbit as often as a placement
-reads it there.  The assembled K must vanish at y_1 = 1, as
-(sum w d/dw + c) Psi does.  `apply_xdx`, `diag_fold` and `divide_ydiff`
-now serve only the dense reference route of the tests and the
-benchmark's layer hooks.
+pair of blocks at a time, and each symmetric pair is taken once: T1's
+and T2's two slots, T4's splits.  The rows, scaled to one common
+denominator, are folded by sorted tail, and each (tail, exponent) is
+added once to its orbit, times the number of placements that read it
+there.  The assembled K must vanish at y_1 = 1, as (sum w d/dw + c) Psi
+does.  `apply_xdx`, `diag_fold` and `divide_ydiff` now serve only the
+dense reference route of the tests and the benchmark's layer hooks.
 
 In y itself the operator is triangular: w d/dw sends y^u to
 u y^(u+1) - u y^u, so the part of K of degree d + 1 fixes the part of
@@ -206,22 +206,27 @@ def _factor_rows(orbit: SparsePoly, scale: int = 1) -> Dict[tuple, Dict[int, int
 def _diag_rows(orbit: SparsePoly, scale: int) -> Rows:
     """T1's rows, with S empty: x_1 d/dx_1 x_2 d/dx_2 of the cell, then
     y_2 -> y_1.  Each term y_1^v1 y_2^v2 y^rest read off an orbit term
-    (v1, then v2, both nonzero) goes to p y^(s+2) (y - 1)^2, with
-    s = v1 + v2 and p = v1 v2 c."""
-    rows: dict = {}
+    (both nonzero) goes to p y^(s+2) (y - 1)^2, with s = v1 + v2 and
+    p = v1 v2 c.  Both are symmetric in v1 and v2, so each unordered pair
+    is read once (v2 at or after v1's first copy), doubled if v1 != v2;
+    the p are summed by (rest, s) before one product by y^2 (y - 1)^2."""
+    sums: dict = {}
     for lam, c in orbit.num.items():
         c *= scale
-        for v1, rest1 in removals(lam):
-            if not v1:
+        for i, v1 in enumerate(lam):
+            if not v1 or i and lam[i - 1] == v1:
                 continue
-            for v2, rest in removals(rest1):
-                if v2:
-                    s, p = v1 + v2, v1 * v2 * c
-                    row = rows.setdefault(rest, {})
-                    row[s + 4] = row.get(s + 4, 0) + p
-                    row[s + 3] = row.get(s + 3, 0) - 2 * p
-                    row[s + 2] = row.get(s + 2, 0) + p
-    return [((), rest, row) for rest, row in rows.items()]
+            for j, v2 in enumerate(lam[i + 1:], i + 1):
+                if v2 and (j == i + 1 or lam[j - 1] != v2):
+                    row = sums.setdefault(lam[:i] + lam[i + 1:j] + lam[j + 1:], {})
+                    row[v1 + v2] = row.get(v1 + v2, 0) + (2 if v2 < v1 else 1) * v1 * v2 * c
+    for rest, by_s in sums.items():
+        row = {}
+        for s, p in by_s.items():
+            row[s + 4] = row.get(s + 4, 0) + p
+            row[s + 3] = row.get(s + 3, 0) - 2 * p
+            row[s + 2] = row.get(s + 2, 0) + p
+        yield (), rest, row
 
 
 def _merge_rows(orbit: SparsePoly, scale: int) -> Rows:
@@ -229,16 +234,19 @@ def _merge_rows(orbit: SparsePoly, scale: int) -> Rows:
     (y_s - 1) y_r^2 G(y_r) - (y_r - 1) y_s^2 G(y_s) by y_r - y_s, G being
     x_1 d/dx_1 of the cell.  A term y^k of G, with A = k + 2, gives
     y_r y_s h_(A-2) - h_(A-1), h_n = sum_i y_r^i y_s^(n-i): at y_s^b that
-    is y_r^(A-b) for 1 <= b < A, less y_r^(A-1-b) for 0 <= b < A."""
+    is y_r^(A-b) for 1 <= b < A, less y_r^(A-1-b) for 0 <= b < A.  The
+    placement sum does not see the quotient's symmetry in r and s, so
+    only its terms y_r^i y_s^b with i >= b are kept, doubled if i > b."""
     for rest, row in _factor_rows(orbit, scale).items():
         by_s: dict = {}
         for k, c in row.items():
-            a = k + 2
-            for b in range(a):
+            a, c2 = k + 2, 2 * c
+            for b in range(a // 2 + 1):
                 r = by_s.setdefault(b, {})
                 if b:
-                    r[a - b] = r.get(a - b, 0) + c
-                r[a - 1 - b] = r.get(a - 1 - b, 0) - c
+                    r[a - b] = r.get(a - b, 0) + (c2 if a - b > b else c)
+                if a - 1 - b >= b:
+                    r[a - 1 - b] = r.get(a - 1 - b, 0) - (c2 if a - 1 - b > b else c)
         for b, r in by_s.items():
             yield (b,), rest, r
 
@@ -279,18 +287,26 @@ def theta_symmetrize(rows: Rows, m: int, den: int = 1) -> SparsePoly:
     A term lands on the orbit of its sorted exponent lam once for every
     placement that reads it there: aut(lam) / (aut(bS) aut(bT)) times,
     aut(e) being the product of the factorials of e's multiplicities.
-    That is aut(bS + bT) / (aut(bS) aut(bT)) times the multiplicity of k
-    in lam.  There are m C(m-1, |S|) placements in all.  Rows of several
-    summands, each with its own S length, may share one call.
+    That is aut(tail) / (aut(bS) aut(bT)), tail being bS + bT sorted,
+    times mult(k in tail) + 1.  So the rows are folded by tail with the
+    first factor, and each distinct (tail, k) is then placed once, k
+    inserted into the tail, with the second.  There are m C(m-1, |S|)
+    placements in all.  Rows of several summands, each with its own S
+    length, may share one call.
     """
-    acc: dict = {}
+    folded: dict = {}
     for bs, bt, row in rows:
-        tail = bs + bt
-        w = _aut(sorted(tail)) // (_aut(bs) * _aut(bt))
+        tail = tuple(sorted(bs + bt, reverse=True))
+        w = _aut(tail) // (_aut(bs) * _aut(bt))
+        acc = folded.setdefault(tail, {})
         for k, c in row.items():
+            acc[k] = acc.get(k, 0) + w * c
+    out: dict = {}
+    for tail, acc in folded.items():
+        for k, c in acc.items():
             lam = tuple(sorted(tail + (k,), reverse=True))
-            acc[lam] = acc.get(lam, 0) + w * (tail.count(k) + 1) * c
-    return SparsePoly.from_core("Y", m, acc, den)
+            out[lam] = out.get(lam, 0) + (tail.count(k) + 1) * c
+    return SparsePoly.from_core("Y", m, out, den)
 
 
 def _vanishes_at_one(orbit: SparsePoly) -> bool:

@@ -69,12 +69,14 @@ def test_compute_unavailable_everywhere(capsys):
     assert "unavailable" in capsys.readouterr().err
 
 
-def test_bad_args(tmp_path):
+def test_bad_args(tmp_path, capsys):
     assert run(["compute", "--alpha", "0,1", "--genus", "0"]) == 3
     # int() alone would read these as (30,1), (3,1) and (3,1)
     for alpha in ("3_0,1", "+3,1", "\u0663,1"):
         assert run(["compute", "--alpha", alpha, "--genus", "0"]) == 3
+    capsys.readouterr()
     assert run(["compute", "--alpha", "2,1", "--genus", "-1"]) == 3
+    assert capsys.readouterr().err == "error: genus must be nonnegative\n"
     assert run(["verify", "--suite", "bogus"]) == 3
     assert run([]) == 3
     # removed placeholder flags are unknown arguments
@@ -91,6 +93,23 @@ def test_bad_args(tmp_path):
     # --values is the one switch to the value grid
     assert run(["table", "--genus", "1", "--m", "2", "--basis", "values"]) == 3
     assert run(["table", "--genus", "1", "--m", "2", "--basis", "e"]) == 3
+
+
+# int() alone would read the first four as 10, 3, 3 and 3
+@pytest.mark.parametrize("value", ["1_0", "+3", "\u0663", " 3", "3.0", "-", "0x3"])
+def test_integer_flags_take_ascii_digits_only(tmp_path, capsys, value):
+    for argv in (
+        ["compute", "--alpha", "2,1", "--genus", value],
+        ["table", "--genus", value, "--m", "3"],
+        ["table", "--genus", "1", "--m", value],
+        ["table", "--genus", "1", "--m", "3", "--values", "--n-max", value],
+        ["verify", "--suite", "recurrence", "--n-max", value],
+        ["cache", "--cache-dir", str(tmp_path), "--warm", "--genus", value],
+        ["cache", "--cache-dir", str(tmp_path), "--warm", "--m", value],
+    ):
+        assert run(argv) == 3, argv
+        assert f"invalid integer {value!r}" in capsys.readouterr().err, argv
+    assert not any(tmp_path.iterdir())
 
 
 def test_cache_warm_refuses_unbudgeted_genus(tmp_path, capsys):

@@ -234,10 +234,26 @@ def dense_K(grid):
             for m, g in grid if g >= 1 and (m, g) != (1, 1)}
 
 
-def test_orbit_built_K_matches_the_dense_assembly(grid, dense_K):
+@pytest.fixture(scope="module")
+def staircase():
+    """Every cell up to the top of each genus of the budgets below."""
+    budgets = {0: 9, 1: 8, 2: 6, 3: 5, 4: 4}
+    eng = Engine(budgets)
+    for g, top in budgets.items():
+        eng.psi(top, g)
+    return {k: eng.psi(*k) for k in eng.computed_cells()}
+
+
+def test_orbit_built_K_matches_the_dense_assembly(grid, dense_K, staircase):
     assert len(dense_K) == 13
     for (m, g), want in dense_K.items():
         assert assemble_K(m, g, grid).poly == want, (m, g)
+    # past the grid: the deepest genus-1 cell the dense route builds in
+    # seconds, and the top cells of genus 3 and 4, where T4 splits the
+    # genus more than one way
+    for m, g in ((6, 1), (4, 3), (3, 4)):
+        want = dense_assemble_K(m, g, staircase)
+        assert assemble_K(m, g, staircase).poly == want, (m, g)
 
 
 def _drop_first_row(rows):
@@ -264,8 +280,13 @@ def test_a_mutated_orbit_sum_fails_the_vanishing_check(grid, monkeypatch, attr, 
     ("_merge_rows", "if b:", "if True:"),
     ("_diag_rows", "- 2 * p", "- p"),
     ("assemble_K", "(2, _merge_rows", "(1, _merge_rows"),
+    ("_diag_rows", "(2 if v2 < v1 else 1) * ", ""),
+    ("_merge_rows", "2 * c", "c"),
+    ("theta_symmetrize", "(tail.count(k) + 1) * c", "c"),
 ], ids=["self-mirrored-T4-unhalved", "mirrored-T4-pair-twice",
-        "T2-one-h-term-too-many", "T1-middle-weight-one", "T2-unhalved"])
+        "T2-one-h-term-too-many", "T1-middle-weight-one", "T2-unhalved",
+        "T1-off-diagonal-undoubled", "T2-off-diagonal-undoubled",
+        "placement-weight-one"])
 def test_a_mutated_assembly_is_refused_or_misses_the_dense_K(
         grid, dense_K, monkeypatch, name, old, new):
     monkeypatch.setattr(engine, name, _mutated(name, old, new))
@@ -312,15 +333,10 @@ def test_the_peel_matches_the_dense_forward_route_on_every_grid_cell(grid):
         assert xdx_basis_convert(rep.orbit, m) == forward_basis_convert(rep.orbit, m), (m, g)
 
 
-def test_the_peel_matches_the_dense_forward_route_on_the_staircase():
-    budgets = {0: 9, 1: 8, 2: 6, 3: 5, 4: 4}
-    eng = Engine(budgets)
-    for g, top in budgets.items():
-        eng.psi(top, g)
-    assert len(eng.computed_cells()) == 30
-    for m, g in eng.computed_cells():
-        orbit = eng.psi(m, g).orbit
-        assert xdx_basis_convert(orbit, m) == forward_basis_convert(orbit, m), (m, g)
+def test_the_peel_matches_the_dense_forward_route_on_the_staircase(staircase):
+    assert len(staircase) == 30
+    for (m, g), rep in staircase.items():
+        assert xdx_basis_convert(rep.orbit, m) == forward_basis_convert(rep.orbit, m), (m, g)
 
 
 def test_to_obj_matches_the_form_built_from_fractions(grid):
