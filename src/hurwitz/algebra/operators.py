@@ -31,7 +31,6 @@ and is refused there.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Tuple
 
@@ -157,10 +156,11 @@ def _ladder_rows(jmax: int) -> tuple:
     return tuple(tuple(sorted(P.items())) for P in p_ladder(jmax)[0])
 
 
-def xdx_basis_convert(p: SparsePoly, m: int) -> Dict[tuple, Fraction]:
+def xdx_basis_convert(p: SparsePoly, m: int) -> Tuple[Dict[tuple, int], int]:
     """The symmetric p as sum_j c_j prod_i (x_i d/dx_i)^(j_i) V_m, both
-    in orbit form: p's terms and the returned {j: c_j} have weakly
-    decreasing exponents.
+    in orbit form: p's terms and the returned j have weakly decreasing
+    exponents.  The c_j come as integer numerators over one denominator,
+    ({j: c_j den}, den), not reduced.
 
     A leading-term peel.  The lex-greatest remaining exponent d must
     have every entry odd, d = 2j + 1: it is then the leading term of
@@ -172,7 +172,8 @@ def xdx_basis_convert(p: SparsePoly, m: int) -> Dict[tuple, Fraction]:
     only when every term has been subtracted away exactly, which
     certifies p = f(x d/dx) V_m, and by triangularity the c_j are
     unique.  A leading coefficient the divisor does not divide scales
-    the remaining work and its denominator up, so no step rounds.
+    the remaining work, the numerators already emitted and the
+    denominator up, so no step rounds.
     """
     if p.kind != "Y":
         raise ValueError("xdx_basis_convert wants a Y polynomial")
@@ -183,7 +184,7 @@ def xdx_basis_convert(p: SparsePoly, m: int) -> Dict[tuple, Fraction]:
     if any(e and e[-1] < 0 for e in p.num):
         raise ValueError("negative exponent has no polynomial form")
     work, den = dict(p.num), p.den
-    out: Dict[tuple, Fraction] = {}
+    out: Dict[tuple, int] = {}
     while work:
         d = max(work)
         c = work.pop(d)
@@ -200,10 +201,11 @@ def xdx_basis_convert(p: SparsePoly, m: int) -> Dict[tuple, Fraction]:
         if c % lead:
             s = lead // math.gcd(c, lead)
             work = {e: s * v for e, v in work.items()}
+            out = {e: s * v for e, v in out.items()}
             den *= s
             c *= s
         q = c // lead
-        out[j] = Fraction(q, den)
+        out[j] = q
         for e, a in image.items():
             if e != d:
                 v = work.get(e, 0) - q * a
@@ -211,4 +213,4 @@ def xdx_basis_convert(p: SparsePoly, m: int) -> Dict[tuple, Fraction]:
                     work[e] = v
                 else:
                     del work[e]
-    return out
+    return out, den

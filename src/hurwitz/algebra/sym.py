@@ -172,17 +172,19 @@ def e_monomial_expand(beta: tuple, m: int) -> Mapping[tuple, int]:
     return _times_e(e_monomial_expand(beta[:k] + (beta[k] - 1,) + beta[k + 1:], m), k + 1)
 
 
-def to_e_basis(orbit: Mapping[tuple, Fraction], m: int) -> SparsePoly:
+def to_e_basis(num: Mapping[tuple, int], den: int, m: int) -> SparsePoly:
     """Rewrite a symmetric polynomial over m variables, given as the
-    dict of its orbit form, in the e-basis.
+    integer numerators of its orbit form over one denominator `den`, in
+    the e-basis.
 
     Leading subtraction: the lex-greatest exponent lam of a symmetric
     polynomial is a partition, and prod e_k^(lam_k - lam_(k+1)) is the
     unique e-monomial with lex-leading term lam, coefficient one; its
-    orbit terms are subtracted.
+    integer orbit terms are subtracted, so the numerators stay integers
+    over `den` throughout.
     """
-    work: Dict[tuple, Fraction] = {e: c for e, c in orbit.items() if c}
-    out: Dict[tuple, Fraction] = {}
+    work: Dict[tuple, int] = {e: c for e, c in num.items() if c}
+    out: Dict[tuple, int] = {}
     while work:
         lam = max(work)
         if any(lam[i] < lam[i + 1] for i in range(m - 1)):
@@ -201,7 +203,7 @@ def to_e_basis(orbit: Mapping[tuple, Fraction], m: int) -> SparsePoly:
                 work[e] = v
             elif e in work:
                 del work[e]
-    return SparsePoly("E", m, out)
+    return SparsePoly.from_core("E", m, out, den)
 
 
 def elementary_values(alpha: Sequence[int], m: int) -> List[int]:

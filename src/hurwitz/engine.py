@@ -34,13 +34,15 @@ is the residual of Psi against K, taken on the orbit forms: sum w d/dw
 + c commutes with permuting the variables, so it is zero exactly when
 the dense residual is, and no step of the pipeline expands an orbit
 form.  That residual, not the degree bookkeeping, is what certifies the
-result.  Both extractions read the orbit form and never expand it.
-The operator-basis route peels Psi's lex-leading terms against the
-integer images of the x d/dx ladder, one exact division and one
-subtraction per term of f (`xdx_basis_convert`), and then rewrites f in
-the e-basis.  The sampling route reads f's values off Psi's
-x-coefficients by two orbit sweeps (`series.sweep`), y -> u and u -> x,
-with no w-jet between them.
+result.  Both extractions read the orbit form and never expand it, and
+like assembly and the solve they run on integer numerators over one
+denominator.  The operator-basis route peels Psi's lex-leading terms
+against the integer images of the x d/dx ladder, one exact division and
+one subtraction per term of f (`xdx_basis_convert`), and then rewrites f
+in the e-basis by subtracting integer Pieri expansions (`to_e_basis`).
+The sampling route reads f's values off Psi's x-coefficients by two
+orbit sweeps (`series.sweep`), y -> u and u -> x, with no w-jet between
+them, and compares each with f's value cross-multiplied, in integers.
 
 Genus 0 cells come from the closed form (sum x_i d/dx_i)^(m-3) V_m, built
 in orbit form, and never touch the solver.
@@ -86,7 +88,7 @@ from .algebra.series import (
 # fit_sym_e_poly is not called here; it stays bound because the
 # benchmark's layer hooks (perfbench/layers.py) wrap it on this module
 from .algebra.sym import (
-    e_value,
+    elementary_values,
     expand_orbits,
     fit_sym_e_poly,
     is_orbit_exponent,
@@ -100,7 +102,7 @@ from .errors import (
     ResidualNonzero,
     RouteDisagreement,
 )
-from .partitions import Partition, partitions_of_length
+from .partitions import parts_of_length
 
 __all__ = [
     "PsiRep",
@@ -290,14 +292,21 @@ def theta_symmetrize(rows: Rows, m: int, den: int = 1) -> SparsePoly:
     That is aut(tail) / (aut(bS) aut(bT)), tail being bS + bT sorted,
     times mult(k in tail) + 1.  So the rows are folded by tail with the
     first factor, and each distinct (tail, k) is then placed once, k
-    inserted into the tail, with the second.  There are m C(m-1, |S|)
-    placements in all.  Rows of several summands, each with its own S
-    length, may share one call.
+    inserted into the tail, with the second.  The first factor is 1 for
+    a row with bS empty, whose tail is bT, and the multiplicity of b in
+    the tail for bS = (b,).  There are m C(m-1, |S|) placements in all.
+    Rows of several summands, each with its own S length, may share one
+    call.
     """
     folded: dict = {}
     for bs, bt, row in rows:
-        tail = tuple(sorted(bs + bt, reverse=True))
-        w = _aut(tail) // (_aut(bs) * _aut(bt))
+        if not bs:
+            tail, w = bt, 1
+        elif len(bs) == 1:
+            tail, w = tuple(sorted(bs + bt, reverse=True)), bt.count(bs[0]) + 1
+        else:
+            tail = tuple(sorted(bs + bt, reverse=True))
+            w = _aut(tail) // (_aut(bs) * _aut(bt))
         acc = folded.setdefault(tail, {})
         for k, c in row.items():
             acc[k] = acc.get(k, 0) + w * c
@@ -312,11 +321,17 @@ def theta_symmetrize(rows: Rows, m: int, den: int = 1) -> SparsePoly:
 def _vanishes_at_one(orbit: SparsePoly) -> bool:
     """Whether the symmetric polynomial with orbit form `orbit` vanishes
     at y_1 = 1: the coefficient of y_rest there sums the orbit
-    coefficients at sort(k, rest) over every k."""
+    coefficients at sort(k, rest) over every k: each distinct entry of
+    an orbit term is removed once."""
     acc: dict = {}
+    get = acc.get
     for lam, c in orbit.num.items():
-        for _, rest in removals(lam):
-            acc[rest] = acc.get(rest, 0) + c
+        prev = None
+        for i, v in enumerate(lam):
+            if v != prev:
+                rest = lam[:i] + lam[i + 1:]
+                acc[rest] = get(rest, 0) + c
+                prev = v
     return not any(acc.values())
 
 
@@ -554,8 +569,8 @@ def _check_f(f_e: SparsePoly, m: int, g: int):
 
 # ----- extraction ---------------------------------------------------------
 
-def _sample_plan(m: int, wdeg: int) -> List[Partition]:
-    """The m-part partitions of weight m .. m + wdeg + 2.
+def _sample_plan(m: int, wdeg: int) -> List[tuple]:
+    """The parts of the m-part partitions of weight m .. m + wdeg + 2.
 
     They include every 1^m + lam with |lam| <= wdeg, and on those points
     the symmetrized binomial basis sum_sigma prod_i C(lam_i, mu_sigma(i))
@@ -563,31 +578,48 @@ def _sample_plan(m: int, wdeg: int) -> List[Partition]:
     e-polynomial of weighted degree <= wdeg is determined by its values
     on this one plan.
     """
-    return [p for n in range(m, m + wdeg + 3) for p in partitions_of_length(n, m)]
-
-
-def _sampled_values(orbit: SparsePoly, m: int, wdeg: int) -> List[Tuple[tuple, Fraction]]:
-    """(parts, f at parts) for every partition of `_sample_plan`, all
-    read off one x-orbit form of the cell (`series.x_orbit`, two sweeps:
-    y -> u, then u -> x).  f at parts is [x^parts] Psi prod a!/a^a, and
-    the x-orbit form holds Psi.den prod a! [x^parts] Psi."""
-    samples = _sample_plan(m, wdeg)
-    nmax = max(p.n for p in samples)
-    amax = max(p.parts[0] for p in samples)
-    xs = x_orbit(orbit, amax, nmax)
-    return [(p.parts, Fraction(xs.get(p.parts, 0),
-                               orbit.den * math.prod(a ** a for a in p.parts)))
-            for p in samples]
+    return [p for n in range(m, m + wdeg + 3) for p in parts_of_length(n, m)]
 
 
 def _check_samples(orbit: SparsePoly, f_e: SparsePoly, m: int, g: int):
-    """Raise RouteDisagreement unless `f_e` takes, at every partition of
-    `_sample_plan`, the value read off the cell's x-coefficients
-    (`_sampled_values`).  The plan is unisolvent for e-polynomials of
-    f's weighted degree, so for an `f_e` that passes `_check_f` this is
-    exactly agreement with the polynomial the samples fit."""
-    for parts, value in _sampled_values(orbit, m, max(m + 3 * g - 3, 0)):
-        if e_value(f_e, parts) != value:
+    """Raise RouteDisagreement unless `f_e` takes, at every point of
+    `_sample_plan`, the value read off the cell's x-coefficients.  The
+    plan is unisolvent for e-polynomials of f's weighted degree, so for
+    an `f_e` that passes `_check_f` this is exactly agreement with the
+    polynomial the samples fit.
+
+    The values come from one x-orbit form of the cell (`series.x_orbit`,
+    two sweeps: y -> u, then u -> x), which holds
+    xs[parts] = Psi.den prod a! [x^parts] Psi, while f at parts is
+    [x^parts] Psi prod a!/a^a.  So the check is the integer identity
+    num_f(parts) Psi.den prod a^a = xs[parts] f_e.den, num_f being
+    f_e's numerator at the elementary values of parts.  f_e's terms are
+    split once per cell, grouped by their exponent past e_1: each group
+    is a polynomial in e_1, read off one list of e_1's powers per point,
+    times one product of powers of e_2 .. e_m."""
+    plan = _sample_plan(m, max(m + 3 * g - 3, 0))
+    xs = x_orbit(orbit, max(p[0] for p in plan), max(map(sum, plan)))
+    groups: dict = {}
+    for e, c in f_e.num.items():
+        groups.setdefault(e[1:], []).append((e[0], c))
+    split = [([(k, a) for k, a in enumerate(rest, 1) if a], by_e1)
+             for rest, by_e1 in groups.items()]
+    top = max((e[0] for e in f_e.num), default=0)
+    for parts in plan:
+        ev = elementary_values(parts, m)
+        powers = [1]
+        for _ in range(top):
+            powers.append(powers[-1] * ev[0])
+        num_f = 0
+        for rest, by_e1 in split:
+            s = 0
+            for a, c in by_e1:
+                s += c * powers[a]
+            for k, a in rest:
+                s *= ev[k] ** a
+            num_f += s
+        if (num_f * orbit.den * math.prod([a ** a for a in parts])
+                != xs.get(parts, 0) * f_e.den):
             raise RouteDisagreement(
                 f"operator-basis extraction misses the sampled value at "
                 f"{parts} of ({m},{g})"
@@ -595,16 +627,20 @@ def _check_samples(orbit: SparsePoly, f_e: SparsePoly, m: int, g: int):
 
 
 def extract_f(psi: PsiRep) -> FResult:
-    """Pull out the symmetric polynomial behind a cell, and check it.
+    """Pull out the symmetric polynomial behind a cell, and check it, in
+    integer numerators over one denominator throughout.
 
-    The operator-basis route rewrites the cell over the x d/dx basis as
-    a symmetric polynomial f, which must pass `_check_f`.  The sampling
-    route reads f's value at every partition of `_sample_plan` off the
-    cell's x-coefficients, and f must take each of those values
-    (`_check_samples`).  Both read the orbit form; a mismatch is fatal.
+    The operator-basis route peels the cell over the x d/dx basis
+    (`xdx_basis_convert`) and rewrites the result in the e-basis
+    (`to_e_basis`) as a symmetric polynomial f, which must pass
+    `_check_f`.  The sampling route reads f's value at every point of
+    `_sample_plan` off the cell's x-coefficients, and f must take each
+    of those values (`_check_samples`).  Both read the orbit form; a
+    mismatch is fatal.
     """
     m, g = psi.m, psi.g
-    f_e = to_e_basis(xdx_basis_convert(psi.orbit, m), m)
+    num, den = xdx_basis_convert(psi.orbit, m)
+    f_e = to_e_basis(num, den, m)
     _check_f(f_e, m, g)
     _check_samples(psi.orbit, f_e, m, g)
     return FResult(m, g, f_e)

@@ -11,7 +11,8 @@ import math
 from functools import lru_cache, total_ordering
 from typing import Iterator, Sequence, Tuple
 
-__all__ = ["Partition", "partitions", "partitions_of_length", "class_size"]
+__all__ = ["Partition", "partitions", "parts_of_length", "partitions_of_length",
+           "class_size"]
 
 
 @total_ordering
@@ -125,10 +126,16 @@ def _parts_of_length(n: int, m: int, cap: int) -> Iterator[Tuple[int, ...]]:
             yield (first,) + rest
 
 
+def parts_of_length(n: int, m: int) -> Iterator[Tuple[int, ...]]:
+    """The parts of each partition of n with exactly m parts, as weakly
+    decreasing tuples, in the descending-lex order of partitions(n),
+    without visiting the others."""
+    return _parts_of_length(n, m, n)
+
+
 def partitions_of_length(n: int, m: int) -> Iterator[Partition]:
-    """The partitions of n with exactly m parts, in the descending-lex
-    order of partitions(n), without visiting the others."""
-    for p in _parts_of_length(n, m, n):
+    """`parts_of_length(n, m)` as Partition objects."""
+    for p in parts_of_length(n, m):
         yield Partition(p)
 
 

@@ -15,7 +15,7 @@ from hurwitz.algebra.operators import (
     p_ladder,
 )
 from hurwitz.algebra.poly import SparsePoly
-from hurwitz.algebra.series import expand_y_to_w, sweep, tree_coeffs, x_coefficient
+from hurwitz.algebra.series import expand_y_to_w, sweep, tree_coeffs, x_coefficient, x_orbit
 from hurwitz.algebra.sym import fit_sym_e_poly, is_orbit_exponent, to_e_basis
 from hurwitz.engine import _sample_plan
 from hurwitz.errors import NotVanishing
@@ -236,10 +236,22 @@ def _labels_to_decomp(labels: dict, den: int) -> Dict[tuple, Fraction]:
             for lab, c in labels.items()}
 
 
+def as_fractions(num: Dict[tuple, int], den: int) -> Dict[tuple, Fraction]:
+    """{j: num[j] / den}, the form of `forward_basis_convert`, from the
+    numerators and denominator xdx_basis_convert returns."""
+    return {j: Fraction(c, den) for j, c in num.items()}
+
+
+def over_one_denominator(coeffs: Dict[tuple, Fraction]) -> Tuple[Dict[tuple, int], int]:
+    """The inverse of `as_fractions`, over the lcm of the denominators."""
+    den = math.lcm(*(c.denominator for c in coeffs.values()))
+    return {j: c.numerator * (den // c.denominator) for j, c in coeffs.items()}, den
+
+
 def forward_basis_convert(orbit: SparsePoly, m: int) -> Dict[tuple, Fraction]:
-    """xdx_basis_convert by the dense forward route: every term of the
-    orbit form is swept through the table of y^k over the P/Q basis
-    (`fresh_basis_rows`), and every label must be odd."""
+    """xdx_basis_convert by the dense forward route, as {j: c_j}: every
+    term of the orbit form is swept through the table of y^k over the P/Q
+    basis (`fresh_basis_rows`), and every label must be odd."""
     rows, L = fresh_basis_rows(_top(orbit.num))
     return _labels_to_decomp(sweep(orbit.num, m, rows), orbit.den * L ** m)
 
@@ -272,16 +284,26 @@ def _sample_scale(parts) -> Fraction:
     return math.prod(Fraction(math.factorial(a), a ** a) for a in parts)
 
 
+def sampled_values(orbit: SparsePoly, m: int, wdeg: int) -> list:
+    """(parts, f at parts) over `_sample_plan`, read off the x-orbit form
+    of Psi (`x_orbit`) that the engine's sampling gate reads: it holds
+    Psi.den prod a! [x^parts] Psi, and f at parts is
+    [x^parts] Psi prod a!/a^a."""
+    samples = _sample_plan(m, wdeg)
+    xs = x_orbit(orbit, max(p[0] for p in samples), max(map(sum, samples)))
+    return [(p, Fraction(xs.get(p, 0), orbit.den * math.prod(a ** a for a in p)))
+            for p in samples]
+
+
 def dense_sampled_values(poly: SparsePoly, m: int, wdeg: int) -> list:
     """(parts, f at parts) over `_sample_plan`, read off the dense w-jet
     of a dense Psi through the table of [x^a] w^d."""
     samples = _sample_plan(m, wdeg)
-    nmax = max(p.n for p in samples)
-    amax = max(p.parts[0] for p in samples)
+    nmax = max(map(sum, samples))
+    amax = max(p[0] for p in samples)
     jet = dense_expand_y_to_w(poly, amax, nmax)
     table = w_power_x_table(amax, amax)
-    return [(p.parts, dense_x_coefficient(jet, p.parts, table) * _sample_scale(p.parts))
-            for p in samples]
+    return [(p, dense_x_coefficient(jet, p, table) * _sample_scale(p)) for p in samples]
 
 
 def w_jet_sampled_values(orbit: SparsePoly, m: int, wdeg: int) -> list:
@@ -289,12 +311,11 @@ def w_jet_sampled_values(orbit: SparsePoly, m: int, wdeg: int) -> list:
     orbit w-jet of Psi (`expand_y_to_w`) one x-coefficient at a time
     (`x_coefficient`)."""
     samples = _sample_plan(m, wdeg)
-    nmax = max(p.n for p in samples)
-    amax = max(p.parts[0] for p in samples)
+    nmax = max(map(sum, samples))
+    amax = max(p[0] for p in samples)
     jet = expand_y_to_w(orbit, amax, nmax, allow_truncation=True)
     memo: dict = {}
-    return [(p.parts, x_coefficient(jet, p.parts, memo) * _sample_scale(p.parts))
-            for p in samples]
+    return [(p, x_coefficient(jet, p, memo) * _sample_scale(p)) for p in samples]
 
 
 def dense_extract_f(poly: SparsePoly, m: int, g: int) -> SparsePoly:
@@ -302,7 +323,8 @@ def dense_extract_f(poly: SparsePoly, m: int, g: int) -> SparsePoly:
     wdeg = max(m + 3 * g - 3, 0)
     rows, L = fresh_basis_rows(_top(poly.num))
     decomp = _labels_to_decomp(dense_sweep(poly.num, m, rows), poly.den * L ** m)
-    f_basis = to_e_basis({j: c for j, c in decomp.items() if is_orbit_exponent(j)}, m)
+    f_basis = to_e_basis(*over_one_denominator(
+        {j: c for j, c in decomp.items() if is_orbit_exponent(j)}), m)
     f_fit = fit_sym_e_poly(dense_sampled_values(poly, m, wdeg), m, wdeg)
     assert f_basis == f_fit, (m, g)
     return f_basis

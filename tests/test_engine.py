@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hurwitz.algebra import series
+from hurwitz.algebra import operators, series, sym
 from hurwitz.algebra.operators import xdx_basis_convert
 from hurwitz.algebra.poly import SparsePoly
 from hurwitz.algebra.series import tree_coeffs
@@ -51,6 +51,7 @@ from hurwitz.oracle import c_count
 from hurwitz.partitions import Partition
 from reference import (
     apply_wdw,
+    as_fractions,
     compose_with_tree,
     dense_assemble_K,
     dense_expand_y_to_w,
@@ -62,6 +63,7 @@ from reference import (
     forward_basis_convert,
     orbit_form,
     permute,
+    sampled_values,
     w_jet_sampled_values,
 )
 
@@ -256,18 +258,26 @@ def test_orbit_built_K_matches_the_dense_assembly(grid, dense_K, staircase):
         assert assemble_K(m, g, staircase).poly == want, (m, g)
 
 
-def _drop_first_row(rows):
-    return lambda *args: dict(list(rows(*args).items())[1:])
+def _drop_first_row(monkeypatch):
+    rows = engine._factor_rows
+    monkeypatch.setattr(engine, "_factor_rows",
+                        lambda *args: dict(list(rows(*args).items())[1:]))
 
 
-@pytest.mark.parametrize("attr,mutant", [
-    ("_factor_rows", _drop_first_row),
-    ("_aut", lambda aut: lambda e: 1),
-], ids=["a-block-row-dropped", "no-stabilizer-orders"])
-def test_a_mutated_orbit_sum_fails_the_vanishing_check(grid, monkeypatch, attr, mutant):
+def _no_stabilizer_orders(monkeypatch):
+    # `_aut`, and the fold's closed form for an S block of one entry b:
+    # aut(tail) / aut(bT), the multiplicity of b in the tail
+    monkeypatch.setattr(engine, "_aut", lambda e: 1)
+    monkeypatch.setattr(engine, "theta_symmetrize",
+                        _mutated("theta_symmetrize", "bt.count(bs[0]) + 1", "1"))
+
+
+@pytest.mark.parametrize("mutate", [_drop_first_row, _no_stabilizer_orders],
+                         ids=["a-block-row-dropped", "no-stabilizer-orders"])
+def test_a_mutated_orbit_sum_fails_the_vanishing_check(grid, monkeypatch, mutate):
     # with m = 2 every block has at most one entry, and no stabilizer is
     # bigger than one
-    monkeypatch.setattr(engine, attr, mutant(getattr(engine, attr)))
+    mutate(monkeypatch)
     for m, g in ((3, 1), (4, 1), (3, 2)):
         with pytest.raises(CertificationError, match="does not vanish at y_1 = 1"):
             assemble_K(m, g, grid)
@@ -283,10 +293,13 @@ def test_a_mutated_orbit_sum_fails_the_vanishing_check(grid, monkeypatch, attr, 
     ("_diag_rows", "(2 if v2 < v1 else 1) * ", ""),
     ("_merge_rows", "2 * c", "c"),
     ("theta_symmetrize", "(tail.count(k) + 1) * c", "c"),
+    ("theta_symmetrize", "bt.count(bs[0]) + 1", "1"),
+    ("theta_symmetrize", "tail, w = bt, 1", "tail, w = bt, 2"),
 ], ids=["self-mirrored-T4-unhalved", "mirrored-T4-pair-twice",
         "T2-one-h-term-too-many", "T1-middle-weight-one", "T2-unhalved",
         "T1-off-diagonal-undoubled", "T2-off-diagonal-undoubled",
-        "placement-weight-one"])
+        "placement-weight-one", "one-entry-S-fold-weight-one",
+        "empty-S-fold-weight-two"])
 def test_a_mutated_assembly_is_refused_or_misses_the_dense_K(
         grid, dense_K, monkeypatch, name, old, new):
     monkeypatch.setattr(engine, name, _mutated(name, old, new))
@@ -327,16 +340,22 @@ def test_a_sweep_taking_each_copy_of_a_value_fails_extraction(monkeypatch):
     assert type(err.value) is RouteDisagreement
 
 
+def _peel_matches_the_forward_route(rep, m):
+    num, den = xdx_basis_convert(rep.orbit, m)
+    assert all(type(c) is int for c in num.values()) and type(den) is int
+    return as_fractions(num, den) == forward_basis_convert(rep.orbit, m)
+
+
 def test_the_peel_matches_the_dense_forward_route_on_every_grid_cell(grid):
     assert len(grid) == 18
     for (m, g), rep in grid.items():
-        assert xdx_basis_convert(rep.orbit, m) == forward_basis_convert(rep.orbit, m), (m, g)
+        assert _peel_matches_the_forward_route(rep, m), (m, g)
 
 
 def test_the_peel_matches_the_dense_forward_route_on_the_staircase(staircase):
     assert len(staircase) == 30
     for (m, g), rep in staircase.items():
-        assert xdx_basis_convert(rep.orbit, m) == forward_basis_convert(rep.orbit, m), (m, g)
+        assert _peel_matches_the_forward_route(rep, m), (m, g)
 
 
 def test_to_obj_matches_the_form_built_from_fractions(grid):
@@ -527,8 +546,8 @@ def _pins_every_e_polynomial(plan, m: int, wdeg: int) -> bool:
     monos = e_monomials_by_weight(m, wdeg)
     rows = []
     for p in plan:
-        if p.n <= m + wdeg:
-            ev = elementary_values(p.parts, m)
+        if sum(p) <= m + wdeg:
+            ev = elementary_values(p, m)
             rows.append([math.prod(pow(ev[k], a, PRIME) for k, a in enumerate(b)) % PRIME
                          for b in monos])
     rank = 0
@@ -569,7 +588,7 @@ def test_a_plan_cut_by_one_partition_is_not_certified(grid):
     for m, g in grid:
         wdeg = max(m + 3 * g - 3, 0)
         plan = engine._sample_plan(m, wdeg)
-        heaviest = max(i for i, p in enumerate(plan) if p.n <= m + wdeg)
+        heaviest = max(i for i, p in enumerate(plan) if sum(p) <= m + wdeg)
         cut = plan[:heaviest] + plan[heaviest + 1:]
         assert not _pins_every_e_polynomial(cut, m, wdeg), (m, g)
 
@@ -577,13 +596,13 @@ def test_a_plan_cut_by_one_partition_is_not_certified(grid):
 def test_the_sampling_fit_equals_the_operator_basis_route(grid):
     for (m, g), rep in grid.items():
         wdeg = max(m + 3 * g - 3, 0)
-        evals = engine._sampled_values(rep.orbit, m, wdeg)
+        evals = sampled_values(rep.orbit, m, wdeg)
         assert fit_sym_e_poly(evals, m, wdeg) == extract_f(rep).f_e, (m, g)
 
 
 def _first_coefficient_doubled(to_e):
-    def mutant(orbit, m):
-        f = to_e(orbit, m)
+    def mutant(num, den, m):
+        f = to_e(num, den, m)
         num = dict(f.num)
         num[next(iter(num))] *= 2
         return SparsePoly.from_core(f.kind, f.arity, num, f.den)
@@ -608,9 +627,44 @@ def test_a_perturbed_sampled_value_is_refused(grid, monkeypatch):
     monkeypatch.setattr(engine, "x_orbit", perturbed)
     for (m, g), rep in grid.items():
         plan = engine._sample_plan(m, max(m + 3 * g - 3, 0))
-        for p in (plan[0], plan[-1]):
-            target = p.parts
+        for target in (plan[0], plan[-1]):
             with pytest.raises(RouteDisagreement):
+                extract_f(rep)
+
+
+def test_a_cold_extraction_constructs_no_fraction(grid, monkeypatch):
+    # the peel, the e-basis rewrite and the sampling gate all run on
+    # integer numerators over one denominator; the memoised tables they
+    # read are rebuilt under the count
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    for memo in (sym.e_monomial_expand, operators._ladder_rows, series.u_to_x_rows):
+        memo.cache_clear()
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    for (m, g), rep in grid.items():
+        assert extract_f(rep).f_e.arity == m
+    assert made == []
+
+
+# each drops one factor of the gate's cross-multiplication; Psi.den and
+# f_e.den are 1 at genus 0, and prod a^a is 1 only at 1^m
+@pytest.mark.parametrize("old,new,g_min", [
+    ("num_f * orbit.den * ", "num_f * ", 1),
+    (" * math.prod([a ** a for a in parts])", "", 0),
+    ("xs.get(parts, 0) * f_e.den", "xs.get(parts, 0)", 1),
+], ids=["no-psi-den", "no-a-to-the-a", "no-f-den"])
+def test_a_sampling_gate_without_one_factor_refuses_the_grid(grid, monkeypatch, old, new,
+                                                               g_min):
+    monkeypatch.setattr(engine, "_check_samples", _mutated("_check_samples", old, new))
+    assert sum(g >= g_min for _, g in grid) >= 13
+    for (m, g), rep in grid.items():
+        if g >= g_min:
+            with pytest.raises(RouteDisagreement, match=rf"of \({m},{g}\)$"):
                 extract_f(rep)
 
 
@@ -618,7 +672,7 @@ def test_two_sweep_values_equal_the_w_jet_and_dense_routes(grid):
     assert len(grid) == 18 and (6, 0) in grid
     for (m, g), rep in grid.items():
         wdeg = max(m + 3 * g - 3, 0)
-        got = engine._sampled_values(rep.orbit, m, wdeg)
+        got = sampled_values(rep.orbit, m, wdeg)
         assert got == w_jet_sampled_values(rep.orbit, m, wdeg), (m, g)
         assert got == dense_sampled_values(rep.poly, m, wdeg), (m, g)
 
@@ -627,8 +681,8 @@ def test_e_value_is_evaluate_at_the_elementary_values(grid):
     for (m, g), rep in grid.items():
         f_e = extract_f(rep).f_e
         for p in engine._sample_plan(m, max(m + 3 * g - 3, 0)):
-            ev = [Fraction(v) for v in elementary_values(p.parts, m)]
-            assert e_value(f_e, p.parts) == f_e.evaluate(ev), (m, g, p.parts)
+            ev = [Fraction(v) for v in elementary_values(p, m)]
+            assert e_value(f_e, p) == f_e.evaluate(ev), (m, g, p)
 
 
 def test_psi11_value_and_equation():

@@ -33,8 +33,7 @@ def known_poly(m, wdeg):
 
 def samples(poly, m, wdeg):
     return [
-        (p.parts, poly.evaluate(
-            [Fraction(v) for v in elementary_values(p.parts, m)]))
+        (p, poly.evaluate([Fraction(v) for v in elementary_values(p, m)]))
         for p in _sample_plan(m, wdeg)
     ]
 
@@ -122,11 +121,24 @@ def test_to_e_basis_inverts_the_product_built_e_monomials():
     for beta in monos:
         orbit = product_e_monomial_expand(beta, m)
         assert e_monomial_expand(beta, m) == orbit
-        assert to_e_basis(orbit, m) == SparsePoly("E", m, {beta: 1}), beta
+        assert to_e_basis(orbit, 1, m) == SparsePoly("E", m, {beta: 1}), beta
+
+
+@pytest.mark.parametrize("m,wdeg", [(1, 4), (3, 5), (5, 4)])
+def test_to_e_basis_recovers_a_known_polynomial_over_its_denominator(m, wdeg):
+    poly = known_poly(m, wdeg)
+    assert poly.den > 1
+    orbit: dict = {}
+    for beta, c in poly.num.items():
+        for e, ec in e_monomial_expand(beta, m).items():
+            orbit[e] = orbit.get(e, 0) + c * ec
+    assert to_e_basis(orbit, poly.den, m) == poly
+    # the numerators need not be reduced against the denominator
+    assert to_e_basis({e: 3 * c for e, c in orbit.items()}, 3 * poly.den, m) == poly
 
 
 def test_an_expansion_that_misses_its_leading_term_is_refused(monkeypatch):
     # without the check the leading exponent would never leave the work dict
     monkeypatch.setattr(sym, "e_monomial_expand", lambda beta, m: {(0,) * m: 1})
     with pytest.raises(CertificationError, match="does not lead"):
-        to_e_basis({(1, 0): 1}, 2)
+        to_e_basis({(1, 0): 1}, 1, 2)
