@@ -9,9 +9,12 @@ Every polynomial and jet here is symmetric and held in orbit form: the
 terms with weakly decreasing exponents, one per orbit of the symmetric
 group (see `sym`).  Every change of coordinates is one triangular
 integer table applied to every variable by `sweep`, which maps an orbit
-form straight to the orbit form of the image and never expands it; the
-four jet passes differ only in the table, built once per call (u = y - 1,
-so w = u/(1 + u)):
+form straight to the orbit form of the image and never expands it.  It
+sweeps the slots right to left, so a target is never below the targets
+already placed to its right, and a total cap drops every image term of
+total above it for any table, raising or lowering.  The four jet passes
+differ only in the table, built once per call (u = y - 1, so
+w = u/(1 + u)):
 
     y -> u   y^k = sum_{l <= k} C(k, l) u^l
     u -> y   u^l = sum_{k <= l} (-1)^(l-k) C(l, k) y^k
@@ -26,8 +29,8 @@ true ones unconditionally.  The transforms run on the integer numerators
 of a SparsePoly; its shared denominator passes through unchanged.
 
 The sampling extraction skips w.  `x_orbit` reads x-coefficients off a
-y-polynomial by two sweeps, y -> u restricted to exponents 1 .. amax,
-then the raising table
+y-polynomial by two sweeps under one total cap, y -> u restricted to
+exponents 1 .. amax, then the raising table
 
     u -> x   a! [x^a] u^l = l (a-1)! sum_{i=0}^{a-l} C(l+i, i) a^(a-l-i) / (a-l-i)!
 
@@ -112,37 +115,57 @@ def sweep(core: Core, arity: int, rows, total: int | None = None) -> Core:
 
     rows[k] lists (l, a) pairs in ascending l: every exponent k becomes
     sum a * (exponent l), the other exponents riding along.  With
-    `total`, targets beyond total minus the other exponents are dropped.
+    `total`, the image terms of total above it are dropped.
 
-    A state S + U joins the swept block S to the unswept block U, both
-    weakly decreasing.  One step takes each distinct v of U once (the
-    arrangements of an orbit differ in which value goes where, not in
-    which copy) and appends each target l <= min(S), so that S stays
-    sorted: a term with an unsorted S lies off the orbit form.  After
-    `arity` steps S is the exponent of the image.
+    The slots are swept right to left.  A state U + T joins the unswept
+    block U to the swept tail T, both weakly decreasing.  One step takes
+    each distinct v of U once (the arrangements of an orbit differ in
+    which value goes where, not in which copy) and puts each target
+    l >= T[0] in front of T, so that T stays sorted: a term with an
+    unsorted T lies off the orbit form.  After `arity` steps T is the
+    exponent of the image.
+
+    At slot i the i slots left of the new target all end at l or above,
+    so every image of the state has total at least sum(T) + (i + 1) l,
+    whatever the table: with `total`, a target above
+    (total - sum(T)) // (i + 1) is dropped.  Two more caps are read off
+    the table itself.  A raising table (no target below its source)
+    keeps the unswept exponents at or above where they are, so it also
+    drops a target above total minus the other exponents.  A lowering
+    table (no target above its source) can bring no unswept exponent up
+    to l unless it is already there, so it drops a target above the
+    least of the others.
     """
     if not all(map(is_orbit_exponent, core)):
         raise ValueError("sweep wants an orbit form: weakly decreasing exponents")
-    for i in range(arity):
+    raising = total is not None and all(not r or r[0][0] >= k for k, r in enumerate(rows))
+    lowering = all(not r or r[-1][0] <= k for k, r in enumerate(rows))
+    for i in range(arity - 1, -1, -1):
         out: Core = {}
         get = out.get
         unswept: dict = {}  # removals of each unswept block, made once
         for e, c in core.items():
-            u = e[i:]
+            u = e[:i + 1]
             rem = unswept.get(u)
             if rem is None:
                 rem = unswept[u] = removals(u)
-            head = e[:i]
-            top = e[i - 1] if i else math.inf
-            room = math.inf if total is None else total - sum(e)
+            tail = e[i + 1:]
+            low = tail[0] if tail else 0
+            cap = math.inf if total is None else (total - sum(tail)) // (i + 1)
+            if raising:
+                room = total - sum(e)
             for v, rest in rem:
-                cap = room + v
-                if cap > top:
-                    cap = top
+                top = cap
+                if raising and room + v < top:
+                    top = room + v
+                if lowering and rest and rest[-1] < top:
+                    top = rest[-1]
                 for l, a in rows[v]:
-                    if l > cap:
+                    if l < low:
+                        continue
+                    if l > top:
                         break
-                    key = head + (l,) + rest
+                    key = rest + (l,) + tail
                     out[key] = get(key, 0) + a * c
         core = {e: c for e, c in out.items() if c}
     return core
@@ -307,16 +330,18 @@ def x_orbit(p: SparsePoly, amax: int, total: int) -> Core:
     alpha with entries in 1 .. amax and |alpha| <= total, in orbit form:
     alpha maps to p.den prod_i alpha_i! [x^alpha] p, an integer.
 
-    Two sweeps.  y -> u keeps only the targets 1 <= l <= amax: [x^a] u^0
-    vanishes at a >= 1, and u^l reaches only x^a with a >= l, so the
-    dropped terms reach no such alpha.  So row 0 is empty, and the terms
-    with a zero exponent are left out before the sweep.  u -> x
-    (`u_to_x_rows`) only raises exponents, so its total cap drops
-    nothing inside the region.
+    Two sweeps, both capped at `total`.  y -> u keeps only the targets
+    1 <= l <= amax: [x^a] u^0 vanishes at a >= 1, and u^l reaches only
+    x^a with a >= l, so the dropped terms reach no such alpha.  So row 0
+    is empty, and the terms with a zero exponent are left out before the
+    sweep.  For the same reason a u-term of total above `total` reaches
+    only alpha of total above it, so the first sweep drops those too.
+    u -> x (`u_to_x_rows`) only raises exponents, and its cap drops
+    exactly the alpha outside the region.
     """
     if p.kind != "Y":
         raise ValueError("x_orbit wants a Y polynomial")
     rows = [[(l, math.comb(k, l)) for l in range(1, min(k, amax) + 1)]
             for k in range(top_exponent(p.num) + 1)]
-    core = sweep({e: c for e, c in p.num.items() if not e or e[-1]}, p.arity, rows)
+    core = sweep({e: c for e, c in p.num.items() if not e or e[-1]}, p.arity, rows, total)
     return sweep(core, p.arity, u_to_x_rows(amax), total)

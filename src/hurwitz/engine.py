@@ -42,7 +42,8 @@ one subtraction per term of f (`xdx_basis_convert`), and then rewrites f
 in the e-basis by subtracting integer Pieri expansions (`to_e_basis`).
 The sampling route reads f's values off Psi's x-coefficients by two
 orbit sweeps (`series.sweep`), y -> u and u -> x, with no w-jet between
-them, and compares each with f's value cross-multiplied, in integers.
+them and each capped at the sample plan's largest weight, and compares
+each with f's value cross-multiplied, in integers.
 
 Genus 0 cells come from the closed form (sum x_i d/dx_i)^(m-3) V_m, built
 in orbit form, and never touch the solver.
@@ -496,24 +497,12 @@ def _orbit_residual(orbit: SparsePoly, korbit: SparsePoly, c: int) -> SparsePoly
     return SparsePoly.from_core("Y", orbit.arity, acc, dk * dp)
 
 
-def _validate_psi(orbit: SparsePoly, m: int, g: int):
-    """The orbit form is symmetric by construction, so vanishing at
-    y_1 = 1 is vanishing at every y_i = 1, and its first exponents carry
-    the per-variable degree."""
-    if not _vanishes_at_one(orbit):
-        raise CertificationError(f"cell ({m},{g}) does not vanish at y_1 = 1")
-    if g >= 1:
-        bound = per_var_bound(m, g)
-        if max((e[0] for e in orbit.num), default=0) > bound:
-            raise CertificationError(
-                f"cell ({m},{g}) breaks the per-variable bound {bound}"
-            )
-
-
 def solve_pde(K: RhsRep) -> PsiRep:
     """Back-substitution on the orbit form (`_back_substitute`), with
     the exact equation check on the orbit forms (`_orbit_residual`) as
-    the gate."""
+    the gate.  The facts every cell has, vanishing at y_1 = 1 and its
+    degrees, are checked where a cell is taken in, fresh or cached
+    (`_check_orbit_form`), once per cell."""
     m, g = K.m, K.g
     c = m + 2 * g - 2
     if c < 1:
@@ -525,7 +514,6 @@ def solve_pde(K: RhsRep) -> PsiRep:
             f"no y-polynomial solution for ({m},{g}) within degree caps "
             f"{pv} per variable, {tot} total"
         )
-    _validate_psi(orbit, m, g)
     return PsiRep(m, g, orbit)
 
 
@@ -590,7 +578,10 @@ def _check_samples(orbit: SparsePoly, f_e: SparsePoly, m: int, g: int):
 
     The values come from one x-orbit form of the cell (`series.x_orbit`,
     two sweeps: y -> u, then u -> x), which holds
-    xs[parts] = Psi.den prod a! [x^parts] Psi, while f at parts is
+    xs[parts] = Psi.den prod a! [x^parts] Psi at every alpha with entries
+    in 1 .. amax, the plan's largest part, and total at most nmax, its
+    largest weight (amax = nmax - m + 1).  Both sweeps drop every term of
+    total above nmax, which no plan point reads.  f at parts is
     [x^parts] Psi prod a!/a^a.  So the check is the integer identity
     num_f(parts) Psi.den prod a^a = xs[parts] f_e.den, num_f being
     f_e's numerator at the elementary values of parts.  f_e's terms are
@@ -796,7 +787,8 @@ class Engine:
                     rep = psi0_base(m)
                 else:
                     rep = solve_pde(assemble_K(m, g, self._psi))
-                # as a cache read does; extract_f runs _check_f before _f marks it done
+                # the one check of a fresh cell's form, degrees and vanishing, as a
+                # cache read's; extract_f runs _check_f before _f marks it done
                 _check_orbit_form(rep.orbit, m, g)
                 self._psi[key] = rep
                 self._f[key] = extract_f(rep)

@@ -134,6 +134,11 @@ def dense_sweep(core: dict, arity: int, rows, total=None) -> dict:
     rows[k] lists (l, a) pairs in ascending l: the swept exponent k
     becomes sum a * (exponent l), the other exponents riding along.  With
     `total`, targets beyond total minus the other exponents are dropped.
+    That drops exactly the image terms of total above `total` only for a
+    raising table (no target below its source): a lowering table can
+    still bring a term over the cap back under it, so a capped orbit
+    sweep of such a table is held against the uncapped dense sweep, cut
+    afterwards.
     """
     for var in range(arity):
         groups: dict = {}

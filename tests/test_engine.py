@@ -677,6 +677,15 @@ def test_two_sweep_values_equal_the_w_jet_and_dense_routes(grid):
         assert got == dense_sampled_values(rep.poly, m, wdeg), (m, g)
 
 
+def test_two_sweep_values_equal_the_w_jet_route_on_the_staircase(staircase):
+    # the total cap of x_orbit's y -> u sweep drops most at depth
+    assert len(staircase) == 30
+    for (m, g), rep in staircase.items():
+        wdeg = max(m + 3 * g - 3, 0)
+        got = sampled_values(rep.orbit, m, wdeg)
+        assert got == w_jet_sampled_values(rep.orbit, m, wdeg), (m, g)
+
+
 def test_e_value_is_evaluate_at_the_elementary_values(grid):
     for (m, g), rep in grid.items():
         f_e = extract_f(rep).f_e
@@ -737,6 +746,39 @@ def test_cell_refuses_a_fresh_psi_off_its_total_degree(monkeypatch):
     with pytest.raises(CertificationError, match="total degree 3"):
         eng.cell(3, 0)
     assert eng.computed_cells() == []
+
+
+def test_cell_refuses_a_fresh_psi_off_its_per_variable_degree(monkeypatch):
+    # (y1 - 1)(y2 - 1) y1^2 y2^2 vanishes and has the total degree 6 of
+    # (2,1), but per-variable degree 3, not 5
+    def solve(K):
+        if (K.m, K.g) != (2, 1):
+            return solve_pde(K)
+        return PsiRep(2, 1, SparsePoly("Y", 2, {(3, 3): 1, (3, 2): -1, (2, 2): 1}))
+
+    monkeypatch.setattr(engine, "solve_pde", solve)
+    eng = Engine()
+    with pytest.raises(CertificationError, match="per-variable degree 5"):
+        eng.cell(2, 1)
+    assert (2, 1) not in eng.computed_cells()
+
+
+def test_a_fresh_cell_is_checked_for_vanishing_once(monkeypatch):
+    # once on each K assembled and once on each Psi, fresh or cached
+    seen = []
+    check = engine._vanishes_at_one
+
+    def counted(orbit):
+        seen.append(orbit)
+        return check(orbit)
+
+    monkeypatch.setattr(engine, "_vanishes_at_one", counted)
+    eng = Engine()
+    eng.cell(2, 2)
+    psis = [eng.psi(*k).orbit for k in eng.computed_cells()]
+    assert [sum(o is p for o in seen) for p in psis] == [1] * len(psis)
+    solved = sum(g >= 1 and (m, g) != (1, 1) for m, g in eng.computed_cells())
+    assert len(seen) == len(psis) + solved
 
 
 def test_f_extraction_matches_table():

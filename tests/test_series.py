@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hurwitz.algebra.poly import SparsePoly
 from hurwitz.algebra.series import (
@@ -156,12 +156,24 @@ def test_u_to_x_rows_compose_u_to_w_with_the_tree_powers(amax):
 @settings(max_examples=40, deadline=None)
 @given(ypolys(arity=3, max_exp=4, max_terms=5))
 def test_x_orbit_matches_the_dense_x_jet(p):
-    # every exponent with entries >= 1 and total <= order, nothing else
-    order = 6
-    xs = x_orbit(p, order, order)
-    xjet = compose_with_tree(dense_expand_y_to_w(expand_orbits(p), order, order), order)
-    assert all(e[-1] >= 1 and sum(e) <= order for e in xs)
-    region = {e for e in xjet.terms if e[-1] >= 1 and is_orbit_exponent(e)}
+    _assert_x_orbit_is_the_dense_x_jet(p, 6, 6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ypolys(arity=3, max_exp=8, max_terms=5))
+def test_x_orbit_in_the_engine_shape_matches_the_dense_x_jet(p):
+    # the sampling gate's shape: amax = total - arity + 1, the largest
+    # part of a plan point of weight total, with exponents of p past amax
+    # that the total cap of the y -> u sweep drops
+    _assert_x_orbit_is_the_dense_x_jet(p, 7 - p.arity + 1, 7)
+
+
+def _assert_x_orbit_is_the_dense_x_jet(p, amax, total):
+    # every exponent with entries in 1 .. amax and total <= total, nothing else
+    xs = x_orbit(p, amax, total)
+    xjet = compose_with_tree(dense_expand_y_to_w(expand_orbits(p), total, total), total)
+    assert all(e[-1] >= 1 and e[0] <= amax and sum(e) <= total for e in xs)
+    region = {e for e in xjet.terms if e[-1] >= 1 and e[0] <= amax and is_orbit_exponent(e)}
     for e in region | set(xs):
         want = xjet.coeff(e) * p.den * math.prod(map(math.factorial, e))
         assert xs.get(e, 0) == want, e
@@ -232,5 +244,27 @@ def test_orbit_sweep_is_the_orbit_form_of_the_dense_sweep(p, total):
     rows = [[(l, (k + 2) ** l - l) for l in range(k, 7)] for k in range(5)]
     dense = expand_orbits(p)
     want = SparsePoly.from_core("Y", 3, dense_sweep(dense.num, 3, rows, total), p.den)
+    got = SparsePoly.from_core("Y", 3, sweep(p.num, 3, rows, total), p.den)
+    assert got == orbit_form(want)
+
+
+# y -> u lowers every exponent; the other table moves each one down by
+# at most one or up by two, so it is neither raising nor lowering
+@pytest.mark.parametrize("table", [
+    lambda k: [(l, math.comb(k, l)) for l in range(k + 1)],
+    lambda k: [(l, (k + 2) ** l - l) for l in range(max(k - 1, 0), k + 3)],
+], ids=["lowering", "mixed"])
+@pytest.mark.parametrize("total", [0, 3, 6, 9])
+@given(p=ypolys(arity=3, max_exp=5, max_terms=5))
+@example(p=SparsePoly("Y", 3, {(2, 1, 0): 1}))  # a raising cap on the mixed table drops (2,1,0)
+@settings(deadline=None, max_examples=30)
+def test_a_capped_sweep_is_the_uncapped_dense_sweep_cut_at_the_total(p, table, total):
+    # the cap drops the image terms of total above it, whatever the
+    # table; the dense sweep's per-target cap is sound only for a
+    # raising one, so the reference is cut after an uncapped sweep
+    rows = [table(k) for k in range(6)]
+    dense = dense_sweep(expand_orbits(p).num, 3, rows)
+    want = {e: c for e, c in dense.items() if sum(e) <= total}
+    want = SparsePoly.from_core("Y", 3, want, p.den)
     got = SparsePoly.from_core("Y", 3, sweep(p.num, 3, rows, total), p.den)
     assert got == orbit_form(want)
