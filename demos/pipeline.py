@@ -19,12 +19,15 @@ def main():
     psi = eng.psi(m, g)
     cache = {k: eng.psi(*k) for k in eng.computed_cells()}
     K = assemble_K(m, g, cache)
-    print(f"right-hand side for ({m},{g}):")
-    print("   K =", K.poly)
-    print(f"\nsolved cell (scaling constant c = {m + 2 * g - 2}):")
-    print("   Psi =", psi.poly)
-    print(f"   per-variable degrees {psi.poly.per_var_degrees()}, "
-          f"total {psi.poly.total_degree()}")
+    # both are symmetric, so each is printed in orbit form: one term per
+    # orbit, with weakly decreasing exponents
+    print(f"right-hand side for ({m},{g}), in orbit form:")
+    print("   K =", K.orbit)
+    print(f"\nsolved cell (scaling constant c = {m + 2 * g - 2}), in orbit form:")
+    print("   Psi =", psi.orbit)
+    # the first exponent of an orbit term is its largest
+    print(f"   per-variable degree {max(e[0] for e in psi.orbit.num)}, "
+          f"total {psi.orbit.total_degree()}")
 
     fr = eng.f_result(m, g)
     print("\nextracted symmetric polynomial (e-basis):")

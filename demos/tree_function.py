@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 
 from hurwitz.algebra.poly import SparsePoly
-from hurwitz.algebra.series import expand_y_to_w, tree_coeffs, x_coefficient
+from hurwitz.algebra.series import tree_coeffs, x_orbit
 
 
 def main():
@@ -23,16 +23,15 @@ def main():
         str(Fraction(n ** (n - 1), math.factorial(n))) for n in range(1, order + 1)
     ))
 
-    # y = 1/(1-w) counts nothing by itself, but every coefficient is
-    # visible: [w^k] y = 1 for all k
+    # y = 1/(1-w) = 1 + w + w^2 + ... counts nothing by itself, but in
+    # x-coordinates [x^n] y = n^n/n!.  x_orbit reads the x-coefficients
+    # off the y-polynomial by two sweeps, y -> u and u -> x, scaled by
+    # n! and the polynomial's denominator
     y = SparsePoly.variable("Y", 1, 0)
-    jet = expand_y_to_w(y, order)
-    print("\n[w^k] y for k = 0..8:", [str(jet.coeff((k,))) for k in range(order + 1)])
-
-    # and in x-coordinates [x^n] y = n^n/n!
+    xs = x_orbit(y, 6, 6)
     print("[x^n] y for n = 1..6:")
     for n in range(1, 7):
-        got = x_coefficient(jet, (n,))
+        got = Fraction(xs.get((n,), 0), y.den * math.factorial(n))
         assert got == Fraction(n ** n, math.factorial(n))
         print(f"   n={n}: {got}")
 

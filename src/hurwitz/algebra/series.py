@@ -134,10 +134,9 @@ def sweep(core: Core, arity: int, rows, total: int | None = None) -> Core:
     drops a target above total minus the other exponents.  A lowering
     table (no target above its source) can bring no unswept exponent up
     to l unless it is already there, so it drops a target above the
-    least of the others.
+    least of the others.  `core` must be an orbit form; it is checked
+    once per whole polynomial, in `top_exponent`, not here.
     """
-    if not all(map(is_orbit_exponent, core)):
-        raise ValueError("sweep wants an orbit form: weakly decreasing exponents")
     raising = total is not None and all(not r or r[0][0] >= k for k, r in enumerate(rows))
     lowering = all(not r or r[-1][0] <= k for k, r in enumerate(rows))
     for i in range(arity - 1, -1, -1):
@@ -172,10 +171,13 @@ def sweep(core: Core, arity: int, rows, total: int | None = None) -> Core:
 
 
 def top_exponent(core: Core) -> int:
-    """The largest exponent in core, which sizes a sweep table.  A table
-    would read a negative exponent from its far end, so it is refused."""
+    """The largest exponent in core, which sizes a sweep table.  A negative
+    exponent (a table reads it from its far end) and one off the orbit
+    form (its sweep loses its orbit's other terms) are refused."""
     if min(map(min, filter(None, core)), default=0) < 0:
         raise ValueError("negative exponent has no polynomial form")
+    if not all(map(is_orbit_exponent, core)):
+        raise ValueError("sweep wants an orbit form: weakly decreasing exponents")
     return max(map(max, filter(None, core)), default=0)
 
 

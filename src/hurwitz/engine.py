@@ -60,7 +60,7 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 from typing import (
-    Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+    Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
 )
 
 # apply_xdx, diag_fold and divide_ydiff are not called here: assembly
@@ -361,32 +361,20 @@ K11 = SparsePoly(
 )
 
 
-def assemble_K(m: int, g: int, psi_cache: Mapping[Tuple[int, int], PsiRep]) -> RhsRep:
-    """Right-hand side for cell (m, g), g >= 1, in orbit form, from the
-    orbit forms of lower cells.  Each summand's rows are scaled to one
-    common denominator and all of them go through one placement sum."""
-    if g < 1:
-        raise ValueError("assembly applies to positive genus")
-    if (m, g) == (1, 1):
-        return RhsRep(1, 1, K11)
-
-    def cell(mm: int, gg: int) -> SparsePoly:
-        try:
-            return psi_cache[(mm, gg)].orbit
-        except KeyError:
-            raise BudgetExceeded(f"assembly of ({m},{g}) needs cell ({mm},{gg})")
-
-    # (divisor, row builder, cells) of each summand
+def _summands(m: int, g: int) -> Iterator[tuple]:
+    """(divisor, row builder, input cell keys) of each summand of K for
+    cell (m, g), g >= 1 but (1, 1): the one statement of the recursion,
+    which assembly reads and the dependency walk `_deps` follows."""
     # T1: two derivatives of the (m+1, g-1) cell, then diagonal y_2 -> y_1
-    parts = [(2, _diag_rows, (cell(m + 1, g - 1),))]
+    yield (2, _diag_rows, ((m + 1, g - 1),))
     # T2: merge two variables through the exact division by y_r - y_s; the
     # quotient is symmetric in r and s, so the sum over ordered pairs
     # (r; s) counts each unordered pair twice
     if m >= 2:
-        parts.append((2, _merge_rows, (cell(m - 1, g),)))
+        yield (2, _merge_rows, ((m - 1, g),))
     # T3: genus-0 factor times the rest, all variable splits
     for k in range(3, m + 1):
-        parts.append((1, _product_rows, (cell(k, 0), cell(m - k + 1, g))))
+        yield (1, _product_rows, ((k, 0), (m - k + 1, g)))
     # T4: positive-genus splits.  Swapping the factors swaps S and T, which
     # the sum over placements does not see, so each unordered pair
     # {(k, ga), (m-k+1, g-ga)} is taken once and only the pair that is its
@@ -395,9 +383,26 @@ def assemble_K(m: int, g: int, psi_cache: Mapping[Tuple[int, int], PsiRep]) -> R
         for k in range(1, m + 1):
             mirror = (g - ga, m - k + 1)
             if (ga, k) <= mirror:
-                parts.append((2 if (ga, k) == mirror else 1, _product_rows,
-                              (cell(k, ga), cell(m - k + 1, g - ga))))
+                yield (2 if (ga, k) == mirror else 1, _product_rows,
+                       ((k, ga), (m - k + 1, g - ga)))
 
+
+def assemble_K(m: int, g: int, psi_cache: Mapping[Tuple[int, int], PsiRep]) -> RhsRep:
+    """Right-hand side for cell (m, g), g >= 1, in orbit form, from the
+    orbit forms of lower cells.  Each summand's rows (`_summands`) are scaled
+    to one common denominator and all of them go through one placement sum."""
+    if g < 1:
+        raise ValueError("assembly applies to positive genus")
+    if (m, g) == (1, 1):
+        return RhsRep(1, 1, K11)
+
+    def cell(key: Tuple[int, int]) -> SparsePoly:
+        try:
+            return psi_cache[key].orbit
+        except KeyError:
+            raise BudgetExceeded("assembly of ({},{}) needs cell ({},{})".format(m, g, *key))
+
+    parts = [(div, make, [cell(key) for key in keys]) for div, make, keys in _summands(m, g)]
     dens = [div * math.prod(f.den for f in fs) for div, _, fs in parts]
     den = math.lcm(*dens)
     rows = (row for d, (_, make, fs) in zip(dens, parts) for row in make(*fs, den // d))
@@ -687,25 +692,11 @@ def _decode_cell(m: int, g: int, data: bytes) -> Optional[Tuple[PsiRep, FResult]
 # ----- orchestration ------------------------------------------------------
 
 def _deps(m: int, g: int) -> List[Tuple[int, int]]:
+    """The cells assembly of (m, g) reads, each once, in the order of
+    `_summands`: the order `Engine.cell` computes them in."""
     if g == 0 or (m, g) == (1, 1):
         return []
-    out = [(m + 1, g - 1)]
-    if m >= 2:
-        out.append((m - 1, g))
-    for k in range(3, m + 1):
-        out.append((k, 0))
-        out.append((m - k + 1, g))
-    for ga in range(1, g):
-        for k in range(1, m + 1):
-            out.append((k, ga))
-            out.append((m - k + 1, g - ga))
-    seen = set()
-    uniq = []
-    for d in out:
-        if d not in seen and d != (m, g):
-            seen.add(d)
-            uniq.append(d)
-    return uniq
+    return list(dict.fromkeys(key for _, _, keys in _summands(m, g) for key in keys))
 
 
 class Engine:
@@ -788,10 +779,9 @@ class Engine:
                 else:
                     rep = solve_pde(assemble_K(m, g, self._psi))
                 # the one check of a fresh cell's form, degrees and vanishing, as a
-                # cache read's; extract_f runs _check_f before _f marks it done
+                # cache read's; only a cell extract_f (and _check_f) passes is stored
                 _check_orbit_form(rep.orbit, m, g)
-                self._psi[key] = rep
-                self._f[key] = extract_f(rep)
+                self._psi[key], self._f[key] = rep, extract_f(rep)
                 self._save(m, g)
         return self._psi[key], self._f[key]
 

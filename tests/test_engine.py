@@ -285,11 +285,11 @@ def test_a_mutated_orbit_sum_fails_the_vanishing_check(grid, monkeypatch, mutate
 
 # T4's self-mirrored pairs sit at odd m and even g: (1,2), (3,2), (1,4)
 @pytest.mark.parametrize("name,old,new", [
-    ("assemble_K", "2 if (ga, k) == mirror else 1", "1"),
-    ("assemble_K", "if (ga, k) <= mirror:", "if True:"),
+    ("_summands", "2 if (ga, k) == mirror else 1", "1"),
+    ("_summands", "if (ga, k) <= mirror:", "if True:"),
     ("_merge_rows", "if b:", "if True:"),
     ("_diag_rows", "- 2 * p", "- p"),
-    ("assemble_K", "(2, _merge_rows", "(1, _merge_rows"),
+    ("_summands", "(2, _merge_rows", "(1, _merge_rows"),
     ("_diag_rows", "(2 if v2 < v1 else 1) * ", ""),
     ("_merge_rows", "2 * c", "c"),
     ("theta_symmetrize", "(tail.count(k) + 1) * c", "c"),
@@ -833,6 +833,52 @@ def test_budget_guard_reports_progress():
     assert "(2, 1)" in str(ei.value)
     with pytest.raises(BudgetExceeded):
         eng.cell(2, 0)  # no genus-0 cell below three variables
+
+
+def test_an_extraction_that_raises_leaves_its_cell_unreported(monkeypatch):
+    extract = engine.extract_f
+
+    def refuse_2_1(psi):
+        if (psi.m, psi.g) == (2, 1):
+            raise RouteDisagreement("refused on purpose")
+        return extract(psi)
+
+    monkeypatch.setattr(engine, "extract_f", refuse_2_1)
+    eng = Engine(budgets={1: 2})
+    with pytest.raises(RouteDisagreement):
+        eng.cell(2, 1)
+    with pytest.raises(BudgetExceeded) as ei:
+        eng.cell(3, 1)
+    assert "(1, 1)" in str(ei.value) and "(2, 1)" not in str(ei.value)
+    assert (2, 1) not in eng.computed_cells()
+
+
+class _Recording(dict):
+    """A cell mapping that records every key assembly reads."""
+
+    def __init__(self, cells):
+        super().__init__(cells)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def test_the_dependency_walk_is_what_assembly_reads(grid, staircase):
+    for cells in (grid, staircase):
+        for m, g in cells:
+            if g:
+                rec = _Recording(cells)
+                assemble_K(m, g, rec)
+                assert rec.read == set(engine._deps(m, g)), (m, g)
+
+
+def test_the_dependency_order_is_pinned():
+    # the order decides which cells a refused request leaves computed
+    assert engine._deps(3, 2) == [(4, 1), (2, 2), (3, 0), (1, 2), (1, 1), (3, 1), (2, 1)]
+    assert engine._deps(2, 4) == [(3, 3), (1, 4), (1, 1), (2, 3), (2, 1), (1, 3), (1, 2),
+                                  (2, 2)]
 
 
 def test_every_budgeted_cell_depends_on_budgeted_cells():

@@ -229,6 +229,8 @@ def test_sweep_refuses_an_exponent_off_the_orbit_form():
     # a dense polynomial swept as an orbit form would lose its other terms
     with pytest.raises(ValueError, match="orbit form"):
         core_y_to_u({(1, 2): 1}, 2)
+    with pytest.raises(ValueError, match="orbit form"):
+        x_orbit(SparsePoly("Y", 2, {(1, 2): Fraction(1)}), 3, 3)
 
 
 @given(ypolys(arity=1, max_exp=4))
