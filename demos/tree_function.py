@@ -27,7 +27,7 @@ def main():
     # x-coordinates [x^n] y = n^n/n!.  x_orbit reads the x-coefficients
     # off the y-polynomial by two sweeps, y -> u and u -> x, scaled by
     # n! and the polynomial's denominator
-    y = SparsePoly.variable("Y", 1, 0)
+    y = SparsePoly.from_core("Y", 1, {(1,): 1})
     xs = x_orbit(y, 6, 6)
     print("[x^n] y for n = 1..6:")
     for n in range(1, 7):

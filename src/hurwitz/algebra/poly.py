@@ -4,12 +4,11 @@ A polynomial is stored as integer numerators over one shared
 denominator: `num` maps exponent tuples to nonzero ints and `den` is a
 positive int with gcd(den, *num.values()) == 1, so equal polynomials
 have equal storage.  The zero polynomial has an empty `num` and den 1.
-Fractions appear only at the API edge (`terms`, `coeff`, `evaluate`,
-`sorted_terms`, `to_obj`).  Exponents are ints and may be negative (a few
-downstream objects are honest Laurent polynomials).  Every polynomial
-carries a variable kind tag and an arity; arithmetic between mismatched
-kinds or arities is refused, which catches a whole family of plumbing
-mistakes (e.g. adding a y-form to a w-jet).
+Fractions appear only at the API edge (`terms`, `coeff`, `sorted_terms`,
+`to_obj`).  Exponents are ints and may be negative (a few downstream
+objects are honest Laurent polynomials).  Every polynomial carries a
+variable kind tag and an arity.  The class stores, compares and
+serializes; the package computes on `num` and `den` directly.
 
 Kinds:
     Y   y_i = 1/(1 - w_i), the working coordinates of the solved forms
@@ -46,8 +45,7 @@ def _as_fraction(v) -> Fraction:
 class SparsePoly:
     """Immutable-by-convention sparse polynomial.
 
-    Callers must not mutate `num` after construction; all methods return
-    new objects.
+    Callers must not mutate `num` after construction.
     """
 
     __slots__ = ("kind", "arity", "num", "den")
@@ -92,27 +90,6 @@ class SparsePoly:
         self = cls.__new__(cls)
         self._set(kind, arity, num, den)
         return self
-
-    @classmethod
-    def zero(cls, kind: str, arity: int) -> "SparsePoly":
-        return cls(kind, arity)
-
-    @classmethod
-    def const(cls, kind: str, arity: int, value) -> "SparsePoly":
-        return cls(kind, arity, {(0,) * arity: value})
-
-    @classmethod
-    def variable(cls, kind: str, arity: int, index: int, power: int = 1) -> "SparsePoly":
-        """The monomial (var_index)^power.  Index is 0-based."""
-        if not 0 <= index < arity:
-            raise IndexError(f"variable index {index} out of range for arity {arity}")
-        exps = [0] * arity
-        exps[index] = power
-        return cls(kind, arity, {tuple(exps): 1})
-
-    @classmethod
-    def monomial(cls, kind: str, exps: Sequence[int], coeff) -> "SparsePoly":
-        return cls(kind, len(exps), {tuple(exps): coeff})
 
     # ----- basic queries ------------------------------------------------
 
@@ -162,95 +139,6 @@ class SparsePoly:
                 if v < mins[i]:
                     mins[i] = v
         return tuple(mins)
-
-    # ----- arithmetic ---------------------------------------------------
-
-    def _check_compat(self, other: "SparsePoly") -> None:
-        if self.kind != other.kind or self.arity != other.arity:
-            raise ValueError(
-                f"incompatible polynomials: {self.kind}/{self.arity} vs {other.kind}/{other.arity}"
-            )
-
-    def _combine(self, other: "SparsePoly", sign: int) -> "SparsePoly":
-        """self + sign * other over the common denominator."""
-        self._check_compat(other)
-        den = math.lcm(self.den, other.den)
-        ka, kb = den // self.den, sign * (den // other.den)
-        out = {e: ka * c for e, c in self.num.items()}
-        for e, c in other.num.items():
-            out[e] = out.get(e, 0) + kb * c
-        return SparsePoly.from_core(self.kind, self.arity, out, den)
-
-    def __add__(self, other: "SparsePoly") -> "SparsePoly":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "SparsePoly") -> "SparsePoly":
-        return self._combine(other, -1)
-
-    def __neg__(self) -> "SparsePoly":
-        return SparsePoly.from_core(
-            self.kind, self.arity, {e: -c for e, c in self.num.items()}, self.den)
-
-    def scale(self, c) -> "SparsePoly":
-        c = _as_fraction(c)
-        k = c.numerator
-        return SparsePoly.from_core(
-            self.kind, self.arity, {e: k * v for e, v in self.num.items()},
-            self.den * c.denominator)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        self._check_compat(other)
-        # iterate the smaller factor on the outside
-        a, b = self.num, other.num
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                out[e] = out.get(e, 0) + ca * cb
-        return SparsePoly.from_core(self.kind, self.arity, out, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    # ----- structural operations ---------------------------------------
-
-    def embed(self, arity: int, positions: Sequence[int]) -> "SparsePoly":
-        """View this polynomial inside a larger variable set.
-
-        Old variable i lands at positions[i]; new slots are absent from
-        every term (exponent 0).
-        """
-        if len(positions) != self.arity:
-            raise ValueError("positions must list a target for every variable")
-        if len(set(positions)) != self.arity or any(not 0 <= p < arity for p in positions):
-            raise ValueError(f"bad embedding {positions} into arity {arity}")
-        out: dict = {}
-        for e, c in self.num.items():
-            ne = [0] * arity
-            for i, v in enumerate(e):
-                ne[positions[i]] = v
-            out[tuple(ne)] = c
-        return SparsePoly.from_core(self.kind, arity, out, self.den)
-
-    def evaluate(self, values: Sequence) -> Fraction:
-        """Full evaluation at rational points."""
-        if len(values) != self.arity:
-            raise ValueError("value count must match arity")
-        vals = [_as_fraction(v) for v in values]
-        total = Fraction(0)
-        for e, c in self.num.items():
-            term = c
-            for v, k in zip(vals, e):
-                if k == 0:
-                    continue
-                if v == 0 and k < 0:
-                    raise ZeroDivisionError("negative exponent at zero")
-                term *= v ** k
-            total += term
-        return total / self.den
 
     # ----- ordering and serialization -----------------------------------
 

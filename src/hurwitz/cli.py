@@ -130,9 +130,13 @@ def _table_f_poly(g: int, m: int) -> SparsePoly:
     if g == 0:
         if m < 3:
             raise BudgetExceeded("genus-0 polynomials start at m = 3")
-        return SparsePoly("E", m, {
-            tuple([m - 3] + [0] * (m - 1)): Fraction(1)
-        })
+        # the smallest alpha with m parts is 1^m: refuse an m that no
+        # `compute` request can reach before building m-variable exponents
+        if m > INPUT_N_MAX or 2 * m - 2 > INPUT_J_MAX:
+            raise BudgetExceeded(
+                f"genus-0 polynomials need an alpha of m parts within n <= "
+                f"{INPUT_N_MAX} and j = n + m - 2 <= {INPUT_J_MAX}")
+        return SparsePoly.from_core("E", m, {(m - 3,) + (0,) * (m - 1): 1})
     return formulas.f_table(g, m)
 
 

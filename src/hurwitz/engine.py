@@ -56,7 +56,6 @@ import json
 import math
 import os
 import re
-from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 from typing import (
@@ -356,9 +355,7 @@ def psi0_base(m: int) -> PsiRep:
 
 # ----- assembly -----------------------------------------------------------
 
-K11 = SparsePoly(
-    "Y", 1, {(4,): Fraction(1, 8), (3,): Fraction(-1, 6), (0,): Fraction(1, 24)}
-)
+K11 = SparsePoly.from_core("Y", 1, {(4,): 3, (3,): -4, (0,): 1}, 24)
 
 
 def _summands(m: int, g: int) -> Iterator[tuple]:

@@ -25,7 +25,6 @@ from .errors import BudgetExceeded, CertificationError
 from .partitions import Partition, class_size, partitions
 
 __all__ = [
-    "ClassVector",
     "FactorizationTable",
     "dfs_count",
     "cutjoin_step",
@@ -42,14 +41,6 @@ J_BUDGET = 14
 # the slowest call in these guards, (6, 14), takes under a second
 DFS_N_GUARD = 6
 DFS_J_GUARD = 14
-
-
-class ClassVector:
-    __slots__ = ("n", "counts")
-
-    def __init__(self, n: int, counts: Optional[Dict[Partition, int]] = None):
-        self.n = n
-        self.counts = {} if counts is None else counts
 
 
 class FactorizationTable:
@@ -121,15 +112,15 @@ def dfs_count(alpha: Partition, j: int, require_transitive: bool) -> int:
 
 # ----- class-vector recurrence --------------------------------------------
 
-def cutjoin_step(v: ClassVector) -> ClassVector:
-    """Counts after right-multiplying by one more transposition."""
+def cutjoin_step(v: Dict[Partition, int]) -> Dict[Partition, int]:
+    """{class: count} after right-multiplying by one more transposition."""
     out: Dict[Partition, int] = {}
 
     def add(parts: tuple, c: int):
         key = Partition(tuple(sorted(parts, reverse=True)))
         out[key] = out.get(key, 0) + c
 
-    for lam, cnt in v.counts.items():
+    for lam, cnt in v.items():
         if not cnt:
             continue
         mult: Dict[int, int] = {}
@@ -151,7 +142,7 @@ def cutjoin_step(v: ClassVector) -> ClassVector:
             for a in range(1, c // 2 + 1):
                 ways = kc * (c // 2 if 2 * a == c else c)
                 add(_replace(lam.parts, (c,), (a, c - a)), cnt * ways)
-    return ClassVector(v.n, out)
+    return out
 
 
 def _replace(parts: tuple, remove: tuple, insert: tuple) -> tuple:
@@ -172,14 +163,14 @@ def all_counts(n_max: int, j_max: int) -> FactorizationTable:
     table = FactorizationTable("all")
     for n in range(1, n_max + 1):
         npairs = n * (n - 1) // 2
-        v = ClassVector(n, {Partition((1,) * n): 1})
+        v = {Partition((1,) * n): 1}
         for j in range(j_max + 1):
-            mass = sum(v.counts.values())
+            mass = sum(v.values())
             if mass != npairs ** j:
                 raise CertificationError(
                     f"mass drifted at n={n}, j={j}: {mass} != {npairs}^{j}"
                 )
-            for lam, cnt in v.counts.items():
+            for lam, cnt in v.items():
                 if not cnt:
                     continue
                 size = class_size(lam)

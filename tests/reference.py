@@ -23,10 +23,102 @@ from hurwitz.partitions import Partition, class_size
 
 
 # ----- dense polynomial helpers ---------------------------------------------
+# Ring operations on whole polynomials.  Operands must agree in kind and
+# arity, which catches plumbing mistakes such as adding a y-form to a w-jet.
+
+def _check_compat(a: SparsePoly, b: SparsePoly) -> None:
+    if a.kind != b.kind or a.arity != b.arity:
+        raise ValueError(
+            f"incompatible polynomials: {a.kind}/{a.arity} vs {b.kind}/{b.arity}")
+
+
+def _combine(a: SparsePoly, b: SparsePoly, sign: int) -> SparsePoly:
+    """a + sign * b over the common denominator."""
+    _check_compat(a, b)
+    den = math.lcm(a.den, b.den)
+    ka, kb = den // a.den, sign * (den // b.den)
+    out = {e: ka * c for e, c in a.num.items()}
+    for e, c in b.num.items():
+        out[e] = out.get(e, 0) + kb * c
+    return SparsePoly.from_core(a.kind, a.arity, out, den)
+
+
+def add(p: SparsePoly, *more: SparsePoly) -> SparsePoly:
+    for q in more:
+        p = _combine(p, q, 1)
+    return p
+
+
+def sub(a: SparsePoly, b: SparsePoly) -> SparsePoly:
+    return _combine(a, b, -1)
+
+
+def scale(p: SparsePoly, c) -> SparsePoly:
+    """c p for an int or Fraction c."""
+    c = Fraction(c)
+    return SparsePoly.from_core(
+        p.kind, p.arity, {e: c.numerator * v for e, v in p.num.items()},
+        p.den * c.denominator)
+
+
+def mul(p: SparsePoly, *more: SparsePoly) -> SparsePoly:
+    for q in more:
+        _check_compat(p, q)
+        out: dict = {}
+        for ea, ca in p.num.items():
+            for eb, cb in q.num.items():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                out[e] = out.get(e, 0) + ca * cb
+        p = SparsePoly.from_core(p.kind, p.arity, out, p.den * q.den)
+    return p
+
+
+def const(kind: str, arity: int, value) -> SparsePoly:
+    return SparsePoly(kind, arity, {(0,) * arity: value})
+
+
+def var(kind: str, arity: int, index: int, power: int = 1) -> SparsePoly:
+    """The monomial (variable index)^power, index 0-based."""
+    if not 0 <= index < arity:
+        raise IndexError(f"variable index {index} out of range for arity {arity}")
+    exps = [0] * arity
+    exps[index] = power
+    return SparsePoly(kind, arity, {tuple(exps): 1})
+
+
+def embed(p: SparsePoly, arity: int, positions) -> SparsePoly:
+    """p inside a larger variable set: old variable i lands at
+    positions[i], and the new slots have exponent 0 in every term."""
+    if len(positions) != p.arity:
+        raise ValueError("positions must list a target for every variable")
+    if len(set(positions)) != p.arity or any(not 0 <= q < arity for q in positions):
+        raise ValueError(f"bad embedding {positions} into arity {arity}")
+    out: dict = {}
+    for e, c in p.num.items():
+        ne = [0] * arity
+        for i, v in enumerate(e):
+            ne[positions[i]] = v
+        out[tuple(ne)] = c
+    return SparsePoly.from_core(p.kind, arity, out, p.den)
+
+
+def evaluate(p: SparsePoly, values) -> Fraction:
+    """p at a rational point."""
+    if len(values) != p.arity:
+        raise ValueError("value count must match arity")
+    total = Fraction(0)
+    for e, c in p.num.items():
+        term = Fraction(c)
+        for v, k in zip(values, e):
+            if k:
+                term *= Fraction(v) ** k
+        total += term
+    return total / p.den
+
 
 def permute(p: SparsePoly, perm) -> SparsePoly:
     """Relabel variables: old variable i becomes variable perm[i]."""
-    return p.embed(p.arity, perm)
+    return embed(p, p.arity, perm)
 
 
 def substitute_one(p: SparsePoly, index: int) -> SparsePoly:
@@ -436,7 +528,7 @@ def _pair_product(a: SparsePoly, b: SparsePoly, m: int) -> SparsePoly:
     """Embed two first-slot-differentiated cells sharing the special
     variable and multiply: slots (0; 1..k-1; k..m-1)."""
     k = a.arity
-    return a.embed(m, [0] + list(range(1, k))) * b.embed(m, [0] + list(range(k, m)))
+    return mul(embed(a, m, [0] + list(range(1, k))), embed(b, m, [0] + list(range(k, m))))
 
 
 def dense_assemble_K(m: int, g: int, psi_cache) -> SparsePoly:
@@ -448,30 +540,30 @@ def dense_assemble_K(m: int, g: int, psi_cache) -> SparsePoly:
     half = Fraction(1, 2)
     src = cell(m + 1, g - 1)
     folded = diag_fold(apply_xdx(apply_xdx(src, 0), m), 0, m)
-    K = dense_theta(folded, 0, m).scale(half)
+    K = scale(dense_theta(folded, 0, m), half)
     if m >= 2:
         xg = apply_xdx(cell(m - 1, g), 0)
-        gr = xg.embed(m, [0] + list(range(2, m)))
-        gs = xg.embed(m, [1] + list(range(2, m)))
-        y_r = SparsePoly.variable("Y", m, 0)
-        y_s = SparsePoly.variable("Y", m, 1)
-        one = SparsePoly.const("Y", m, 1)
-        num = (y_s - one) * y_r * y_r * gr - (y_r - one) * y_s * y_s * gs
+        gr = embed(xg, m, [0] + list(range(2, m)))
+        gs = embed(xg, m, [1] + list(range(2, m)))
+        y_r = var("Y", m, 0)
+        y_s = var("Y", m, 1)
+        one = const("Y", m, 1)
+        num = sub(mul(sub(y_s, one), y_r, y_r, gr), mul(sub(y_r, one), y_s, y_s, gs))
         f01 = divide_ydiff(num, 0, 1)
         pairs = [
             [r, s] + [v for v in range(m) if v != r and v != s]
             for r, s in combinations(range(m), 2)
         ]
-        K = K + _sum_permuted(f01, pairs)
+        K = add(K, _sum_permuted(f01, pairs))
     for k in range(3, m + 1):
         a = apply_xdx(cell(k, 0), 0)
         b = apply_xdx(cell(m - k + 1, g), 0)
-        K = K + dense_theta(_pair_product(a, b, m), k - 1, m)
+        K = add(K, dense_theta(_pair_product(a, b, m), k - 1, m))
     for ga in range(1, g):
         for k in range(1, m + 1):
             a = apply_xdx(cell(k, ga), 0)
             b = apply_xdx(cell(m - k + 1, g - ga), 0)
-            K = K + dense_theta(_pair_product(a, b, m), k - 1, m).scale(half)
+            K = add(K, scale(dense_theta(_pair_product(a, b, m), k - 1, m), half))
     return K
 
 

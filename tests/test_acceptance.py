@@ -25,7 +25,7 @@ from hurwitz.formulas import (
 )
 from hurwitz.oracle import c_count, dfs_count, mu_count
 from hurwitz.partitions import Partition, partitions
-from reference import apply_wdw, is_symmetric, substitute_one
+from reference import add, apply_wdw, evaluate, is_symmetric, scale, substitute_one
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +42,7 @@ def _engine_side_c(engine: Engine, alpha: Partition, g: int) -> int:
         f = f_genus0(alpha)
     else:
         fr = engine.f_result(m, g)
-        f = fr.f_e.evaluate([Fraction(v) for v in elementary_values(alpha.parts, m)])
+        f = evaluate(fr.f_e, elementary_values(alpha.parts, m))
     return hurwitz(alpha, g, f).c
 
 
@@ -113,9 +113,7 @@ def test_criterion_6_solution_certificates(engine):
         # the equation itself, re-checked through the operator module
         K = assemble_K(m, g, {k: engine.psi(*k) for k in engine.computed_cells()})
         c = m + 2 * g - 2
-        lhs = poly.scale(c)
-        for var in range(m):
-            lhs = lhs + apply_wdw(poly, var)
+        lhs = add(scale(poly, c), *(apply_wdw(poly, var) for var in range(m)))
         assert lhs == K.poly, f"equation fails at ({m},{g})"
 
         pv = poly.per_var_degrees()
@@ -138,7 +136,7 @@ def test_criterion_7_advisory_reports():
             for lam in partitions(n):
                 if lam.m != m:
                     continue
-                got = poly.evaluate([Fraction(v) for v in elementary_values(lam.parts, m)])
+                got = evaluate(poly, elementary_values(lam.parts, m))
                 if got != f1_conjecture(lam):
                     advisories.append(f"genus-1 conjecture fails at {lam}")
     if advisories:

@@ -16,6 +16,7 @@ from hurwitz.engine import CACHE_VERSION, Engine, _deps
 from hurwitz.errors import BudgetExceeded
 from hurwitz.formulas import f_table
 from hurwitz.partitions import Partition
+from reference import scale
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -171,6 +172,17 @@ def test_table_genus0_needs_three_parts(capsys):
     assert run(["table", "--genus", "0", "--m", "3", "--format", "csv"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert "0-0-0,1" in lines[-1]
+
+
+def test_table_genus0_stops_where_compute_does(capsys, monkeypatch):
+    # 1^m, the smallest alpha of m parts, needs j = 2m - 2 <= INPUT_J_MAX,
+    # so m = 81 is the last genus-0 polynomial some request can reach
+    assert run(["table", "--genus", "0", "--m", "81", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.split("\n")[1] == "78" + "-0" * 80 + ",1"
+    # the refusal comes before anything sized by m is built
+    monkeypatch.setattr(cli, "SparsePoly", None)
+    assert run(["table", "--genus", "0", "--m", "82"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_table_values_grid(capsys):
@@ -349,7 +361,7 @@ def test_cache_status_lists_cells_and_stale_files(tmp_path, capsys):
 
 
 def _scaled_f(obj):
-    obj["f_e"] = f_table(1, 2).scale(54).to_obj()
+    obj["f_e"] = scale(f_table(1, 2), 54).to_obj()
 
 
 def _empty_psi_scaled_f(obj):

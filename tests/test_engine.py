@@ -50,9 +50,11 @@ from hurwitz.formulas import f_table
 from hurwitz.oracle import c_count
 from hurwitz.partitions import Partition
 from reference import (
+    add,
     apply_wdw,
     as_fractions,
     compose_with_tree,
+    const,
     dense_assemble_K,
     dense_expand_y_to_w,
     dense_extract_f,
@@ -60,10 +62,15 @@ from reference import (
     dense_residual,
     dense_sampled_values,
     dense_solve,
+    evaluate,
     forward_basis_convert,
+    mul,
     orbit_form,
     permute,
     sampled_values,
+    scale,
+    sub,
+    var,
     w_jet_sampled_values,
 )
 
@@ -85,11 +92,8 @@ XDX_PSI02_X_NUM = (0, -1)
 
 def test_psi0_base_three_variables():
     v3 = psi0_base(3).poly
-    expect = SparsePoly.const("Y", 3, 1)
-    one = SparsePoly.const("Y", 3, 1)
-    for i in range(3):
-        expect = expect * (SparsePoly.variable("Y", 3, i) - one)
-    assert v3 == expect
+    one = const("Y", 3, 1)
+    assert v3 == mul(*(sub(var("Y", 3, i), one) for i in range(3)))
     with pytest.raises(ValueError):
         psi0_base(2)
 
@@ -105,12 +109,12 @@ def test_genus0_extraction_is_power_of_e1():
 
 def test_one_variable_seed_is_the_tree_function():
     seed = XDX_PSI01
-    y = SparsePoly.variable("Y", 1, 0)
-    assert y * seed == y - SparsePoly.const("Y", 1, 1)
+    y = var("Y", 1, 0)
+    assert mul(y, seed) == sub(y, const("Y", 1, 1))
     # numeric: at y = 1/(1-w) the seed takes the value w
     for w in (Fraction(1, 3), Fraction(-2, 5), Fraction(7, 2)):
         yv = 1 / (1 - w)
-        assert seed.evaluate([yv]) == w
+        assert evaluate(seed, [yv]) == w
 
 
 def test_one_variable_counts_close_the_loop():
@@ -209,7 +213,7 @@ def test_theta_placements():
             expect[tuple(e)] = expect.get(tuple(e), 0) + Fraction(1)
     assert expand_orbits(got) == SparsePoly("Y", 3, expect)
     # placement count: m * C(m-1, i)
-    assert theta_symmetrize([((0, 0), (0,), {0: 1})], 4) == SparsePoly.const("Y", 4, 4 * 3)
+    assert theta_symmetrize([((0, 0), (0,), {0: 1})], 4) == const("Y", 4, 4 * 3)
 
 
 def test_psi0_base_matches_the_dense_operator_loop():
@@ -423,7 +427,7 @@ def test_a_mutated_orbit_residual_refuses_every_solve(grid, monkeypatch, old, ne
 
 def _applied(psi: SparsePoly, c: int) -> SparsePoly:
     """Orbit form of (sum w d/dw + c) Psi, by the dense forward rule."""
-    return orbit_form(dense_residual(expand_orbits(psi), SparsePoly.zero("Y", psi.arity), c))
+    return orbit_form(dense_residual(expand_orbits(psi), SparsePoly("Y", psi.arity), c))
 
 
 def _random_orbit(rng: random.Random, m: int, pv: int, tot: int) -> SparsePoly:
@@ -690,8 +694,7 @@ def test_e_value_is_evaluate_at_the_elementary_values(grid):
     for (m, g), rep in grid.items():
         f_e = extract_f(rep).f_e
         for p in engine._sample_plan(m, max(m + 3 * g - 3, 0)):
-            ev = [Fraction(v) for v in elementary_values(p, m)]
-            assert e_value(f_e, p) == f_e.evaluate(ev), (m, g, p)
+            assert e_value(f_e, p) == evaluate(f_e, elementary_values(p, m)), (m, g, p)
 
 
 def test_psi11_value_and_equation():
@@ -699,7 +702,7 @@ def test_psi11_value_and_equation():
     assert psi.poly == PSI11
     # independent re-derivation of the hard-coded right side:
     # (w d/dw + 1) Psi must reproduce it exactly
-    assert apply_wdw(psi.poly, 0) + psi.poly == K11
+    assert add(apply_wdw(psi.poly, 0), psi.poly) == K11
 
 
 def test_cells_satisfy_their_equation():
@@ -708,10 +711,7 @@ def test_cells_satisfy_their_equation():
         psi = eng.psi(m, g)
         K = assemble_K(m, g, {k: eng.psi(*k) for k in eng.computed_cells()})
         c = m + 2 * g - 2
-        lhs = SparsePoly.zero("Y", m)
-        for var in range(m):
-            lhs = lhs + apply_wdw(psi.poly, var)
-        lhs = lhs + psi.poly.scale(c)
+        lhs = add(scale(psi.poly, c), *(apply_wdw(psi.poly, i) for i in range(m)))
         assert lhs == K.poly
 
 
@@ -736,10 +736,8 @@ def test_cell_refuses_a_fresh_psi_off_its_total_degree(monkeypatch):
     # V_3 * y1 y2 y3 has total degree 6, not 3; its terms carry w d/dw
     # factors, so only the check of the fresh orbit form names the fault
     def base(m):
-        y = SparsePoly.const("Y", m, 1)
-        for i in range(m):
-            y = y * SparsePoly.variable("Y", m, i)
-        return PsiRep(m, 0, orbit_form(psi0_base(m).poly * y))
+        y = mul(*(var("Y", m, i) for i in range(m)))
+        return PsiRep(m, 0, orbit_form(mul(psi0_base(m).poly, y)))
 
     monkeypatch.setattr(engine, "psi0_base", base)
     eng = Engine()
@@ -802,13 +800,11 @@ def symq():
 def test_solver_inverts_the_operator(q):
     # fabricate a symmetric target that vanishes at y_i = 1, apply the
     # operator, and demand the solver return exactly the target
-    one = SparsePoly.const("Y", 2, 1)
-    van = (SparsePoly.variable("Y", 2, 0) - one) * (SparsePoly.variable("Y", 2, 1) - one)
-    target = (q + permute(q, [1, 0])) * van
+    one = const("Y", 2, 1)
+    van = mul(sub(var("Y", 2, 0), one), sub(var("Y", 2, 1), one))
+    target = mul(add(q, permute(q, [1, 0])), van)
     c = 2  # cell (2, 1)
-    rhs = target.scale(c)
-    for var in range(2):
-        rhs = rhs + apply_wdw(target, var)
+    rhs = add(scale(target, c), *(apply_wdw(target, i) for i in range(2)))
     got = solve_pde(RhsRep(2, 1, orbit_form(rhs)))
     assert got.poly == target
 
@@ -1074,7 +1070,7 @@ def test_a_rewritten_cache_file_is_decoded_afresh(tmp_path, monkeypatch):
     assert got.f_e == want.f_e and got is not want
     # and forged bytes are a miss, however often the genuine ones were read
     obj = json.loads(good)
-    obj["f_e"] = f_table(1, 2).scale(54).to_obj()
+    obj["f_e"] = scale(f_table(1, 2), 54).to_obj()
     path.write_text(json.dumps(obj))
     assert Engine(cache_dir=str(tmp_path)).f_result(2, 1).f_e == f_table(1, 2)
     assert path.read_text() == good

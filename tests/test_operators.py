@@ -16,7 +16,18 @@ from hurwitz.algebra.operators import (
 from hurwitz.algebra.poly import SparsePoly
 from hurwitz.algebra.series import expand_y_to_w, x_coefficient
 from hurwitz.errors import NonzeroRemainder, NotVanishing
-from reference import apply_wdw, as_fractions, forward_basis_convert, orbit_form
+from reference import (
+    add,
+    apply_wdw,
+    as_fractions,
+    const,
+    forward_basis_convert,
+    mul,
+    orbit_form,
+    scale,
+    sub,
+    var,
+)
 
 
 def ypolys(arity=2, max_exp=3, max_terms=4, min_exp=0):
@@ -31,14 +42,14 @@ def ypolys(arity=2, max_exp=3, max_terms=4, min_exp=0):
 
 def test_xdx_monomial_rule():
     # y^k -> k (y^(k+2) - y^(k+1))
-    p = SparsePoly.variable("Y", 1, 0, 3)
+    p = var("Y", 1, 0, 3)
     assert apply_xdx(p, 0) == SparsePoly("Y", 1, {(5,): Fraction(3), (4,): Fraction(-3)})
-    assert apply_xdx(SparsePoly.const("Y", 1, 7), 0).is_zero()
+    assert apply_xdx(const("Y", 1, 7), 0).is_zero()
 
 
 def test_wdw_monomial_rule():
     # y^k -> k (y^(k+1) - y^k)
-    p = SparsePoly.variable("Y", 1, 0, 2)
+    p = var("Y", 1, 0, 2)
     assert apply_wdw(p, 0) == SparsePoly("Y", 1, {(3,): Fraction(2), (2,): Fraction(-2)})
 
 
@@ -50,8 +61,7 @@ def test_rules_extend_to_negative_powers():
 
 @given(ypolys())
 def test_xdx_is_y_times_wdw(p):
-    y0 = SparsePoly.variable("Y", 2, 0)
-    assert apply_xdx(p, 0) == y0 * apply_wdw(p, 0)
+    assert apply_xdx(p, 0) == mul(var("Y", 2, 0), apply_wdw(p, 0))
 
 
 @given(ypolys())
@@ -86,19 +96,19 @@ def test_wdw_matches_w_coefficients(p):
 
 
 def test_diag_fold():
-    p = SparsePoly.monomial("Y", (2, 3), 5) + SparsePoly.monomial("Y", (0, 1), 1)
+    p = SparsePoly("Y", 2, {(2, 3): 5, (0, 1): 1})
     q = diag_fold(p, 0, 1)
     assert q == SparsePoly("Y", 1, {(5,): Fraction(5), (1,): Fraction(1)})
 
 
 @given(ypolys(arity=2, max_exp=3))
 def test_divide_ydiff_roundtrip(q):
-    d = SparsePoly.variable("Y", 2, 0) - SparsePoly.variable("Y", 2, 1)
-    assert divide_ydiff(q * d, 0, 1) == q
+    d = sub(var("Y", 2, 0), var("Y", 2, 1))
+    assert divide_ydiff(mul(q, d), 0, 1) == q
 
 
 def test_divide_ydiff_rejects_nondivisible():
-    p = SparsePoly.const("Y", 2, 1)
+    p = const("Y", 2, 1)
     with pytest.raises(NonzeroRemainder):
         divide_ydiff(p, 0, 1)
 
@@ -136,18 +146,12 @@ def reconstruct_decomp(b_terms: dict, m: int) -> SparsePoly:
     P, _ = p_ladder(max((max(jt, default=0) for jt in b_terms), default=0) + 1)
 
     def product(univariates) -> SparsePoly:
-        acc = SparsePoly.const("Y", m, 1)
-        for var, table in enumerate(univariates):
-            acc = acc * SparsePoly("Y", m, {
-                (0,) * var + (k,) + (0,) * (m - var - 1): c
-                for k, c in table.items()
-            })
-        return acc
+        return mul(*(SparsePoly("Y", m, {
+            (0,) * i + (k,) + (0,) * (m - i - 1): c for k, c in table.items()
+        }) for i, table in enumerate(univariates)))
 
-    out = SparsePoly.zero("Y", m)
-    for jt, c in b_terms.items():
-        out = out + product([P[j] for j in jt]).scale(c)
-    return out
+    return add(SparsePoly("Y", m), *(scale(product([P[j] for j in jt]), c)
+                                     for jt, c in b_terms.items()))
 
 
 def decomps(m, jmax=2):
@@ -169,7 +173,7 @@ def test_basis_convert_roundtrip(d):
 
 def test_basis_convert_rejects_nonvanishing():
     with pytest.raises(NotVanishing):
-        xdx_basis_convert(SparsePoly.const("Y", 1, 1), 1)
+        xdx_basis_convert(const("Y", 1, 1), 1)
 
 
 def _symmetrized(a: dict, b: dict) -> SparsePoly:
@@ -177,7 +181,7 @@ def _symmetrized(a: dict, b: dict) -> SparsePoly:
     def prod(u, v):
         return SparsePoly("Y", 2, {(k, l): Fraction(c * d)
                                    for k, c in u.items() for l, d in v.items()})
-    return orbit_form(prod(a, b) + prod(b, a))
+    return orbit_form(add(prod(a, b), prod(b, a)))
 
 
 def test_basis_convert_names_the_nonvanishing_variable():

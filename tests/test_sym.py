@@ -18,7 +18,7 @@ from hurwitz.algebra.sym import (
 )
 from hurwitz.engine import _sample_plan
 from hurwitz.errors import CertificationError, InconsistentSystem
-from reference import orbit_form, product_e_monomial_expand
+from reference import const, evaluate, mul, orbit_form, product_e_monomial_expand
 
 
 def known_poly(m, wdeg):
@@ -33,7 +33,7 @@ def known_poly(m, wdeg):
 
 def samples(poly, m, wdeg):
     return [
-        (p, poly.evaluate([Fraction(v) for v in elementary_values(p, m)]))
+        (p, evaluate(poly, elementary_values(p, m)))
         for p in _sample_plan(m, wdeg)
     ]
 
@@ -105,10 +105,8 @@ def test_e_monomials_expand_to_their_orbit_forms(m, wdeg):
             p: 1 for p in set(permutations((1,) * k + (0,) * (m - k)))})
 
     for beta in e_monomials_by_weight(m, wdeg):
-        dense = SparsePoly.const("Y", m, 1)
-        for k, a in enumerate(beta):
-            for _ in range(a):
-                dense = dense * e(k + 1)
+        dense = mul(const("Y", m, 1),
+                    *(e(k + 1) for k, a in enumerate(beta) for _ in range(a)))
         got = e_monomial_expand(beta, m)
         assert SparsePoly("Y", m, got) == orbit_form(dense)
         assert got == product_e_monomial_expand(beta, m)

@@ -2,11 +2,15 @@
 
 import importlib.util
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import hurwitz
+import hurwitz.algebra
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -51,3 +55,12 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("package", [hurwitz, hurwitz.algebra])
+def test_every_exported_name_resolves(package):
+    modules = [package] + [importlib.import_module(f"{package.__name__}.{info.name}")
+                           for info in pkgutil.iter_modules(package.__path__)]
+    for module in modules:
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert not missing, (module.__name__, missing)
