@@ -331,7 +331,7 @@ def _cache_status_line(path) -> str:
 def run_cache(args) -> int:
     engine = Engine(cache_dir=args.cache_dir)
     if engine.cache_dir is None:
-        print("no cache directory configured (pass --cache-dir)")
+        print("error: no cache directory configured (pass --cache-dir)", file=sys.stderr)
         return EXIT_BAD_ARGS
     cdir = engine.cache_dir
     if args.warm:

@@ -560,36 +560,39 @@ def _check_f(f_e: SparsePoly, m: int, g: int):
 # ----- extraction ---------------------------------------------------------
 
 def _sample_plan(m: int, wdeg: int) -> List[tuple]:
-    """The parts of the m-part partitions of weight m .. m + wdeg + 2.
+    """The parts of the m-part partitions of weight m .. m + wdeg: the
+    points 1^m + lam with lam of at most m parts and |lam| <= wdeg.
 
-    They include every 1^m + lam with |lam| <= wdeg, and on those points
-    the symmetrized binomial basis sum_sigma prod_i C(lam_i, mu_sigma(i))
-    is triangular under containment with a nonzero diagonal, so every
-    e-polynomial of weighted degree <= wdeg is determined by its values
-    on this one plan.
+    By conjugation there are as many of them as e-monomials of weighted
+    degree <= wdeg in m variables, and on them the symmetrized binomial
+    basis sum_sigma prod_i C(lam_i, mu_sigma(i)) is triangular under
+    containment with a nonzero diagonal, so every e-polynomial of
+    weighted degree <= wdeg is determined by its values on this plan,
+    and no point of it is redundant.
     """
-    return [p for n in range(m, m + wdeg + 3) for p in parts_of_length(n, m)]
+    return [p for n in range(m, m + wdeg + 1) for p in parts_of_length(n, m)]
 
 
 def _check_samples(orbit: SparsePoly, f_e: SparsePoly, m: int, g: int):
     """Raise RouteDisagreement unless `f_e` takes, at every point of
     `_sample_plan`, the value read off the cell's x-coefficients.  The
-    plan is unisolvent for e-polynomials of f's weighted degree, so for
-    an `f_e` that passes `_check_f` this is exactly agreement with the
-    polynomial the samples fit.
+    plan is the 1^m + lam points, one per e-monomial of f's weighted
+    degree wdeg and unisolvent for them, so for an `f_e` that passes
+    `_check_f` this is exactly agreement with the polynomial the samples
+    determine.
 
     The values come from one x-orbit form of the cell (`series.x_orbit`,
     two sweeps: y -> u, then u -> x), which holds
     xs[parts] = Psi.den prod a! [x^parts] Psi at every alpha with entries
     in 1 .. amax, the plan's largest part, and total at most nmax, its
-    largest weight (amax = nmax - m + 1).  Both sweeps drop every term of
-    total above nmax, which no plan point reads.  f at parts is
-    [x^parts] Psi prod a!/a^a.  So the check is the integer identity
-    num_f(parts) Psi.den prod a^a = xs[parts] f_e.den, num_f being
-    f_e's numerator at the elementary values of parts.  f_e's terms are
-    split once per cell, grouped by their exponent past e_1: each group
-    is a polynomial in e_1, read off one list of e_1's powers per point,
-    times one product of powers of e_2 .. e_m."""
+    largest weight (amax = wdeg + 1, nmax = m + wdeg).  Both sweeps drop
+    every term of total above nmax, which no plan point reads.  f at
+    parts is [x^parts] Psi prod a!/a^a.  So the check is the integer
+    identity num_f(parts) Psi.den prod a^a = xs[parts] f_e.den, num_f
+    being f_e's numerator at the elementary values of parts.  f_e's
+    terms are split once per cell, grouped by their exponent past e_1:
+    each group is a polynomial in e_1, read off one list of e_1's powers
+    per point, times one product of powers of e_2 .. e_m."""
     plan = _sample_plan(m, max(m + 3 * g - 3, 0))
     xs = x_orbit(orbit, max(p[0] for p in plan), max(map(sum, plan)))
     groups: dict = {}

@@ -241,7 +241,12 @@ def test_verify_closedform(capsys):
 
 
 def test_cache_requires_directory(capsys):
-    assert run(["cache"]) == 3
+    # status, --clear and --warm: refused like every other bad argument
+    for mode in ([], ["--clear"], ["--warm"]):
+        assert run(["cache", *mode]) == 3, mode
+        out, err = capsys.readouterr()
+        assert out == "", mode
+        assert err == "error: no cache directory configured (pass --cache-dir)\n", mode
 
 
 def test_cache_lifecycle(tmp_path, capsys):

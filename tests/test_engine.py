@@ -545,8 +545,8 @@ def _pins_every_e_polynomial(plan, m: int, wdeg: int) -> bool:
     1^m + lam, |lam| <= wdeg, as many as the e-monomials.  Their matrix of
     e-monomial values is checked to have full column rank mod PRIME; a
     nonzero maximal minor mod a prime is nonzero over Q, so the whole
-    plan is then unisolvent.  The plan has about twice as many points as
-    unknowns, so the rank of all of it would survive losing any one."""
+    plan is then unisolvent.  The plan is exactly those points, one per
+    unknown, so losing any one of them loses the rank."""
     monos = e_monomials_by_weight(m, wdeg)
     rows = []
     for p in plan:
@@ -586,6 +586,12 @@ def test_every_sample_plan_in_reach_is_unisolvent():
     for m, g in cells:
         wdeg = max(m + 3 * g - 3, 0)
         assert _pins_every_e_polynomial(engine._sample_plan(m, wdeg), m, wdeg), (m, g)
+
+
+def test_every_sample_plan_in_reach_has_one_point_per_e_monomial():
+    for m, g in _cells_in_reach():
+        wdeg = max(m + 3 * g - 3, 0)
+        assert len(engine._sample_plan(m, wdeg)) == len(e_monomials_by_weight(m, wdeg)), (m, g)
 
 
 def test_a_plan_cut_by_one_partition_is_not_certified(grid):
@@ -656,20 +662,27 @@ def test_a_cold_extraction_constructs_no_fraction(grid, monkeypatch):
 
 
 # each drops one factor of the gate's cross-multiplication; Psi.den and
-# f_e.den are 1 at genus 0, and prod a^a is 1 only at 1^m
-@pytest.mark.parametrize("old,new,g_min", [
-    ("num_f * orbit.den * ", "num_f * ", 1),
-    (" * math.prod([a ** a for a in parts])", "", 0),
-    ("xs.get(parts, 0) * f_e.den", "xs.get(parts, 0)", 1),
+# f_e.den are 1 at genus 0, and prod a^a is 1 only at 1^m, so dropping it
+# is an equivalent mutant at a cell whose whole plan is 1^m
+@pytest.mark.parametrize("old,new,g_min,ones_exempt,refused", [
+    ("num_f * orbit.den * ", "num_f * ", 1, False, 14),
+    (" * math.prod([a ** a for a in parts])", "", 0, True, 17),
+    ("xs.get(parts, 0) * f_e.den", "xs.get(parts, 0)", 1, False, 14),
 ], ids=["no-psi-den", "no-a-to-the-a", "no-f-den"])
 def test_a_sampling_gate_without_one_factor_refuses_the_grid(grid, monkeypatch, old, new,
-                                                               g_min):
+                                                               g_min, ones_exempt, refused):
+    ones = {(m, g) for m, g in grid
+            if set(engine._sample_plan(m, max(m + 3 * g - 3, 0))) == {(1,) * m}}
+    assert ones == {(3, 0)}
     monkeypatch.setattr(engine, "_check_samples", _mutated("_check_samples", old, new))
-    assert sum(g >= g_min for _, g in grid) >= 13
-    for (m, g), rep in grid.items():
-        if g >= g_min:
-            with pytest.raises(RouteDisagreement, match=rf"of \({m},{g}\)$"):
-                extract_f(rep)
+    cells = [key for key in grid if key[1] >= g_min and not (ones_exempt and key in ones)]
+    assert len(cells) == refused
+    for m, g in cells:
+        with pytest.raises(RouteDisagreement, match=rf"of \({m},{g}\)$"):
+            extract_f(grid[m, g])
+    if ones_exempt:
+        for key in ones:
+            assert extract_f(grid[key]).f_e.arity == key[0]
 
 
 def test_two_sweep_values_equal_the_w_jet_and_dense_routes(grid):

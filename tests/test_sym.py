@@ -18,6 +18,7 @@ from hurwitz.algebra.sym import (
 )
 from hurwitz.engine import _sample_plan
 from hurwitz.errors import CertificationError, InconsistentSystem
+from hurwitz.partitions import parts_of_length
 from reference import const, evaluate, mul, orbit_form, product_e_monomial_expand
 
 
@@ -45,8 +46,14 @@ def test_fit_recovers_a_known_polynomial(m, wdeg):
 
 
 def test_fit_rejects_a_perturbed_redundant_sample():
+    # the sample plan has one point per unknown; the weight m + wdeg + 1
+    # partitions are redundant on top of it
     m, wdeg = 3, 4
-    evals = samples(known_poly(m, wdeg), m, wdeg)
+    poly = known_poly(m, wdeg)
+    evals = samples(poly, m, wdeg) + [
+        (p, evaluate(poly, elementary_values(p, m)))
+        for p in parts_of_length(m + wdeg + 1, m)
+    ]
     assert len(evals) > len(e_monomials_by_weight(m, wdeg))
     alpha, value = evals[-1]
     evals[-1] = (alpha, value + Fraction(1, 5))
