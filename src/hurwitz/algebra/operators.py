@@ -26,18 +26,26 @@ it, so the decomposition is peeled off the leading term down, each step
 one exact division and one subtraction of an integer P-image.  A leading
 term with an even or zero exponent is a Q factor or a constant residue,
 and is refused there.
+
+The images are built one slot at a time over sub-multisets of j, the
+least exponent in the last slot.  The j met in one peel share most of
+their sub-multisets, so each sub-image is built once per call, and
+dropped once the peel has passed every j that contains it.  P_v has the
+sign (-1)^(l+1) at every degree l, so every product summed into the
+coefficient of an image at e has the sign (-1)^(|e|+m): no coefficient
+of an image cancels to zero, and none is filtered out.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from heapq import heappop, heappush
 from typing import Dict, Tuple
 
 from ..errors import NonzeroRemainder, NotVanishing
 from .poly import SparsePoly
-from .series import sweep
-from .sym import is_orbit_exponent
+from .sym import is_orbit_exponent, removals
 
 __all__ = [
     "apply_xdx",
@@ -151,7 +159,7 @@ def p_ladder(jmax: int) -> Tuple[list, list]:
 
 @lru_cache(maxsize=None)
 def _ladder_rows(jmax: int) -> tuple:
-    """P_0 .. P_jmax as sweep rows: rows[j] lists P_j's (degree,
+    """P_0 .. P_jmax as rows: rows[j] lists P_j's (degree,
     coefficient) pairs in ascending degree."""
     return tuple(tuple(sorted(P.items())) for P in p_ladder(jmax)[0])
 
@@ -164,16 +172,26 @@ def xdx_basis_convert(p: SparsePoly, m: int) -> Tuple[Dict[tuple, int], int]:
 
     A leading-term peel.  The lex-greatest remaining exponent d must
     have every entry odd, d = 2j + 1: it is then the leading term of
-    the image of j alone, one sweep of the single term {j: 1} over the
-    ladder, so its coefficient is divided out exactly and the image
-    subtracted.  A zero entry means p does not vanish at y_1 = 1 (so at
-    no y_i = 1), and an even entry a w d/dw factor; either way p is not
-    f(x d/dx) V_m for any f, and NotVanishing is raised.  The peel ends
-    only when every term has been subtracted away exactly, which
-    certifies p = f(x d/dx) V_m, and by triangularity the c_j are
-    unique.  A leading coefficient the divisor does not divide scales
-    the remaining work, the numerators already emitted and the
-    denominator up, so no step rounds.
+    the image of j alone, so its coefficient is divided out exactly and
+    the image subtracted.  A zero entry means p does not vanish at
+    y_1 = 1 (so at no y_i = 1), and an even entry a w d/dw factor;
+    either way p is not f(x d/dx) V_m for any f, and NotVanishing is
+    raised.  The peel ends only when every term has been subtracted
+    away exactly, which certifies p = f(x d/dx) V_m, and by
+    triangularity the c_j are unique.  A leading coefficient the
+    divisor does not divide scales the remaining work, the numerators
+    already emitted and the denominator up, so no step rounds.
+
+    The image of a multiset S over the ladder, in orbit form, is the sum
+    over the distinct values v of S of P_v placed in the last slot, at
+    each exponent l <= e[-1] of each term e of the image of S - v.  The
+    sub-images, of the proper sub-multisets, are kept in a memo for this
+    call; the full images are used once and not kept.  Every image term
+    lies componentwise below its leading term, so the peel meets the j
+    in strictly falling lex order.  An entry S of length k is dropped
+    once j[:k] falls lex below S: a later j' has j'[:k] <= j[:k], while
+    one that contains S has j'[:k] >= S entry by entry, so no later j
+    contains S.  The memo only saves work; a miss rebuilds the entry.
     """
     if p.kind != "Y":
         raise ValueError("xdx_basis_convert wants a Y polynomial")
@@ -185,6 +203,31 @@ def xdx_basis_convert(p: SparsePoly, m: int) -> Tuple[Dict[tuple, int], int]:
         raise ValueError("negative exponent has no polynomial form")
     work, den = dict(p.num), p.den
     out: Dict[tuple, int] = {}
+    rows = _ladder_rows(max((e[0] for e in work if e), default=0) // 2)
+    memo: Dict[tuple, Core] = {}
+    held: list = [[] for _ in range(m)]  # memo keys by length, lex-greatest first
+
+    def image_of(s: tuple) -> Core:
+        """prod_i P_(s_i) over the orbit of s, in orbit form."""
+        if not s:
+            return {(): 1}
+        acc: Core = {}
+        get = acc.get
+        for v, rest in removals(s):
+            sub = memo.get(rest)
+            if sub is None:
+                sub = memo[rest] = image_of(rest)
+                heappush(held[len(rest)], (tuple(-k for k in rest), rest))
+            row = rows[v]
+            for e, c in sub.items():
+                low = e[-1] if e else math.inf
+                for l, a in row:
+                    if l > low:
+                        break
+                    key = e + (l,)
+                    acc[key] = get(key, 0) + a * c
+        return acc
+
     while work:
         d = max(work)
         c = work.pop(d)
@@ -193,10 +236,14 @@ def xdx_basis_convert(p: SparsePoly, m: int) -> Tuple[Dict[tuple, int], int]:
         if any(k % 2 == 0 for k in d):
             raise NotVanishing(f"term {d} carries a w d/dw factor")
         j = tuple(k // 2 for k in d)
+        for k in range(1, m):
+            heap, head = held[k], j[:k]
+            while heap and heap[0][1] > head:
+                del memo[heappop(heap)[1]]
         # prod_i (x_i d/dx_i)^(j_i) V_m over the orbit of j: its leading
         # term is at d with coefficient prod_i (2j_i - 1)!!, and every
         # other term lies componentwise below d
-        image = sweep({j: 1}, m, _ladder_rows(max(j, default=0)))
+        image = image_of(j)
         lead = image[d]
         if c % lead:
             s = lead // math.gcd(c, lead)

@@ -334,10 +334,9 @@ def _each_copy(e):
 
 def test_a_sweep_taking_each_copy_of_a_value_fails_extraction(monkeypatch):
     # a repeated exponent is swept once per copy, which multiplies its
-    # terms.  The peel never sweeps Psi, and the P-image of a repeated
-    # exponent comes out multiplied, so the peel still uses Psi up, with
-    # c_(0,0,0) = 1/6 at (3,0); the sampling sweeps then read values that
-    # f does not take, at the first cell extracted
+    # terms.  The peel sweeps nothing, so it still reads the true f; the
+    # sampling sweeps then read values that f does not take, at the first
+    # cell extracted
     monkeypatch.setattr(series, "removals", _each_copy)
     with pytest.raises(RouteDisagreement, match=r"at \(1, 1, 1\) of \(3,0\)$") as err:
         Engine().cell(1, 2)
@@ -360,6 +359,31 @@ def test_the_peel_matches_the_dense_forward_route_on_the_staircase(staircase):
     assert len(staircase) == 30
     for (m, g), rep in staircase.items():
         assert _peel_matches_the_forward_route(rep, m), (m, g)
+
+
+def test_the_peel_builds_each_sub_image_once(staircase, monkeypatch):
+    # every image the peel builds takes the removals of its multiset
+    # once, so a sub-multiset built twice in one call is a memo entry
+    # dropped while a later j still contained it
+    built = []
+
+    def counted(s):
+        built.append(s)
+        return sym.removals(s)
+
+    monkeypatch.setattr(operators, "removals", counted)
+    builds = apart = 0
+    for (m, g), rep in staircase.items():
+        built.clear()
+        num, _ = xdx_basis_convert(rep.orbit, m)
+        subs = [s for s in built if len(s) < m]
+        assert len(set(subs)) == len(subs), (m, g)
+        assert sorted(s for s in built if len(s) == m) == sorted(num), (m, g)
+        builds += len(subs)
+        # the nonempty proper sub-multisets of each j, counted apart
+        apart += sum(math.prod(j.count(v) + 1 for v in set(j)) - 2 for j in num)
+    # the j share their sub-images: 2,260 builds for 9,883 sub-multisets
+    assert 4 * builds < apart
 
 
 def test_to_obj_matches_the_form_built_from_fractions(grid):

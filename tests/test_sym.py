@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hurwitz.algebra import sym
 from hurwitz.algebra.poly import SparsePoly
@@ -14,6 +15,7 @@ from hurwitz.algebra.sym import (
     elementary_values,
     expand_orbits,
     fit_sym_e_poly,
+    is_orbit_exponent,
     to_e_basis,
 )
 from hurwitz.engine import _sample_plan
@@ -147,3 +149,9 @@ def test_an_expansion_that_misses_its_leading_term_is_refused(monkeypatch):
     monkeypatch.setattr(sym, "e_monomial_expand", lambda beta, m: {(0,) * m: 1})
     with pytest.raises(CertificationError, match="does not lead"):
         to_e_basis({(1, 0): 1}, 1, 2)
+
+
+@given(st.lists(st.integers(-2, 2), max_size=6).map(tuple))
+def test_the_orbit_test_is_the_pairwise_definition(e):
+    # a narrow range, so that ties, zeros and negative entries are common
+    assert is_orbit_exponent(e) == all(a >= b for a, b in zip(e, e[1:]))
