@@ -16,8 +16,8 @@ def main():
     eng = Engine()
     m, g = 2, 1
 
-    psi = eng.psi(m, g)
-    cache = {k: eng.psi(*k) for k in eng.computed_cells()}
+    psi = eng.cell(m, g)
+    cache = {k: eng.cell(*k) for k in eng.computed_cells()}
     K = assemble_K(m, g, cache)
     # both are symmetric, so each is printed in orbit form: one term per
     # orbit, with weakly decreasing exponents

@@ -9,10 +9,8 @@ against each other; every computed value is certified by at least two.
 
 from .algebra.poly import SparsePoly
 from .engine import (
+    Cell,
     Engine,
-    FResult,
-    PsiRep,
-    RhsRep,
     extract_f,
     psi0_base,
     solve_pde,
@@ -55,10 +53,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SparsePoly",
+    "Cell",
     "Engine",
-    "FResult",
-    "PsiRep",
-    "RhsRep",
     "extract_f",
     "psi0_base",
     "solve_pde",

@@ -82,7 +82,7 @@ def best_route(alpha: Partition, g: int, engine: Engine) -> Tuple[Fraction, str]
     m = alpha.m
     if g >= 1 or m >= 3:
         try:
-            return e_value(engine.f_result(m, g).f_e, alpha.parts), "engine"
+            return e_value(engine.cell(m, g).f_e, alpha.parts), "engine"
         except BudgetExceeded:
             pass
     f = _f_from_formulas(alpha, g)
@@ -94,26 +94,30 @@ def best_route(alpha: Partition, g: int, engine: Engine) -> Tuple[Fraction, str]
 
 # ----- compute ------------------------------------------------------------
 
+def _count_row(hc: formulas.HurwitzCount, route: str) -> dict:
+    """One count as `compute` and `table --values` print it in JSON."""
+    a = hc.alpha
+    return {"alpha": list(a.parts), "n": a.n, "m": a.m, "g": hc.g,
+            "f": str(hc.f), "mu": str(hc.mu), "c": str(hc.c), "route": route}
+
+
+def _print_csv(rows: List[dict]):
+    """`_count_row`s as CSV: their values in key order, alpha dash-joined."""
+    print("alpha,n,m,g,f,mu,c,route")
+    for row in rows:
+        print(",".join("-".join(map(str, v)) if k == "alpha" else str(v)
+                       for k, v in row.items()))
+
+
 def run_compute(args) -> int:
     alpha = args.alpha
     engine = Engine(cache_dir=args.cache_dir)
     f, route = best_route(alpha, args.genus, engine)
     hc = formulas.hurwitz(alpha, args.genus, f)
     if args.format == "json":
-        print(json.dumps({
-            "alpha": list(alpha.parts),
-            "n": alpha.n,
-            "m": alpha.m,
-            "g": args.genus,
-            "f": str(hc.f),
-            "mu": str(hc.mu),
-            "c": str(hc.c),
-            "route": route,
-        }, sort_keys=True))
+        print(json.dumps(_count_row(hc, route), sort_keys=True))
     elif args.format == "csv":
-        print("alpha,n,m,g,f,mu,c,route")
-        print(f"{alpha.key()},{alpha.n},{alpha.m},{args.genus},"
-              f"{hc.f},{hc.mu},{hc.c},{route}")
+        _print_csv([_count_row(hc, route)])
     else:
         print(f"alpha = {alpha}")
         print(f"g = {args.genus}")
@@ -168,18 +172,11 @@ def run_table(args) -> int:
         f = _f_from_formulas(alpha, g)
         if f is None:
             raise BudgetExceeded(f"no closed form or table for genus {g}, m = {m}")
-        rows.append((alpha, formulas.hurwitz(alpha, g, f)))
+        rows.append(_count_row(formulas.hurwitz(alpha, g, f), "formulas"))
     if args.format == "json":
-        print(json.dumps([
-            {"alpha": list(a.parts), "n": a.n, "m": a.m, "g": g,
-             "f": str(h.f), "mu": str(h.mu), "c": str(h.c),
-             "route": "formulas"}
-            for a, h in rows
-        ], sort_keys=True))
+        print(json.dumps(rows, sort_keys=True))
     else:
-        print("alpha,n,m,g,f,mu,c,route")
-        for a, h in rows:
-            print(f"{a.key()},{a.n},{a.m},{g},{h.f},{h.mu},{h.c},formulas")
+        _print_csv(rows)
     return EXIT_OK
 
 
@@ -193,7 +190,7 @@ def _suite_appendix(engine: Engine, checks: List[dict]):
     for g in sorted(formulas.TABLE_M_MAX):
         for m in range(1, formulas.TABLE_M_MAX[g] + 1):
             want = formulas.f_table(g, m)
-            got = engine.f_result(m, g).f_e
+            got = engine.cell(m, g).f_e
             ok = got == want
             detail = "" if ok else (
                 f"engine {got} vs table {want}"
@@ -210,7 +207,7 @@ def _suite_oracle(engine: Engine, n_max: int, checks: List[dict]):
                     f = formulas.f_genus0(alpha)
                     label = f"oracle {alpha} g={g} (formulas)"
                 else:
-                    f = e_value(engine.f_result(alpha.m, g).f_e, alpha.parts)
+                    f = e_value(engine.cell(alpha.m, g).f_e, alpha.parts)
                     label = f"oracle {alpha} g={g} (engine)"
                 hc = formulas.hurwitz(alpha, g, f)
                 ok = hc.c == c_oracle
@@ -320,12 +317,11 @@ def _cache_status_line(path) -> str:
         size = path.stat().st_size
     except OSError:  # e.g. a dangling link
         return f"{path.name} stale"
-    hit = read_cell(path)
-    if hit is None:
+    cell = read_cell(path)
+    if cell is None:
         return f"{path.name} stale, {size} bytes"
-    psi = hit[0]
-    return (f"{path.name} ({psi.m},{psi.g}) version {CACHE_VERSION}, "
-            f"{len(psi.orbit)} orbit terms, {size} bytes")
+    return (f"{path.name} ({cell.m},{cell.g}) version {CACHE_VERSION}, "
+            f"{len(cell.orbit)} orbit terms, {size} bytes")
 
 
 def run_cache(args) -> int:

@@ -56,10 +56,11 @@ import json
 import math
 import os
 import re
+import stat
 from functools import lru_cache
 from pathlib import Path
 from typing import (
-    Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+    Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
 )
 
 # apply_xdx, diag_fold and divide_ydiff are not called here: assembly
@@ -105,9 +106,7 @@ from .errors import (
 from .partitions import parts_of_length
 
 __all__ = [
-    "PsiRep",
-    "RhsRep",
-    "FResult",
+    "Cell",
     "psi0_base",
     "theta_symmetrize",
     "assemble_K",
@@ -145,18 +144,19 @@ def total_bound(m: int, g: int) -> int:
     return 3 * m + 6 * g - 6
 
 
-class PsiRep:
-    """A solved cell, held in orbit form: the terms of the symmetric Psi
-    with weakly decreasing exponents.  No engine step reads the dense
-    `poly`; it is expanded from the orbit form on first access, for
-    callers that want the whole polynomial, and kept."""
+class Cell:
+    """One cell (m, g): Psi, or the right side K, in orbit form (its terms
+    with weakly decreasing exponents), and f in the e-basis, `f_e`, None
+    until `extract_f`.  No engine step reads the dense `poly`; it is
+    expanded from the orbit form on first access, and kept."""
 
-    __slots__ = ("m", "g", "orbit", "_poly")
+    __slots__ = ("m", "g", "orbit", "f_e", "_poly")
 
-    def __init__(self, m: int, g: int, orbit: SparsePoly):
+    def __init__(self, m: int, g: int, orbit: SparsePoly, f_e: Optional[SparsePoly] = None):
         self.m = m
         self.g = g
         self.orbit = orbit
+        self.f_e = f_e
         self._poly: Optional[SparsePoly] = None
 
     @property
@@ -164,19 +164,6 @@ class PsiRep:
         if self._poly is None:
             self._poly = expand_orbits(self.orbit)
         return self._poly
-
-
-class RhsRep(PsiRep):
-    """The right side K of cell (m, g), in orbit form like a cell, with
-    the same lazy dense `poly`."""
-
-    __slots__ = ()
-
-
-class FResult(NamedTuple):
-    m: int
-    g: int
-    f_e: SparsePoly
 
 
 # ----- orbit-form building blocks ---------------------------------------
@@ -337,7 +324,7 @@ def _vanishes_at_one(orbit: SparsePoly) -> bool:
 
 # ----- base cells ---------------------------------------------------------
 
-def psi0_base(m: int) -> PsiRep:
+def psi0_base(m: int) -> Cell:
     """Genus 0: (sum_i x_i d/dx_i)^(m-3) applied to prod (y_i - 1).
 
     A symmetric operator applied to a symmetric polynomial, built in orbit
@@ -350,7 +337,7 @@ def psi0_base(m: int) -> PsiRep:
     for _ in range(m - 3):
         rows = _factor_rows(orbit).items()
         orbit = theta_symmetrize((((), rest, row) for rest, row in rows), m, orbit.den)
-    return PsiRep(m, 0, orbit)
+    return Cell(m, 0, orbit)
 
 
 # ----- assembly -----------------------------------------------------------
@@ -384,18 +371,18 @@ def _summands(m: int, g: int) -> Iterator[tuple]:
                        ((k, ga), (m - k + 1, g - ga)))
 
 
-def assemble_K(m: int, g: int, psi_cache: Mapping[Tuple[int, int], PsiRep]) -> RhsRep:
+def assemble_K(m: int, g: int, cells: Mapping[Tuple[int, int], Cell]) -> Cell:
     """Right-hand side for cell (m, g), g >= 1, in orbit form, from the
     orbit forms of lower cells.  Each summand's rows (`_summands`) are scaled
     to one common denominator and all of them go through one placement sum."""
     if g < 1:
         raise ValueError("assembly applies to positive genus")
     if (m, g) == (1, 1):
-        return RhsRep(1, 1, K11)
+        return Cell(1, 1, K11)
 
     def cell(key: Tuple[int, int]) -> SparsePoly:
         try:
-            return psi_cache[key].orbit
+            return cells[key].orbit
         except KeyError:
             raise BudgetExceeded("assembly of ({},{}) needs cell ({},{})".format(m, g, *key))
 
@@ -409,7 +396,7 @@ def assemble_K(m: int, g: int, psi_cache: Mapping[Tuple[int, int], PsiRep]) -> R
     # y_1^k to k y_1^k (y_1 - 1), and the other terms act on other slots
     if not _vanishes_at_one(K):
         raise CertificationError(f"assembled K for ({m},{g}) does not vanish at y_1 = 1")
-    return RhsRep(m, g, K)
+    return Cell(m, g, K)
 
 
 # ----- solver -------------------------------------------------------------
@@ -499,7 +486,7 @@ def _orbit_residual(orbit: SparsePoly, korbit: SparsePoly, c: int) -> SparsePoly
     return SparsePoly.from_core("Y", orbit.arity, acc, dk * dp)
 
 
-def solve_pde(K: RhsRep) -> PsiRep:
+def solve_pde(K: Cell) -> Cell:
     """Back-substitution on the orbit form (`_back_substitute`), with
     the exact equation check on the orbit forms (`_orbit_residual`) as
     the gate.  The facts every cell has, vanishing at y_1 = 1 and its
@@ -516,7 +503,7 @@ def solve_pde(K: RhsRep) -> PsiRep:
             f"no y-polynomial solution for ({m},{g}) within degree caps "
             f"{pv} per variable, {tot} total"
         )
-    return PsiRep(m, g, orbit)
+    return Cell(m, g, orbit)
 
 
 # ----- checks every cell passes, fresh or cached ---------------------------
@@ -622,9 +609,10 @@ def _check_samples(orbit: SparsePoly, f_e: SparsePoly, m: int, g: int):
             )
 
 
-def extract_f(psi: PsiRep) -> FResult:
+def extract_f(cell: Cell) -> Cell:
     """Pull out the symmetric polynomial behind a cell, and check it, in
-    integer numerators over one denominator throughout.
+    integer numerators over one denominator throughout, into a new Cell:
+    `cell` is left as it is, since engines share decoded cells.
 
     The operator-basis route peels the cell over the x d/dx basis
     (`xdx_basis_convert`) and rewrites the result in the e-basis
@@ -634,47 +622,55 @@ def extract_f(psi: PsiRep) -> FResult:
     of those values (`_check_samples`).  Both read the orbit form; a
     mismatch is fatal.
     """
-    m, g = psi.m, psi.g
-    num, den = xdx_basis_convert(psi.orbit, m)
+    m, g = cell.m, cell.g
+    num, den = xdx_basis_convert(cell.orbit, m)
     f_e = to_e_basis(num, den, m)
     _check_f(f_e, m, g)
-    _check_samples(psi.orbit, f_e, m, g)
-    return FResult(m, g, f_e)
+    _check_samples(cell.orbit, f_e, m, g)
+    return Cell(m, g, cell.orbit, f_e)
 
 
 # ----- disk cache ---------------------------------------------------------
 
-def read_cell(path: Path) -> Optional[Tuple[PsiRep, FResult]]:
+def read_cell(path: Path) -> Optional[Cell]:
     """The cell stored in a cache file, decoded and checked, without
     expanding Psi; None when the file is a miss.  A name that is not a
-    cell file and a file that cannot be read are misses; the bytes read
-    go to `_decode_cell`."""
+    cell file, a file that cannot be read and one that is not regular
+    (opened without blocking, so that a FIFO waits for no writer) are
+    misses; the bytes read go to `_decode_cell`."""
     name = CELL_FILE.fullmatch(path.name)
     if name is None:
         return None
     try:
-        data = path.read_bytes()
+        with open(os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0)), "rb") as fh:
+            if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                return None
+            data = fh.read()
     except OSError:
         return None
     return _decode_cell(int(name[1]), int(name[2]), data)
 
 
 @lru_cache(maxsize=64)
-def _decode_cell(m: int, g: int, data: bytes) -> Optional[Tuple[PsiRep, FResult]]:
+def _decode_cell(m: int, g: int, data: bytes) -> Optional[Cell]:
     """Cell (m, g) from the bytes of its cache file, or None for a miss:
-    malformed JSON or fields, another version or cell, a Psi that fails
-    `_check_orbit_form`, or an f that fails `_check_f` or does not take
-    the values the sampling route reads off that Psi (`_check_samples`),
-    so that `f` is tied to the `Psi` it came from.
+    JSON malformed or nested too deeply to parse, malformed fields, another
+    version or cell, a Psi that fails `_check_orbit_form`, or an f that
+    fails `_check_f` or does not take the values the sampling route reads
+    off that Psi (`_check_samples`), so that `f` is tied to the `Psi` it
+    came from.
 
     The result is a function of (m, g, data) alone, so it is memoised on
     exactly those: a process decodes and checks each file's bytes once,
     a rewritten file is decoded afresh, and a cached cell is trusted no
     more than a fresh decode.  Engines share the returned objects; none
-    mutates them, and a PsiRep's dense view is a function of its orbit
+    mutates them, and a Cell's dense view is a function of its orbit
     form."""
     try:
         obj = json.loads(data)
+    except (ValueError, RecursionError):
+        return None
+    try:
         if not isinstance(obj, dict) or obj.get("version") != CACHE_VERSION:
             return None
         if obj.get("m") != m or obj.get("g") != g:
@@ -686,7 +682,7 @@ def _decode_cell(m: int, g: int, data: bytes) -> Optional[Tuple[PsiRep, FResult]
         _check_samples(orbit, f_e, m, g)
     except (KeyError, TypeError, ValueError, ArithmeticError, RouteDisagreement):
         return None
-    return PsiRep(m, g, orbit), FResult(m, g, f_e)
+    return Cell(m, g, orbit, f_e)
 
 
 # ----- orchestration ------------------------------------------------------
@@ -708,15 +704,14 @@ class Engine:
         if budgets:
             self.budgets.update(budgets)
         self.cache_dir = Path(cache_dir) if cache_dir else None
-        self._psi: Dict[Tuple[int, int], PsiRep] = {}
-        self._f: Dict[Tuple[int, int], FResult] = {}
+        self._cells: Dict[Tuple[int, int], Cell] = {}
 
     # -- budget and cache plumbing
 
     def _check_budget(self, m: int, g: int):
         lim = self.budgets.get(g)
         if lim is None or m < 1 or m > lim or (g == 0 and m < 3):
-            done = sorted(self._psi)
+            done = sorted(self._cells)
             raise BudgetExceeded(
                 f"cell ({m},{g}) is outside the budget {self.budgets}; "
                 f"cells computed so far: {done}"
@@ -733,21 +728,20 @@ class Engine:
         hit = None if path is None else read_cell(path)
         if hit is None:
             return False
-        self._psi[(m, g)], self._f[(m, g)] = hit
+        self._cells[(m, g)] = hit
         return True
 
     def _save(self, m: int, g: int):
         path = self._cache_path(m, g)
         if path is None:
             return
-        psi = self._psi[(m, g)]
-        f = self._f[(m, g)]
+        cell = self._cells[(m, g)]
         obj = {
             "version": CACHE_VERSION,
             "m": m,
             "g": g,
-            "psi": psi.orbit.to_obj(),
-            "f_e": f.f_e.to_obj(),
+            "psi": cell.orbit.to_obj(),
+            "f_e": cell.f_e.to_obj(),
         }
         # a reader never sees a half-written file: write aside, then rename
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -761,15 +755,13 @@ class Engine:
 
     # -- public access
 
-    def psi(self, m: int, g: int) -> PsiRep:
-        return self.cell(m, g)[0]
+    def f_result(self, m: int, g: int) -> Cell:
+        """The same as `cell`; the benchmark's worker reads it."""
+        return self.cell(m, g)
 
-    def f_result(self, m: int, g: int) -> FResult:
-        return self.cell(m, g)[1]
-
-    def cell(self, m: int, g: int) -> Tuple[PsiRep, FResult]:
+    def cell(self, m: int, g: int) -> Cell:
         key = (m, g)
-        if key not in self._f:
+        if key not in self._cells:
             self._check_budget(m, g)
             if not self._load(m, g):
                 for dm, dg in _deps(m, g):
@@ -777,13 +769,13 @@ class Engine:
                 if g == 0:
                     rep = psi0_base(m)
                 else:
-                    rep = solve_pde(assemble_K(m, g, self._psi))
+                    rep = solve_pde(assemble_K(m, g, self._cells))
                 # the one check of a fresh cell's form, degrees and vanishing, as a
                 # cache read's; only a cell extract_f (and _check_f) passes is stored
                 _check_orbit_form(rep.orbit, m, g)
-                self._psi[key], self._f[key] = rep, extract_f(rep)
+                self._cells[key] = extract_f(rep)
                 self._save(m, g)
-        return self._psi[key], self._f[key]
+        return self._cells[key]
 
     def computed_cells(self) -> List[Tuple[int, int]]:
-        return sorted(self._f)
+        return sorted(self._cells)

@@ -103,7 +103,7 @@ def test_criterion_6_solution_certificates(engine):
     cells = [(m, g) for (m, g) in engine.computed_cells() if g >= 1]
     assert cells, "no positive-genus cells were computed"
     for m, g in cells:
-        rep = engine.psi(m, g)
+        rep = engine.cell(m, g)
         poly = rep.poly
 
         assert is_symmetric(poly), (m, g)
@@ -111,7 +111,7 @@ def test_criterion_6_solution_certificates(engine):
             assert substitute_one(poly, var).is_zero(), (m, g, var)
 
         # the equation itself, re-checked through the operator module
-        K = assemble_K(m, g, {k: engine.psi(*k) for k in engine.computed_cells()})
+        K = assemble_K(m, g, {k: engine.cell(*k) for k in engine.computed_cells()})
         c = m + 2 * g - 2
         lhs = add(scale(poly, c), *(apply_wdw(poly, var) for var in range(m)))
         assert lhs == K.poly, f"equation fails at ({m},{g})"

@@ -365,6 +365,52 @@ def test_cache_status_lists_cells_and_stale_files(tmp_path, capsys):
     ]
 
 
+def test_a_cell_file_nested_too_deeply_to_parse_is_a_miss(tmp_path, capsys):
+    path = tmp_path / "psi_m2_g1.json"
+    path.write_text("[" * 100_000)
+    assert run(["cache", "--cache-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "psi_m2_g1.json stale, 100000 bytes\n"
+    assert run(["compute", "--alpha", "2,1", "--genus", "1",
+                "--cache-dir", str(tmp_path)]) == 0
+    assert "route = engine" in capsys.readouterr().out.splitlines()
+    assert engine.read_cell(path).f_e == f_table(1, 2)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+def test_a_cell_file_that_is_not_a_regular_file_is_a_miss(tmp_path):
+    # reading a FIFO as a file waits for a writer to open it, and then for
+    # the writer to close it, so each command runs in a process of its own
+    # under a timeout.  Once fed a genuine cell, only its type makes it a miss
+    genuine = tmp_path / "genuine"
+    Engine(cache_dir=str(genuine)).cell(2, 1)
+    cdir = tmp_path / "cells"
+    cdir.mkdir()
+    path = cdir / "psi_m2_g1.json"
+    os.mkfifo(path)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+
+    def hurwitz(*argv):
+        return subprocess.run([sys.executable, "-m", "hurwitz", *argv,
+                               "--cache-dir", str(cdir)], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    stale = (0, "psi_m2_g1.json stale, 0 bytes\n")
+    listing = hurwitz("cache")
+    assert (listing.returncode, listing.stdout) == stale
+    writer = os.open(path, os.O_RDWR)
+    try:
+        os.write(writer, (genuine / path.name).read_bytes())
+        listing = hurwitz("cache")
+        assert (listing.returncode, listing.stdout) == stale
+        answer = hurwitz("compute", "--alpha", "2,1", "--genus", "1")
+    finally:
+        os.close(writer)
+    assert answer.returncode == 0, answer.stderr
+    assert "route = engine" in answer.stdout.splitlines()
+    assert path.is_file() and engine.read_cell(path).f_e == f_table(1, 2)
+
+
 def _scaled_f(obj):
     obj["f_e"] = scale(f_table(1, 2), 54).to_obj()
 

@@ -27,11 +27,10 @@ from hurwitz.algebra.sym import (
 from hurwitz import cli, engine
 from hurwitz.engine import (
     CACHE_VERSION,
+    Cell,
     DEFAULT_BUDGETS,
     Engine,
     K11,
-    PsiRep,
-    RhsRep,
     assemble_K,
     extract_f,
     per_var_bound,
@@ -230,7 +229,7 @@ def grid():
     for g, top in DEFAULT_BUDGETS.items():
         for m in range(3 if g == 0 else 1, min(top, 5) + 1):
             eng.f_result(m, g)
-    return {k: eng.psi(*k) for k in eng.computed_cells()}
+    return {k: eng.cell(*k) for k in eng.computed_cells()}
 
 
 @pytest.fixture(scope="module")
@@ -246,8 +245,8 @@ def staircase():
     budgets = {0: 9, 1: 8, 2: 6, 3: 5, 4: 4}
     eng = Engine(budgets)
     for g, top in budgets.items():
-        eng.psi(top, g)
-    return {k: eng.psi(*k) for k in eng.computed_cells()}
+        eng.cell(top, g)
+    return {k: eng.cell(*k) for k in eng.computed_cells()}
 
 
 def test_orbit_built_K_matches_the_dense_assembly(grid, dense_K, staircase):
@@ -535,7 +534,7 @@ def test_solver_rejects_a_rhs_past_a_cap(terms, old, new):
     assert (psi.total_degree() > tot) != (max(map(max, psi.num)) > pv)
     K = _applied(psi, c)
     with pytest.raises(ResidualNonzero):
-        solve_pde(RhsRep(m, g, K))
+        solve_pde(Cell(m, g, K))
     assert _mutated("_back_substitute", old, new)(K, c, pv, tot) == psi
 
 
@@ -545,7 +544,7 @@ def test_a_term_no_psi_produces_is_left_owed():
     K = SparsePoly("Y", 2, {(3, 3): 2})
     assert engine._back_substitute(K, 2, 5, 6).is_zero()
     with pytest.raises(ResidualNonzero):
-        solve_pde(RhsRep(2, 1, K))
+        solve_pde(Cell(2, 1, K))
 
 
 def test_a_cold_cell_expands_no_orbit_form(monkeypatch):
@@ -735,7 +734,7 @@ def test_e_value_is_evaluate_at_the_elementary_values(grid):
 
 
 def test_psi11_value_and_equation():
-    psi = Engine().psi(1, 1)
+    psi = Engine().cell(1, 1)
     assert psi.poly == PSI11
     # independent re-derivation of the hard-coded right side:
     # (w d/dw + 1) Psi must reproduce it exactly
@@ -745,8 +744,8 @@ def test_psi11_value_and_equation():
 def test_cells_satisfy_their_equation():
     eng = Engine()
     for m, g in ((2, 1), (3, 1), (1, 2), (2, 2)):
-        psi = eng.psi(m, g)
-        K = assemble_K(m, g, {k: eng.psi(*k) for k in eng.computed_cells()})
+        psi = eng.cell(m, g)
+        K = assemble_K(m, g, {k: eng.cell(*k) for k in eng.computed_cells()})
         c = m + 2 * g - 2
         lhs = add(scale(psi.poly, c), *(apply_wdw(psi.poly, i) for i in range(m)))
         assert lhs == K.poly
@@ -754,19 +753,28 @@ def test_cells_satisfy_their_equation():
 
 def test_degree_certificates():
     eng = Engine()
-    p21 = eng.psi(2, 1)
+    p21 = eng.cell(2, 1)
     assert p21.poly.total_degree() == total_bound(2, 1) == 6
     assert p21.poly.per_var_degrees() == (5, 5)
     assert per_var_bound(2, 1) == 5
-    p12 = eng.psi(1, 2)
+    p12 = eng.cell(1, 2)
     assert p12.poly.per_var_degrees() == (per_var_bound(1, 2),)
+
+
+def test_extraction_leaves_its_input_as_it_is(grid):
+    # decoded cells are shared between engines, so extraction returns a
+    # new record and never fills in the one it was given
+    solved = Cell(2, 1, grid[(2, 1)].orbit)
+    got = extract_f(solved)
+    assert solved.f_e is None and got is not solved
+    assert got.orbit is solved.orbit and got.f_e == f_table(1, 2)
 
 
 def test_extraction_refuses_a_cell_at_another_genus():
     # V_3 is the (3,0) cell; as (3,1) both routes agree on f = 1, which
     # misses the weighted degree 3 + 3 - 3
     with pytest.raises(CertificationError, match="weighted degree 3"):
-        extract_f(PsiRep(3, 1, psi0_base(3).orbit))
+        extract_f(Cell(3, 1, psi0_base(3).orbit))
 
 
 def test_cell_refuses_a_fresh_psi_off_its_total_degree(monkeypatch):
@@ -774,7 +782,7 @@ def test_cell_refuses_a_fresh_psi_off_its_total_degree(monkeypatch):
     # factors, so only the check of the fresh orbit form names the fault
     def base(m):
         y = mul(*(var("Y", m, i) for i in range(m)))
-        return PsiRep(m, 0, orbit_form(mul(psi0_base(m).poly, y)))
+        return Cell(m, 0, orbit_form(mul(psi0_base(m).poly, y)))
 
     monkeypatch.setattr(engine, "psi0_base", base)
     eng = Engine()
@@ -789,7 +797,7 @@ def test_cell_refuses_a_fresh_psi_off_its_per_variable_degree(monkeypatch):
     def solve(K):
         if (K.m, K.g) != (2, 1):
             return solve_pde(K)
-        return PsiRep(2, 1, SparsePoly("Y", 2, {(3, 3): 1, (3, 2): -1, (2, 2): 1}))
+        return Cell(2, 1, SparsePoly("Y", 2, {(3, 3): 1, (3, 2): -1, (2, 2): 1}))
 
     monkeypatch.setattr(engine, "solve_pde", solve)
     eng = Engine()
@@ -810,7 +818,7 @@ def test_a_fresh_cell_is_checked_for_vanishing_once(monkeypatch):
     monkeypatch.setattr(engine, "_vanishes_at_one", counted)
     eng = Engine()
     eng.cell(2, 2)
-    psis = [eng.psi(*k).orbit for k in eng.computed_cells()]
+    psis = [eng.cell(*k).orbit for k in eng.computed_cells()]
     assert [sum(o is p for o in seen) for p in psis] == [1] * len(psis)
     solved = sum(g >= 1 and (m, g) != (1, 1) for m, g in eng.computed_cells())
     assert len(seen) == len(psis) + solved
@@ -842,20 +850,20 @@ def test_solver_inverts_the_operator(q):
     target = mul(add(q, permute(q, [1, 0])), van)
     c = 2  # cell (2, 1)
     rhs = add(scale(target, c), *(apply_wdw(target, i) for i in range(2)))
-    got = solve_pde(RhsRep(2, 1, orbit_form(rhs)))
+    got = solve_pde(Cell(2, 1, orbit_form(rhs)))
     assert got.poly == target
 
 
 @pytest.mark.parametrize("term", [(1, 2), (1, -1)], ids=["unsorted", "laurent"])
 def test_solver_refuses_a_rhs_that_is_not_a_polynomial_orbit_form(term):
     with pytest.raises(ValueError, match="not an orbit term"):
-        solve_pde(RhsRep(2, 1, SparsePoly("Y", 2, {term: 1})))
+        solve_pde(Cell(2, 1, SparsePoly("Y", 2, {term: 1})))
 
 
 def test_solver_rejects_unreachable_rhs():
     K = SparsePoly("Y", 1, {(12,): Fraction(1), (0,): Fraction(-1)})
     with pytest.raises(ResidualNonzero):
-        solve_pde(RhsRep(1, 1, K))
+        solve_pde(Cell(1, 1, K))
 
 
 def test_budget_guard_reports_progress():
@@ -931,21 +939,21 @@ def test_cell_pulls_dependencies():
 
 def test_cache_roundtrip(tmp_path):
     first = Engine(cache_dir=str(tmp_path))
-    rep = first.psi(2, 1)
+    rep = first.cell(2, 1)
     path = tmp_path / "psi_m2_g1.json"
     assert path.is_file()
 
     second = Engine(cache_dir=str(tmp_path))
-    again = second.psi(2, 1)
+    again = second.cell(2, 1)
     assert again.poly == rep.poly
     assert second.f_result(2, 1).f_e == first.f_result(2, 1).f_e
 
 
 def test_cache_ignores_foreign_versions(tmp_path):
-    Engine(cache_dir=str(tmp_path)).psi(2, 1)
+    Engine(cache_dir=str(tmp_path)).cell(2, 1)
     path = tmp_path / "psi_m2_g1.json"
     good = path.read_text()
-    dense = Engine().psi(2, 1).poly
+    dense = Engine().cell(2, 1).poly
     for version, psi in ((CACHE_VERSION + 1, None), (1, dense.to_obj())):
         obj = json.loads(good)
         obj["version"] = version
@@ -953,7 +961,7 @@ def test_cache_ignores_foreign_versions(tmp_path):
             obj["psi"] = psi
         path.write_text(json.dumps(obj, separators=(",", ":")) + "\n")
         fresh = Engine(cache_dir=str(tmp_path))
-        assert fresh.psi(2, 1).poly == dense
+        assert fresh.cell(2, 1).poly == dense
         # a miss: the cell is recomputed and written back in this version
         assert path.read_text() == good
 
@@ -978,7 +986,7 @@ def test_cache_serves_files_with_keys_it_does_not_read(tmp_path, monkeypatch):
 def test_cache_ignores_corrupt_files(tmp_path):
     (tmp_path / "psi_m1_g1.json").write_text("not json")
     eng = Engine(cache_dir=str(tmp_path))
-    assert eng.psi(1, 1).poly == PSI11
+    assert eng.cell(1, 1).poly == PSI11
 
 
 def _keep_psi_terms(keep):
@@ -1017,7 +1025,7 @@ def _keep_psi_terms(keep):
         "below-per-variable-degree", "f-below-weighted-degree", "f-not-e",
         "f-in-three-variables", "f-negative-exponent", "f-float-exponent"])
 def test_cache_treats_malformed_fields_as_a_miss(tmp_path, damage):
-    Engine(cache_dir=str(tmp_path)).psi(2, 1)
+    Engine(cache_dir=str(tmp_path)).cell(2, 1)
     path = tmp_path / "psi_m2_g1.json"
     good = path.read_text()
     obj = json.loads(good)
@@ -1033,7 +1041,7 @@ def test_cache_treats_malformed_fields_as_a_miss(tmp_path, damage):
 
 
 def test_cache_hit_leaves_the_dense_view_unbuilt(tmp_path, monkeypatch):
-    want = Engine(cache_dir=str(tmp_path)).psi(2, 1)
+    want = Engine(cache_dir=str(tmp_path)).cell(2, 1)
 
     def refuse(orbit):
         raise AssertionError("a cache hit expanded the orbit form")
@@ -1041,9 +1049,9 @@ def test_cache_hit_leaves_the_dense_view_unbuilt(tmp_path, monkeypatch):
     monkeypatch.setattr(engine, "expand_orbits", refuse)
     fresh = Engine(cache_dir=str(tmp_path))
     assert fresh.f_result(2, 1).f_e == f_table(1, 2)
-    assert fresh.psi(2, 1).orbit == want.orbit
+    assert fresh.cell(2, 1).orbit == want.orbit
     monkeypatch.undo()
-    assert fresh.psi(2, 1).poly == want.poly
+    assert fresh.cell(2, 1).poly == want.poly
 
 
 def test_orbit_form_of_every_grid_cell_expands_back(grid):
@@ -1067,8 +1075,8 @@ def test_cell_from_cached_dependencies_matches_a_cold_engine(tmp_path, monkeypat
     got = warm.cell(2, 2)
     assert solves == [(2, 2)]  # every dependency came from the cache
     want = Engine().cell(2, 2)
-    assert got[0].poly == want[0].poly
-    assert got[1].f_e == want[1].f_e
+    assert got.poly == want.poly
+    assert got.f_e == want.f_e
 
 
 def _counted_sample_checks(monkeypatch) -> list:
@@ -1091,7 +1099,7 @@ def test_a_second_engine_reuses_the_decode_of_the_same_bytes(tmp_path, monkeypat
     assert calls == [(2, 1)]
     second = Engine(cache_dir=str(tmp_path)).cell(2, 1)
     assert calls == [(2, 1)]
-    assert second[0] is first[0] and second[1] is first[1]
+    assert second is first
 
 
 def test_a_rewritten_cache_file_is_decoded_afresh(tmp_path, monkeypatch):

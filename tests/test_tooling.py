@@ -11,6 +11,7 @@ import pytest
 
 import hurwitz
 import hurwitz.algebra
+from hurwitz import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -45,6 +46,25 @@ def test_benchmark_hooks_bind_to_package_names(module, name):
     finally:
         tracer.uninstall()
     assert getattr(target, name) is before
+
+
+def test_benchmark_hooks_trace_a_cold_and_a_cached_pass(tmp_path, capsys):
+    layers, spans = _load("layers"), _load("spans")
+    tracer = spans.Tracer()
+    try:
+        layers.install(tracer, True)
+        patched = list(tracer._patches)
+        # the second pass reads every cell back from the cache
+        for _ in range(2):
+            assert cli.main(["cache", "--warm", "--m", "3", "--cache-dir", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall()
+    assert patched
+    assert all(getattr(owner, attr) is orig for owner, attr, orig in patched)
+    got = layers.metrics(tracer)
+    for name in ("engine.K_terms", "engine.psi_terms", "engine.assemble_s",
+                 "engine.extract_s", "cache.hits"):
+        assert got[name] > 0, name
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
