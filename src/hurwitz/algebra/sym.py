@@ -217,9 +217,9 @@ def elementary_values(alpha: Sequence[int], m: int) -> List[int]:
 
 
 def e_value(f_e: SparsePoly, parts: Sequence[int]) -> Fraction:
-    """An e-basis polynomial with nonnegative exponents at the elementary
-    symmetric values of `parts`, in integer arithmetic: the value
-    `f_e.evaluate` gives at those points."""
+    """An e-basis polynomial with nonnegative exponents, evaluated at
+    (e_1(parts), ..., e_m(parts)).  The sum runs in integers over
+    `f_e.den`; the one Fraction is the value returned."""
     ev = elementary_values(parts, f_e.arity)
     total = sum(c * math.prod(v ** a for v, a in zip(ev, e) if a)
                 for e, c in f_e.num.items())

@@ -89,7 +89,8 @@ def best_route(alpha: Partition, g: int, engine: Engine) -> Tuple[Fraction, str]
     if f is not None:
         return f, "formulas"
     c = oracle.c_count(alpha, g)  # raises BudgetExceeded when out of range
-    return c / formulas.count_scale(alpha, g), "oracle"
+    num, den = formulas.count_scale(alpha, g)
+    return Fraction(c * den, num), "oracle"
 
 
 # ----- compute ------------------------------------------------------------

@@ -10,6 +10,12 @@ Delta data is embedded as literal integer constants guarded by a
 checksum; no parsing happens at runtime.  Three independent routes for
 the torus sequence a_n = 24 n f1_simple(n) cross-check each other inside
 a_sequence.
+
+The values that `compute` and `table --values` print are computed in
+Python ints: each f over a denominator known in advance, and the count c
+by one exact division by the integer scale `count_scale`.  The one
+Fraction of each value is built where it is returned.  The recurrences
+behind `pg_mu1` and `a_sequence` still step through Fractions.
 """
 
 from __future__ import annotations
@@ -17,13 +23,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, NamedTuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .algebra.poly import SparsePoly
 from .algebra.series import tree_coeffs
 from .algebra.sym import e_value, elementary_values
 from .errors import BudgetExceeded, CertificationError
-from .partitions import Partition, class_size
+from .partitions import Partition, centralizer_order
 
 __all__ = [
     "AppendixTable",
@@ -209,13 +215,16 @@ def f1_simple(n: int) -> Fraction:
 
 
 def f1_conjecture(alpha: Partition) -> Fraction:
-    """Genus-1 f for any alpha through elementary symmetric functions."""
+    """Genus-1 f for any alpha through elementary symmetric functions:
+    (n^m - n^(m-1) - sum_(i=2..m) (i-2)! e_i n^(m-i)) / 24, the sum by
+    Horner's rule in n."""
     n, m = alpha.n, alpha.m
     e = elementary_values(alpha.parts, m)
-    s = Fraction(n ** m - n ** (m - 1))
+    s, fact = n - 1, 1
     for i in range(2, m + 1):
-        s -= math.factorial(i - 2) * e[i - 1] * n ** (m - i)
-    return s / 24
+        s = s * n - fact * e[i - 1]
+        fact *= i - 1
+    return Fraction(s, 24)
 
 
 # ----- scaling chain ------------------------------------------------------
@@ -228,24 +237,28 @@ class HurwitzCount(NamedTuple):
     c: int
 
 
-def count_scale(alpha: Partition, g: int) -> Fraction:
-    """The factor c / f: j! prod_i a_i^a_i / (a_i - 1)!."""
+def count_scale(alpha: Partition, g: int) -> Tuple[int, int]:
+    """The factor c / f = j! prod_i a_i^a_i / (a_i - 1)! as the integers
+    (j! prod_i a_i^a_i, prod_i (a_i - 1)!), not reduced."""
     num, den = math.factorial(alpha.j_for_genus(g)), 1
     for a in alpha.parts:
         num *= a ** a
         den *= math.factorial(a - 1)
-    return Fraction(num, den)
+    return num, den
 
 
 def hurwitz(alpha: Partition, g: int, f: Fraction) -> HurwitzCount:
-    """Scale f back to the factorization count c and the weighted count mu."""
-    c = count_scale(alpha, g) * f
-    if c.denominator != 1 or c < 0:
+    """Scale f back to the factorization count c and the weighted count
+    mu = |C_alpha| c / n! = c / z_alpha.  c is one exact integer division,
+    refused when it leaves a remainder or is negative."""
+    num, den = count_scale(alpha, g)
+    c, r = divmod(num * f.numerator, den * f.denominator)
+    if r or c < 0:
         raise CertificationError(
-            f"f = {f} at {alpha}, g={g} scales to non-count {c}"
+            f"f = {f} at {alpha}, g={g} scales to non-count "
+            f"{Fraction(num * f.numerator, den * f.denominator)}"
         )
-    mu = Fraction(class_size(alpha) * int(c), math.factorial(alpha.n))
-    return HurwitzCount(alpha, g, f, mu, int(c))
+    return HurwitzCount(alpha, g, f, Fraction(c, centralizer_order(alpha)), c)
 
 
 def mu0_simple(n: int) -> Fraction:

@@ -1,8 +1,8 @@
 """Integer partitions as ramification types.
 
-Parts are stored as a weakly decreasing tuple of positive integers; the
-derived quantities n (weight), m (length), and the minimal transposition
-count n + m - 2 hang off the same object.
+Parts are stored as a weakly decreasing tuple of positive integers, with
+the weight n and the length m beside them, set once; the minimal
+transposition count n + m - 2 hangs off the same object.
 """
 
 from __future__ import annotations
@@ -12,14 +12,15 @@ from functools import lru_cache, total_ordering
 from typing import Iterator, Sequence, Tuple
 
 __all__ = ["Partition", "partitions", "parts_of_length", "partitions_of_length",
-           "class_size"]
+           "centralizer_order", "class_size"]
 
 
 @total_ordering
 class Partition:
-    """Immutable; equal, hashed and ordered by `parts`."""
+    """Immutable; equal, hashed and ordered by `parts`.  `n` and `m` are
+    the sum and the length of `parts`, stored when it is made."""
 
-    __slots__ = ("parts",)
+    __slots__ = ("parts", "n", "m")
 
     def __init__(self, parts: Tuple[int, ...]):
         if any(a < 1 for a in parts):
@@ -27,6 +28,8 @@ class Partition:
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("parts must be weakly decreasing")
         object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "n", sum(parts))
+        object.__setattr__(self, "m", len(parts))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -71,14 +74,6 @@ class Partition:
         if not parts:
             raise ValueError("empty partition")
         return Partition.of(parts)
-
-    @property
-    def n(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def m(self) -> int:
-        return len(self.parts)
 
     @property
     def min_length(self) -> int:
@@ -139,18 +134,18 @@ def partitions_of_length(n: int, m: int) -> Iterator[Partition]:
         yield Partition(p)
 
 
+def centralizer_order(alpha: Partition) -> int:
+    """z_alpha = prod_a a^(k_a) k_a!, with k_a the multiplicity of the part
+    a: the order of the centralizer of a permutation of cycle type alpha,
+    n! / class_size(alpha)."""
+    z, mult, prev = 1, 1, None
+    for a in alpha.parts:
+        mult = mult + 1 if a == prev else 1
+        z *= a * mult
+        prev = a
+    return z
+
+
 def class_size(alpha: Partition) -> int:
     """Size of the conjugacy class with cycle type alpha in S_n."""
-    n = alpha.n
-    denom = 1
-    mult = 1
-    prev = None
-    for a in alpha.parts:
-        denom *= a
-        if a == prev:
-            mult += 1
-        else:
-            mult = 1
-        prev = a
-        denom *= mult
-    return math.factorial(n) // denom
+    return math.factorial(alpha.n) // centralizer_order(alpha)

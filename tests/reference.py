@@ -2,6 +2,7 @@
 the package's live code paths."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -18,7 +19,7 @@ from hurwitz.algebra.poly import SparsePoly
 from hurwitz.algebra.series import expand_y_to_w, sweep, tree_coeffs, x_coefficient, x_orbit
 from hurwitz.algebra.sym import fit_sym_e_poly, is_orbit_exponent, to_e_basis
 from hurwitz.engine import _sample_plan
-from hurwitz.errors import NotVanishing
+from hurwitz.errors import CertificationError, NotVanishing
 from hurwitz.partitions import Partition, class_size
 
 
@@ -581,3 +582,51 @@ def dense_psi0(m: int) -> SparsePoly:
                 acc[e] = acc.get(e, 0) + c
         poly = SparsePoly.from_core("Y", m, acc)
     return poly
+
+
+# ----- scaling chain and genus-1 closed forms in Fractions -------------------
+# The Fraction forms of the scaling chain and of f1_conjecture, which the
+# package computes in integers, kept as the references it must equal.
+
+def elementary_values_by_subsets(parts, m: int) -> list:
+    """[e_1, ..., e_m] of `parts`, each a sum over the k-subsets."""
+    return [sum(math.prod(s) for s in combinations(parts, k))
+            for k in range(1, m + 1)]
+
+
+def fraction_f1_conjecture(alpha: Partition) -> Fraction:
+    """Genus-1 f through elementary symmetric functions, term by term in
+    Fractions."""
+    n, m = alpha.n, alpha.m
+    e = elementary_values_by_subsets(alpha.parts, m)
+    s = Fraction(n ** m - n ** (m - 1))
+    for i in range(2, m + 1):
+        s -= math.factorial(i - 2) * e[i - 1] * n ** (m - i)
+    return s / 24
+
+
+def fraction_count_scale(alpha: Partition, g: int) -> Fraction:
+    """c / f = j! prod_i a_i^a_i / (a_i - 1)!, one Fraction per part."""
+    scale = Fraction(math.factorial(alpha.j_for_genus(g)))
+    for a in alpha.parts:
+        scale *= Fraction(a ** a, math.factorial(a - 1))
+    return scale
+
+
+def fraction_hurwitz(alpha: Partition, g: int, f: Fraction) -> Tuple[int, Fraction]:
+    """(c, mu) from f in Fractions, refused with `hurwitz`'s message."""
+    c = fraction_count_scale(alpha, g) * f
+    if c.denominator != 1 or c < 0:
+        raise CertificationError(
+            f"f = {f} at {alpha}, g={g} scales to non-count {c}"
+        )
+    return int(c), Fraction(class_size_by_multiplicities(alpha) * int(c),
+                            math.factorial(alpha.n))
+
+
+def class_size_by_multiplicities(alpha: Partition) -> int:
+    """n! / prod_a a^(k_a) k_a!, with k_a the multiplicity of the part a."""
+    z = 1
+    for a, k in Counter(alpha.parts).items():
+        z *= a ** k * math.factorial(k)
+    return math.factorial(alpha.n) // z

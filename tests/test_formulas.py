@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hurwitz import formulas
 from hurwitz.errors import BudgetExceeded, CertificationError
@@ -12,6 +12,7 @@ from hurwitz.formulas import (
     TABLE_M_MAX,
     a_sequence,
     appendix_table,
+    count_scale,
     f1_conjecture,
     f1_simple,
     f_genus0,
@@ -24,6 +25,9 @@ from hurwitz.formulas import (
 )
 from hurwitz.oracle import c_count, mu_count
 from hurwitz.partitions import Partition, partitions
+from reference import fraction_count_scale, fraction_f1_conjecture, fraction_hurwitz
+
+alphas = st.lists(st.integers(1, 9), min_size=1, max_size=7).map(Partition.of)
 
 
 def f1_two(n: int, r: int) -> Fraction:
@@ -201,6 +205,70 @@ def test_hurwitz_chain_spot():
 def test_hurwitz_rejects_non_count():
     with pytest.raises(ArithmeticError):
         hurwitz(Partition.of([2, 1]), 0, Fraction(1, 5))
+
+
+def test_hurwitz_refusals_keep_their_messages():
+    # the scale at (2,1), genus 0 is 3! 2^2 = 24: a remainder, then a sign
+    alpha = Partition.of([2, 1])
+    with pytest.raises(CertificationError) as err:
+        hurwitz(alpha, 0, Fraction(1, 5))
+    assert str(err.value) == "f = 1/5 at (2,1), g=0 scales to non-count 24/5"
+    with pytest.raises(CertificationError) as err:
+        hurwitz(alpha, 0, Fraction(-1, 3))
+    assert str(err.value) == "f = -1/3 at (2,1), g=0 scales to non-count -8"
+    assert hurwitz(alpha, 0, Fraction(0)).c == 0
+
+
+@given(alphas, st.integers(0, 6))
+def test_count_scale_matches_the_fraction_reference(alpha, g):
+    num, den = count_scale(alpha, g)
+    assert Fraction(num, den) == fraction_count_scale(alpha, g) and den > 0
+
+
+@given(alphas, st.integers(0, 6), st.integers(0, 10 ** 12))
+def test_hurwitz_matches_the_fraction_reference_on_counts(alpha, g, c):
+    f = c / fraction_count_scale(alpha, g)
+    hc = hurwitz(alpha, g, f)
+    assert (hc.c, hc.mu) == fraction_hurwitz(alpha, g, f)
+    assert hc.c == c and type(hc.c) is int and hc.f == f and hc.alpha == alpha
+
+
+@given(alphas, st.integers(0, 6), st.fractions(max_denominator=10 ** 6))
+def test_hurwitz_answers_and_refuses_as_the_fraction_reference(alpha, g, f):
+    try:
+        want = fraction_hurwitz(alpha, g, f)
+    except CertificationError as ref_err:
+        with pytest.raises(CertificationError) as err:
+            hurwitz(alpha, g, f)
+        assert str(err.value) == str(ref_err)
+    else:
+        hc = hurwitz(alpha, g, f)
+        assert (hc.c, hc.mu) == want
+
+
+@given(alphas)
+def test_f1_conjecture_matches_the_fraction_reference(alpha):
+    assert f1_conjecture(alpha) == fraction_f1_conjecture(alpha)
+
+
+@given(st.integers(1, 14))
+def test_f1_simple_matches_the_fraction_reference(n):
+    assert f1_simple(n) == fraction_f1_conjecture(Partition((1,) * n))
+
+
+@given(st.integers(1, 40))
+def test_mu0_simple_matches_the_genus0_chain(n):
+    ones = Partition((1,) * n)
+    assert mu0_simple(n) == fraction_hurwitz(ones, 0, f_genus0(ones))[1]
+
+
+@given(st.integers(2, 25))
+@settings(deadline=None)
+def test_pg_mu1_matches_the_genus1_chain(n_max):
+    mu1 = pg_mu1(n_max)
+    for n in range(2, n_max + 1):
+        ones = Partition((1,) * n)
+        assert mu1[n - 1] == fraction_hurwitz(ones, 1, f1_simple(n))[1], n
 
 
 def test_mu0_simple_values():

@@ -94,3 +94,35 @@ def test_value_semantics():
         a.parts = (3,)
     with pytest.raises(AttributeError):
         del a.parts
+
+
+def test_n_and_m_are_the_sum_and_length_of_the_parts():
+    for n in range(13):
+        for p in partitions(n):
+            q = Partition.of(list(reversed(p.parts)))
+            assert (p.n, p.m) == (q.n, q.m) == (n, len(p.parts))
+            assert p.n == sum(p.parts)
+        for m in range(n + 2):
+            for p in partitions_of_length(n, m):
+                assert (p.n, p.m) == (n, m) == (sum(p.parts), len(p.parts))
+    lam = Partition.parse("4,1,1")
+    assert (lam.n, lam.m, lam.min_length, lam.j_for_genus(2)) == (6, 3, 7, 11)
+
+
+def test_n_and_m_cannot_be_assigned_or_deleted():
+    a = Partition.of([2, 1])
+    for name in ("n", "m"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 5)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert (a.n, a.m) == (3, 2)
+
+
+def test_pickling_hashing_and_equality_ignore_the_stored_sizes():
+    a = Partition.of([3, 1, 1])
+    assert a.__reduce__() == (Partition, ((3, 1, 1),))
+    b = pickle.loads(pickle.dumps(a))
+    assert b == a and hash(b) == hash(a) == hash(((3, 1, 1),))
+    assert (b.n, b.m) == (5, 3)
+    assert a != Partition.of([3, 2]) and a < Partition.of([3, 2])

@@ -12,6 +12,7 @@ from hurwitz.algebra.poly import SparsePoly
 from hurwitz.algebra.sym import (
     e_monomial_expand,
     e_monomials_by_weight,
+    e_value,
     elementary_values,
     expand_orbits,
     fit_sym_e_poly,
@@ -21,7 +22,14 @@ from hurwitz.algebra.sym import (
 from hurwitz.engine import _sample_plan
 from hurwitz.errors import CertificationError, InconsistentSystem
 from hurwitz.partitions import parts_of_length
-from reference import const, evaluate, mul, orbit_form, product_e_monomial_expand
+from reference import (
+    const,
+    elementary_values_by_subsets,
+    evaluate,
+    mul,
+    orbit_form,
+    product_e_monomial_expand,
+)
 
 
 def known_poly(m, wdeg):
@@ -155,3 +163,24 @@ def test_an_expansion_that_misses_its_leading_term_is_refused(monkeypatch):
 def test_the_orbit_test_is_the_pairwise_definition(e):
     # a narrow range, so that ties, zeros and negative entries are common
     assert is_orbit_exponent(e) == all(a >= b for a, b in zip(e, e[1:]))
+
+
+@st.composite
+def e_poly_at_parts(draw):
+    """An e-basis polynomial of 1..4 variables with nonnegative exponents
+    and any numerators over one denominator, and parts to evaluate it at
+    (as many as the arity or more)."""
+    m = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(0, 4)] * m)
+    num = draw(st.dictionaries(exps, st.integers(-10 ** 6, 10 ** 6), max_size=12))
+    den = draw(st.integers(1, 10 ** 4))
+    parts = draw(st.lists(st.integers(1, 12), min_size=m, max_size=m + 3))
+    return SparsePoly.from_core("E", m, num, den), tuple(parts)
+
+
+@given(e_poly_at_parts())
+def test_e_value_matches_the_fraction_reference(case):
+    f_e, parts = case
+    ev = elementary_values_by_subsets(parts, f_e.arity)
+    assert elementary_values(parts, f_e.arity) == ev
+    assert e_value(f_e, parts) == evaluate(f_e, ev)
