@@ -45,10 +45,10 @@ def _as_fraction(v) -> Fraction:
 class SparsePoly:
     """Immutable-by-convention sparse polynomial.
 
-    Callers must not mutate `num` after construction.
+    Callers must not mutate `num`: `sym.e_numerator` keeps its plan in `_e_plan`.
     """
 
-    __slots__ = ("kind", "arity", "num", "den")
+    __slots__ = ("kind", "arity", "num", "den", "_e_plan")
 
     def __init__(self, kind: str, arity: int, terms: Mapping[Exponent, Fraction] | None = None):
         coeffs: dict = {}

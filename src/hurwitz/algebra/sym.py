@@ -26,6 +26,7 @@ __all__ = [
     "expand_orbits",
     "e_monomials_by_weight",
     "elementary_values",
+    "e_numerator",
     "e_value",
     "e_monomial_expand",
     "to_e_basis",
@@ -208,22 +209,55 @@ def to_e_basis(num: Mapping[tuple, int], den: int, m: int) -> SparsePoly:
 
 
 def elementary_values(alpha: Sequence[int], m: int) -> List[int]:
-    """[e_1(alpha), ..., e_m(alpha)] for a tuple of part sizes."""
+    """[e_1(alpha), ..., e_m(alpha)]; part i touches only e_1 .. e_i."""
     e = [1] + [0] * m
+    i = 0
     for a in alpha:
-        for k in range(min(m, len(e) - 1), 0, -1):
+        if i < m:
+            i += 1
+        k = i
+        while k:
             e[k] += a * e[k - 1]
+            k -= 1
     return e[1:]
 
 
-def e_value(f_e: SparsePoly, parts: Sequence[int]) -> Fraction:
-    """An e-basis polynomial with nonnegative exponents, evaluated at
-    (e_1(parts), ..., e_m(parts)).  The sum runs in integers over
-    `f_e.den`; the one Fraction is the value returned."""
+def e_numerator(f_e: SparsePoly, parts: Sequence[int]) -> int:
+    """f_e.den times the e-polynomial f_e at (e_1(parts), ..., e_m(parts)).
+    The first call refuses a negative exponent and keeps on f_e the terms
+    grouped by their exponent past e_1; each group is summed over one list
+    of e_1's powers, then raised by its powers of e_2 .. e_m."""
+    try:
+        groups, top = f_e._e_plan
+    except AttributeError:
+        by_rest: Dict[tuple, list] = {}
+        for e, c in f_e.num.items():
+            if any(a < 0 for a in e):
+                raise ValueError(f"e-exponent {e} is negative")
+            by_rest.setdefault(e[1:], []).append((e[0] if e else 0, c))
+        groups = [([(k, a) for k, a in enumerate(rest, 1) if a], by_e1)
+                  for rest, by_e1 in by_rest.items()]
+        top = max((e[0] for e in f_e.num if e), default=0)
+        f_e._e_plan = groups, top
     ev = elementary_values(parts, f_e.arity)
-    total = sum(c * math.prod(v ** a for v, a in zip(ev, e) if a)
-                for e, c in f_e.num.items())
-    return Fraction(total, f_e.den)
+    powers = [1]
+    for _ in range(top):
+        powers.append(powers[-1] * ev[0])
+    total = 0
+    for rest, by_e1 in groups:
+        s = 0
+        for a, c in by_e1:
+            s += c * powers[a]
+        for k, a in rest:
+            s *= ev[k] ** a
+        total += s
+    return total
+
+
+def e_value(f_e: SparsePoly, parts: Sequence[int]) -> Fraction:
+    """`e_numerator` over f_e.den, the one Fraction built.  The sampling
+    gate (`engine._check_samples`) checks the same numerators."""
+    return Fraction(e_numerator(f_e, parts), f_e.den)
 
 
 def fit_sym_e_poly(

@@ -89,7 +89,7 @@ from .algebra.series import (
 # fit_sym_e_poly is not called here; it stays bound because the
 # benchmark's layer hooks (perfbench/layers.py) wrap it on this module
 from .algebra.sym import (
-    elementary_values,
+    e_numerator,
     expand_orbits,
     fit_sym_e_poly,
     is_orbit_exponent,
@@ -576,31 +576,12 @@ def _check_samples(orbit: SparsePoly, f_e: SparsePoly, m: int, g: int):
     every term of total above nmax, which no plan point reads.  f at
     parts is [x^parts] Psi prod a!/a^a.  So the check is the integer
     identity num_f(parts) Psi.den prod a^a = xs[parts] f_e.den, num_f
-    being f_e's numerator at the elementary values of parts.  f_e's
-    terms are split once per cell, grouped by their exponent past e_1:
-    each group is a polynomial in e_1, read off one list of e_1's powers
-    per point, times one product of powers of e_2 .. e_m."""
+    being f_e's numerator at the elementary values of parts
+    (`sym.e_numerator`, the evaluator behind every printed value of f)."""
     plan = _sample_plan(m, max(m + 3 * g - 3, 0))
     xs = x_orbit(orbit, max(p[0] for p in plan), max(map(sum, plan)))
-    groups: dict = {}
-    for e, c in f_e.num.items():
-        groups.setdefault(e[1:], []).append((e[0], c))
-    split = [([(k, a) for k, a in enumerate(rest, 1) if a], by_e1)
-             for rest, by_e1 in groups.items()]
-    top = max((e[0] for e in f_e.num), default=0)
     for parts in plan:
-        ev = elementary_values(parts, m)
-        powers = [1]
-        for _ in range(top):
-            powers.append(powers[-1] * ev[0])
-        num_f = 0
-        for rest, by_e1 in split:
-            s = 0
-            for a, c in by_e1:
-                s += c * powers[a]
-            for k, a in rest:
-                s *= ev[k] ** a
-            num_f += s
+        num_f = e_numerator(f_e, parts)
         if (num_f * orbit.den * math.prod([a ** a for a in parts])
                 != xs.get(parts, 0) * f_e.den):
             raise RouteDisagreement(
@@ -637,15 +618,19 @@ def read_cell(path: Path) -> Optional[Cell]:
     expanding Psi; None when the file is a miss.  A name that is not a
     cell file, a file that cannot be read and one that is not regular
     (opened without blocking, so that a FIFO waits for no writer) are
-    misses; the bytes read go to `_decode_cell`."""
+    misses; the bytes read to end of file go to `_decode_cell`."""
     name = CELL_FILE.fullmatch(path.name)
     if name is None:
         return None
     try:
-        with open(os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0)), "rb") as fh:
-            if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
+        try:
+            st = os.fstat(fd)
+            if not stat.S_ISREG(st.st_mode):
                 return None
-            data = fh.read()
+            data = b"".join(iter(lambda: os.read(fd, st.st_size + 1), b""))
+        finally:
+            os.close(fd)
     except OSError:
         return None
     return _decode_cell(int(name[1]), int(name[2]), data)

@@ -12,10 +12,11 @@ the torus sequence a_n = 24 n f1_simple(n) cross-check each other inside
 a_sequence.
 
 The values that `compute` and `table --values` print are computed in
-Python ints: each f over a denominator known in advance, and the count c
-by one exact division by the integer scale `count_scale`.  The one
-Fraction of each value is built where it is returned.  The recurrences
-behind `pg_mu1` and `a_sequence` still step through Fractions.
+Python ints: each f over a denominator known in advance (a table's by
+`sym.e_numerator`, which the sampling gate runs), and the count c by one
+exact division by the integer scale `count_scale`.  The one Fraction of
+each value is built where it is returned.  The recurrences behind
+`pg_mu1` and `a_sequence` still step through Fractions.
 """
 
 from __future__ import annotations

@@ -411,6 +411,26 @@ def test_a_cell_file_that_is_not_a_regular_file_is_a_miss(tmp_path):
     assert path.is_file() and engine.read_cell(path).f_e == f_table(1, 2)
 
 
+def test_a_fifo_holding_a_whole_cell_is_a_miss(tmp_path):
+    # the writer has written a genuine cell and gone, so a read would end at
+    # end of file with every byte; a reader kept open holds the bytes, and
+    # nothing blocks.  Only its type makes the FIFO a miss
+    genuine = tmp_path / "genuine"
+    Engine(cache_dir=str(genuine)).cell(2, 1)
+    data = (genuine / "psi_m2_g1.json").read_bytes()
+    path = tmp_path / "psi_m2_g1.json"
+    os.mkfifo(path)
+    keep = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        writer = os.open(path, os.O_WRONLY | os.O_NONBLOCK)
+        os.write(writer, data)
+        os.close(writer)
+        assert engine.read_cell(path) is None
+        assert os.read(keep, len(data) + 1) == data
+    finally:
+        os.close(keep)
+
+
 def _scaled_f(obj):
     obj["f_e"] = scale(f_table(1, 2), 54).to_obj()
 

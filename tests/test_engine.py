@@ -422,12 +422,12 @@ def test_orbit_residual_is_the_orbit_form_of_the_dense_residual(grid):
         assert got == orbit_form(want), (m, g)
 
 
-def _mutated(name: str, old: str, new: str):
-    """engine.<name> rebuilt from its source with `old` replaced by `new`."""
-    src = textwrap.dedent(inspect.getsource(getattr(engine, name)))
+def _mutated(name: str, old: str, new: str, module=engine):
+    """module.<name> rebuilt from its source with `old` replaced by `new`."""
+    src = textwrap.dedent(inspect.getsource(getattr(module, name)))
     assert src.count(old) == 1, f"{old!r} is not in {name}"
     scope: dict = {}
-    exec(compile(src.replace(old, new), f"<mutated {name}>", "exec"), vars(engine), scope)
+    exec(compile(src.replace(old, new), f"<mutated {name}>", "exec"), vars(module), scope)
     return scope[name]
 
 
@@ -706,6 +706,34 @@ def test_a_sampling_gate_without_one_factor_refuses_the_grid(grid, monkeypatch, 
     if ones_exempt:
         for key in ones:
             assert extract_f(grid[key]).f_e.arity == key[0]
+
+
+# the gate reads f through the evaluator that prints it; each mutant of
+# that evaluator, bound into the gate alone, must be refused on every cell
+# where it changes a plan value.  Genus-0 f is the one term e_1^(m-3), and
+# (3,0)'s is the constant 1; at m = 1 there is no e_2 .. e_m
+@pytest.mark.parametrize("old,new,refused", [
+    ("powers[-1] * ev[0]", "powers[-1]", 17),
+    ("s += c * powers[a]", "s += c", 17),
+    ("s *= ev[k] ** a", "s *= 1", 10),
+    ("for a, c in by_e1:", "for a, c in by_e1[:1]:", 14),
+    ("for rest, by_e1 in groups:", "for rest, by_e1 in ():", 18),
+], ids=["e1-powers-not-raised", "no-e1-power", "no-other-powers",
+        "first-term-only", "no-evaluation-loop"])
+def test_a_mutated_evaluator_is_refused_by_the_sampling_gate(grid, monkeypatch, old, new,
+                                                             refused):
+    mutant = _mutated("e_numerator", old, new, sym)
+    monkeypatch.setattr(engine, "e_numerator", mutant)
+    caught = []
+    for (m, g), rep in grid.items():
+        try:
+            extract_f(rep)
+        except RouteDisagreement:
+            caught.append((m, g))
+        else:  # an equivalent mutant there
+            for p in engine._sample_plan(m, max(m + 3 * g - 3, 0)):
+                assert mutant(rep.f_e, p) == sym.e_numerator(rep.f_e, p), (m, g, p)
+    assert len(caught) == refused
 
 
 def test_two_sweep_values_equal_the_w_jet_and_dense_routes(grid):

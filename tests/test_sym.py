@@ -12,6 +12,7 @@ from hurwitz.algebra.poly import SparsePoly
 from hurwitz.algebra.sym import (
     e_monomial_expand,
     e_monomials_by_weight,
+    e_numerator,
     e_value,
     elementary_values,
     expand_orbits,
@@ -167,20 +168,45 @@ def test_the_orbit_test_is_the_pairwise_definition(e):
 
 @st.composite
 def e_poly_at_parts(draw):
-    """An e-basis polynomial of 1..4 variables with nonnegative exponents
-    and any numerators over one denominator, and parts to evaluate it at
-    (as many as the arity or more)."""
-    m = draw(st.integers(1, 4))
+    """An e-basis polynomial of 0..4 variables with nonnegative exponents
+    and any numerators over one denominator, and two lists of parts to
+    evaluate it at (each as many as the arity or more)."""
+    m = draw(st.integers(0, 4))
     exps = st.tuples(*[st.integers(0, 4)] * m)
     num = draw(st.dictionaries(exps, st.integers(-10 ** 6, 10 ** 6), max_size=12))
     den = draw(st.integers(1, 10 ** 4))
-    parts = draw(st.lists(st.integers(1, 12), min_size=m, max_size=m + 3))
-    return SparsePoly.from_core("E", m, num, den), tuple(parts)
+    parts = st.lists(st.integers(1, 12), min_size=m, max_size=m + 3).map(tuple)
+    return SparsePoly.from_core("E", m, num, den), draw(parts), draw(parts)
 
 
 @given(e_poly_at_parts())
 def test_e_value_matches_the_fraction_reference(case):
-    f_e, parts = case
+    f_e, parts, other = case
     ev = elementary_values_by_subsets(parts, f_e.arity)
     assert elementary_values(parts, f_e.arity) == ev
-    assert e_value(f_e, parts) == evaluate(f_e, ev)
+    want = evaluate(f_e, ev)
+    assert e_value(f_e, parts) == want
+    # the plan the first call built is reused, at the same point and at
+    # another; an equal but distinct copy builds its own
+    assert e_value(f_e, parts) == want
+    assert e_value(f_e, other) == evaluate(f_e, elementary_values_by_subsets(other, f_e.arity))
+    copy = SparsePoly.from_core("E", f_e.arity, dict(f_e.num), f_e.den)
+    assert copy == f_e and copy is not f_e
+    assert e_value(copy, parts) == want
+    assert e_numerator(f_e, parts) == want * f_e.den
+
+
+def test_the_evaluator_takes_arity_zero_and_the_zero_polynomial():
+    const6 = SparsePoly.from_core("E", 0, {(): 6}, 4)
+    assert e_value(const6, ()) == e_value(const6, (2, 3)) == Fraction(3, 2)
+    assert e_value(SparsePoly.from_core("E", 0, {}), ()) == 0
+    assert e_value(SparsePoly.from_core("E", 3, {}), (1, 2, 3)) == 0
+
+
+@pytest.mark.parametrize("e", [(-1, 0), (2, -1), (0, 0, -3)])
+def test_the_evaluator_refuses_a_negative_exponent(e):
+    # a table of e_1's powers would read powers[-1] and go on silently
+    f_e = SparsePoly.from_core("E", len(e), {(0,) * len(e): 1, e: 5}, 3)
+    for _ in range(2):  # a refused plan is not kept
+        with pytest.raises(ValueError, match="negative"):
+            e_value(f_e, (2,) * len(e))
