@@ -131,15 +131,6 @@ class SparsePoly:
                     degs[i] = v
         return tuple(degs)
 
-    def min_exponents(self) -> tuple:
-        """Componentwise min exponent; detects Laurent terms."""
-        mins = [0] * self.arity
-        for e in self.num:
-            for i, v in enumerate(e):
-                if v < mins[i]:
-                    mins[i] = v
-        return tuple(mins)
-
     # ----- ordering and serialization -----------------------------------
 
     def sorted_terms(self) -> list:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import fnmatch
 import functools
 import json
 import math
@@ -79,12 +80,10 @@ def best_route(alpha: Partition, g: int, engine: Engine) -> Tuple[Fraction, str]
             f"requests need n <= {INPUT_N_MAX} and "
             f"j = n + m + 2g - 2 <= {INPUT_J_MAX}"
         )
-    m = alpha.m
-    if g >= 1 or m >= 3:
-        try:
-            return e_value(engine.cell(m, g).f_e, alpha.parts), "engine"
-        except BudgetExceeded:
-            pass
+    try:
+        return e_value(engine.cell(alpha.m, g).f_e, alpha.parts), "engine"
+    except BudgetExceeded:
+        pass
     f = _f_from_formulas(alpha, g)
     if f is not None:
         return f, "formulas"
@@ -337,13 +336,6 @@ def run_cache(args) -> int:
     if (args.warm or cdir.exists()) and not cdir.is_dir():
         print(f"error: cache directory {cdir} is not a directory", file=sys.stderr)
         return EXIT_BAD_ARGS
-    if args.clear:
-        files = [p for p in sorted(cdir.glob("psi_m*_g*.json"))
-                 if not p.is_dir()]
-        for path in files:
-            path.unlink()
-        print(f"removed {len(files)} cached cells")
-        return EXIT_OK
     if args.warm:
         budgets = dict(DEFAULT_BUDGETS)
         if args.genus is not None and args.genus not in budgets:
@@ -358,7 +350,25 @@ def run_cache(args) -> int:
                 engine.cell(m, g)
                 print(f"computed ({m},{g})")
         return EXIT_OK
-    files = sorted(cdir.glob("psi_m*_g*.json"))
+    if args.genus is not None or args.m is not None:
+        print("error: --genus and --m choose the cells of --warm", file=sys.stderr)
+        return EXIT_BAD_ARGS
+    files = []
+    try:
+        if cdir.is_dir():
+            with os.scandir(cdir) as entries:  # Path.glob hides an unlistable directory
+                files = sorted(cdir / e.name for e in entries
+                               if fnmatch.fnmatchcase(e.name, "psi_m*_g*.json"))
+        if args.clear:
+            files = [p for p in files if not p.is_dir()]
+            for path in files:
+                path.unlink()
+    except OSError as err:
+        print(f"error: cache directory {cdir}: {err}", file=sys.stderr)
+        return EXIT_BAD_ARGS
+    if args.clear:
+        print(f"removed {len(files)} cached cells")
+        return EXIT_OK
     if not files:
         print("cache is empty")
         return EXIT_OK
@@ -417,8 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cache = sub.add_parser("cache", help="inspect, clear, or warm the cache")
     p_cache.add_argument("--cache-dir", default=None)
-    p_cache.add_argument("--clear", action="store_true")
-    p_cache.add_argument("--warm", action="store_true")
+    mode = p_cache.add_mutually_exclusive_group()
+    mode.add_argument("--clear", action="store_true")
+    mode.add_argument("--warm", action="store_true")
     p_cache.add_argument("--genus", type=_int_arg, default=None)
     p_cache.add_argument("--m", type=_int_arg, default=None)
 

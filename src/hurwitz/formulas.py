@@ -130,7 +130,7 @@ def _compute_digest() -> str:
 class AppendixTable(NamedTuple):
     g: int
     d: int
-    deltas: tuple  # SparsePoly (E, arity 3) for Delta_1 .. Delta_mMax
+    deltas: tuple  # {(e1, e2, e3) exponents: int} for Delta_1 .. Delta_mMax
 
 
 @lru_cache(maxsize=None)
@@ -142,12 +142,13 @@ def _table_certified() -> bool:
 
 @lru_cache(maxsize=None)
 def appendix_table(g: int) -> AppendixTable:
+    """The certified Deltas of genus g, copied so that no later change to
+    `_DELTAS` reaches a table built from them."""
     if g not in _DELTAS:
         raise BudgetExceeded(f"no table for genus {g}")
     if not _table_certified():
         raise CertificationError("table constants fail their transcription checksum")
-    deltas = tuple(SparsePoly("E", 3, d) for d in _DELTAS[g])
-    return AppendixTable(g, _D_G[g], deltas)
+    return AppendixTable(g, _D_G[g], tuple(dict(d) for d in _DELTAS[g]))
 
 
 @lru_cache(maxsize=None)
@@ -158,23 +159,17 @@ def f_table(g: int, m: int) -> SparsePoly:
         raise BudgetExceeded(f"genus {g} table stops at m = {len(tab.deltas)}")
     total: dict = {}
     for k in range(1, m + 1):
-        for e3, c in tab.deltas[k - 1].num.items():
+        for e3, c in tab.deltas[k - 1].items():
             # e1^(m-k) * e_k * Delta_k term, embedded at arity m
-            e = [0] * m
-            e[0] += m - k + e3[0]
+            if any(e3[m:]):
+                raise CertificationError("table term does not fit arity")
+            e = list(e3[:m]) + [0] * (m - 3)
+            e[0] += m - k
             e[k - 1] += 1
-            if len(e3) > 1 and e3[1]:
-                if m < 2:
-                    raise CertificationError("table term does not fit arity")
-                e[1] += e3[1]
-            if len(e3) > 2 and e3[2]:
-                if m < 3:
-                    raise CertificationError("table term does not fit arity")
-                e[2] += e3[2]
-            key = tuple(e)
-            total[key] = total.get(key, 0) + c
+            e = tuple(e)
+            total[e] = total.get(e, 0) + c
     poly = SparsePoly.from_core("E", m, total, tab.d)
-    if any(v < 0 for v in poly.min_exponents()):
+    if any(v < 0 for e in poly.num for v in e):
         raise CertificationError("Laurent term survived table assembly")
     return poly
 

@@ -84,10 +84,6 @@ class Partition:
     def j_for_genus(self, g: int) -> int:
         return self.min_length + 2 * g
 
-    def key(self) -> str:
-        """Dash-separated form used by the CSV dump."""
-        return "-".join(str(a) for a in self.parts)
-
     def __str__(self) -> str:
         return "(" + ",".join(str(a) for a in self.parts) + ")"
 

@@ -1,5 +1,6 @@
 """Command-line surface: routes, formats, exit codes, cache handling."""
 
+import errno
 import json
 import os
 import subprocess
@@ -321,6 +322,54 @@ def test_cache_refuses_a_cache_dir_that_is_not_a_directory(mode, tmp_path, capsy
     assert out == "" and "is not a directory" in err
     assert [p.name for p in tmp_path.iterdir()] == ["cache"]
     assert (tmp_path / "cache").read_text() == "not a directory"
+
+
+@pytest.mark.parametrize("argv", [
+    ["cache", "--clear", "--warm"],
+    ["cache", "--genus", "1"],
+    ["cache", "--m", "2"],
+    ["cache", "--clear", "--genus", "1", "--m", "2"],
+])
+def test_cache_refuses_flags_it_would_ignore(argv, tmp_path, capsys):
+    Engine(cache_dir=str(tmp_path)).f_result(2, 1)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert run(argv + ["--cache-dir", str(tmp_path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "error: " in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("mode", [[], ["--clear"]])
+def test_cache_refuses_a_directory_it_cannot_list(mode, tmp_path, monkeypatch, capsys):
+    Engine(cache_dir=str(tmp_path)).f_result(2, 1)
+
+    def unlistable(path):
+        raise PermissionError(errno.EACCES, "Permission denied", str(path))
+
+    monkeypatch.setattr(os, "scandir", unlistable)
+    assert run(["cache", "--cache-dir", str(tmp_path), *mode]) == 3
+    assert capsys.readouterr() == (
+        "", f"error: cache directory {tmp_path}: [Errno 13] Permission denied: '{tmp_path}'\n")
+    monkeypatch.undo()
+    assert len(list(tmp_path.iterdir())) == 3
+
+
+def test_cache_clear_stops_at_a_file_it_cannot_remove(tmp_path, monkeypatch, capsys):
+    Engine(cache_dir=str(tmp_path)).f_result(2, 1)
+    unlink, calls = Path.unlink, []
+
+    def second_fails(path, *args, **kwargs):
+        calls.append(path)
+        if len(calls) == 2:
+            raise PermissionError(errno.EACCES, "Permission denied", str(path))
+        unlink(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "unlink", second_fails)
+    assert run(["cache", "--clear", "--cache-dir", str(tmp_path)]) == 3
+    blocked = tmp_path / "psi_m2_g1.json"
+    assert capsys.readouterr() == (
+        "", f"error: cache directory {tmp_path}: [Errno 13] Permission denied: '{blocked}'\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["psi_m2_g1.json", "psi_m3_g0.json"]
 
 
 @pytest.mark.parametrize("argv", [

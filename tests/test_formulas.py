@@ -91,6 +91,34 @@ def test_a_changed_table_constant_fails_the_checksum(monkeypatch):
         formulas.appendix_table.cache_clear()
 
 
+@pytest.fixture
+def doctored_tables(monkeypatch):
+    """Tables certified whatever `_DELTAS` holds; built afresh on both sides."""
+    monkeypatch.setattr(formulas, "_table_certified", lambda: True)
+    formulas.appendix_table.cache_clear()
+    formulas.f_table.cache_clear()
+    yield monkeypatch
+    formulas.appendix_table.cache_clear()
+    formulas.f_table.cache_clear()
+
+
+@pytest.mark.parametrize("g,term,message", [
+    (2, (0, 1, 0), "table term does not fit arity"),  # e2 read at m = 1
+    (1, (-2, 0, 0), "Laurent term survived table assembly"),  # e1^-1 at m = 1
+], ids=["arity", "laurent"])
+def test_a_doctored_table_is_refused_at_assembly(doctored_tables, g, term, message):
+    doctored_tables.setitem(formulas._DELTAS[g][0], term, 1)
+    with pytest.raises(CertificationError, match=message):
+        f_table(g, 1)
+
+
+def test_a_table_keeps_the_deltas_it_certified(doctored_tables):
+    want = f_table(2, 1)
+    doctored_tables.setitem(formulas._DELTAS[2][0], (0, 1, 0), 1)
+    formulas.f_table.cache_clear()
+    assert f_table(2, 1) == want
+
+
 def test_table_loads_for_all_genera():
     for g, mmax in TABLE_M_MAX.items():
         tab = appendix_table(g)

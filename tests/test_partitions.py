@@ -38,7 +38,6 @@ def test_derived_quantities():
     assert lam.min_length == 3
     assert lam.j_for_genus(0) == 3
     assert lam.j_for_genus(1) == 5
-    assert lam.key() == "2-1"
     assert str(lam) == "(2,1)"
 
 

@@ -78,14 +78,12 @@ def test_degrees():
     p = SparsePoly("Y", 2, {(3, 1): Fraction(1), (0, 2): Fraction(-1)})
     assert p.total_degree() == 4
     assert p.per_var_degrees() == (3, 2)
-    assert p.min_exponents() == (0, 0)
     assert SparsePoly("Y", 2).total_degree() is None
 
 
 def test_laurent_exponents_allowed():
-    # negative powers are legal; degree helpers still report extremes
+    # negative powers are legal; the total degree is still the largest sum
     p = SparsePoly("Y", 1, {(-2,): Fraction(1), (1,): Fraction(1)})
-    assert p.min_exponents() == (-2,)
     assert p.total_degree() == 1
 
 

@@ -1,5 +1,7 @@
-"""The benchmark's layer hooks and the demos stay runnable."""
+"""The benchmark's layer hooks and the demos stay runnable, and `src`
+holds no function that nothing calls unless it is listed here."""
 
+import ast
 import importlib.util
 import os
 import pkgutil
@@ -84,3 +86,56 @@ def test_every_exported_name_resolves(package):
     for module in modules:
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert not missing, (module.__name__, missing)
+
+
+# Functions of `src` whose name no code in `src` reads outside their own body.
+UNCALLED = {
+    # read only by the benchmark's hooks and the tests; ROADMAP item 2 moves
+    # them to tests/reference.py or deletes them
+    "apply_xdx", "diag_fold", "divide_ydiff", "core_u_to_y", "core_w_jet_to_u",
+    "expand_y_to_w", "x_coefficient", "TruncSeries.coeff", "fit_sym_e_poly",
+    # `main` looks `run_<command>` up by name
+    "run_compute", "run_table", "run_verify", "run_cache",
+    # argparse calls it on a bad argument
+    "_Parser.error",
+    # perfbench/worker.py reads it
+    "Engine.f_result",
+    # the demos read it
+    "Engine.computed_cells",
+    # the direct-enumeration route, exported for the tests and callers
+    "dfs_count",
+}
+
+
+def _uncalled_functions() -> set:
+    """Functions (`Class.method` for methods, dunders aside) whose name
+    appears as no `ast.Name` or `ast.Attribute` outside their own body.
+    Imports and `__all__` strings are not reads."""
+    defs, reads = [], {}
+
+    def scan(node, owner, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                defs.append((f"{owner}.{node.name}" if owner else node.name, node))
+            for part in [*node.decorator_list, node.args, node.returns]:
+                if part is not None:
+                    scan(part, None, inside)
+            for stmt in node.body:
+                scan(stmt, None, inside + (node,))
+            return
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            reads.setdefault(name, []).append(inside)
+        for child in ast.iter_child_nodes(node):
+            scan(child, owner, inside)
+
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        scan(ast.parse(path.read_text()), None, ())
+    return {qual for qual, node in defs
+            if all(node in inside for inside in reads.get(node.name, ()))}
+
+
+def test_only_the_listed_functions_go_uncalled():
+    assert _uncalled_functions() == UNCALLED
