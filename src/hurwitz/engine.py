@@ -11,18 +11,21 @@ with an exact division by y_r - y_s (T2), and symmetrized products
 pairing a genus-0 cell (T3) or a positive-genus split (T4) against the
 rest.  K is symmetric, and it is assembled in orbit form, one coefficient
 per weakly decreasing exponent, straight from the orbit terms of the
-lower cells.  Each summand is built as rows (S block, T block,
-{exponent of the special variable: numerator}) that keep only the terms
-whose symmetric blocks are sorted: x d/dx of a cell is read off its
-orbit terms, T1's two derivatives and diagonal limit and T2's division
-are closed forms, products are convolved over their shared variable one
-pair of blocks at a time, and each symmetric pair is taken once: T1's
-and T2's two slots, T4's splits.  The rows, scaled to one common
-denominator, are folded by sorted tail, and each (tail, exponent) is
-added once to its orbit, times the number of placements that read it
-there.  The assembled K must vanish at y_1 = 1, as (sum w d/dw + c) Psi
-does.  `apply_xdx`, `diag_fold` and `divide_ydiff` now serve only the
-dense reference route of the tests and the benchmark's layer hooks.
+lower cells.  Each summand's builder adds it to one accumulator
+{tail: {exponent of the special variable: numerator}}, the tail being
+the sorted exponents of the other slots, keeping only the terms whose
+symmetric blocks are sorted: x d/dx of a cell is read off its orbit
+terms, T1's two derivatives and diagonal limit and T2's division are
+closed forms, products are convolved over their shared variable one
+pair of blocks at a time straight into their tail, and each symmetric
+pair is taken once: T1's and T2's two slots, T4's splits.  Each term
+goes in scaled to one common denominator and weighted by the placements
+of the S and T blocks that read it at one arrangement of its tail; the
+placement sum then adds each (tail, exponent) once to its orbit, times
+the number of slots the special variable may take there.  The assembled
+K must vanish at y_1 = 1, as (sum w d/dw + c) Psi does.  `apply_xdx`,
+`diag_fold` and `divide_ydiff` now serve only the dense reference route
+of the tests and the benchmark's layer hooks.
 
 In y itself the operator is triangular: w d/dw sends y^u to
 u y^(u+1) - u y^u, so the part of K of degree d + 1 fixes the part of
@@ -60,7 +63,7 @@ import stat
 from functools import lru_cache
 from pathlib import Path
 from typing import (
-    Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
+    Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
 )
 
 # apply_xdx, diag_fold and divide_ydiff are not called here: assembly
@@ -167,23 +170,20 @@ class Cell:
 
 
 # ----- orbit-form building blocks ---------------------------------------
-# Every summand of K is built as rows (S block, T block, {exponent of the
-# special variable: numerator}) straight from the orbit terms of the
-# lower cells, keeping only the terms whose blocks are weakly decreasing.
-# x d/dx, the diagonal limit and the division by y_r - y_s act on the
-# special slots alone, so each is a closed form on these rows.
-
-Rows = Iterable[Tuple[tuple, tuple, Dict[int, int]]]
+# Each builder adds one summand of K, straight from the orbit terms of the
+# lower cells, to one accumulator `folded`, {tail: {exponent of the
+# special variable: numerator}}.  x d/dx, the diagonal limit and the
+# division by y_r - y_s act on the special slot alone, so each is a closed
+# form on the factor rows of a cell.
 
 
-def _factor_rows(orbit: SparsePoly, scale: int = 1) -> Dict[tuple, Dict[int, int]]:
+def _factor_rows(orbit: SparsePoly) -> Dict[tuple, Dict[int, int]]:
     """x_1 d/dx_1 of the symmetric polynomial with orbit form `orbit`,
-    times scale * orbit.den, as {rest: {exponent of y_1: numerator}} with
-    rest weakly decreasing.  Each distinct value v an orbit term gives y_1
-    is taken once, and x d/dx sends y^v to v (y^(v+2) - y^(v+1))."""
+    times orbit.den, as {rest: {exponent of y_1: numerator}} with rest
+    weakly decreasing.  Each distinct value v an orbit term gives y_1 is
+    taken once, and x d/dx sends y^v to v (y^(v+2) - y^(v+1))."""
     rows: dict = {}
     for lam, c in orbit.num.items():
-        c *= scale
         for v, rest in removals(lam):
             if v:
                 row = rows.setdefault(rest, {})
@@ -192,16 +192,17 @@ def _factor_rows(orbit: SparsePoly, scale: int = 1) -> Dict[tuple, Dict[int, int
     return rows
 
 
-def _diag_rows(orbit: SparsePoly, scale: int) -> Rows:
-    """T1's rows, with S empty: x_1 d/dx_1 x_2 d/dx_2 of the cell, then
-    y_2 -> y_1.  Each term y_1^v1 y_2^v2 y^rest read off an orbit term
-    (both nonzero) goes to p y^(s+2) (y - 1)^2, with s = v1 + v2 and
-    p = v1 v2 c.  Both are symmetric in v1 and v2, so each unordered pair
-    is read once (v2 at or after v1's first copy), doubled if v1 != v2;
-    the p are summed by (rest, s) before one product by y^2 (y - 1)^2."""
+def _diag_rows(folded: dict, orbit: SparsePoly, scale: int):
+    """Add T1, with S empty, to `folded`: x_1 d/dx_1 x_2 d/dx_2 of the
+    cell, then y_2 -> y_1.  Each term y_1^v1 y_2^v2 y^rest read off an
+    orbit term (both nonzero) goes to p y^(s+2) (y - 1)^2, with
+    s = v1 + v2 and p = v1 v2 c.  Both are symmetric in v1 and v2, so each
+    unordered pair is read once (v2 at or after v1's first copy), doubled
+    if v1 != v2; the p are summed by (rest, s) before one product by
+    y^2 (y - 1)^2.  The tail is rest, and one placement of S reads each
+    term there, so the weight is the scale alone."""
     sums: dict = {}
     for lam, c in orbit.num.items():
-        c *= scale
         for i, v1 in enumerate(lam):
             if not v1 or i and lam[i - 1] == v1:
                 continue
@@ -210,23 +211,25 @@ def _diag_rows(orbit: SparsePoly, scale: int) -> Rows:
                     row = sums.setdefault(lam[:i] + lam[i + 1:j] + lam[j + 1:], {})
                     row[v1 + v2] = row.get(v1 + v2, 0) + (2 if v2 < v1 else 1) * v1 * v2 * c
     for rest, by_s in sums.items():
-        row = {}
+        acc = folded.setdefault(rest, {})
         for s, p in by_s.items():
-            row[s + 4] = row.get(s + 4, 0) + p
-            row[s + 3] = row.get(s + 3, 0) - 2 * p
-            row[s + 2] = row.get(s + 2, 0) + p
-        yield (), rest, row
+            p *= scale
+            acc[s + 4] = acc.get(s + 4, 0) + p
+            acc[s + 3] = acc.get(s + 3, 0) - 2 * p
+            acc[s + 2] = acc.get(s + 2, 0) + p
 
 
-def _merge_rows(orbit: SparsePoly, scale: int) -> Rows:
-    """T2's rows, with S = (s,): the quotient of
+def _merge_rows(folded: dict, orbit: SparsePoly, scale: int):
+    """Add T2, with S = (s,), to `folded`: the quotient of
     (y_s - 1) y_r^2 G(y_r) - (y_r - 1) y_s^2 G(y_s) by y_r - y_s, G being
     x_1 d/dx_1 of the cell.  A term y^k of G, with A = k + 2, gives
     y_r y_s h_(A-2) - h_(A-1), h_n = sum_i y_r^i y_s^(n-i): at y_s^b that
     is y_r^(A-b) for 1 <= b < A, less y_r^(A-1-b) for 0 <= b < A.  The
     placement sum does not see the quotient's symmetry in r and s, so
-    only its terms y_r^i y_s^b with i >= b are kept, doubled if i > b."""
-    for rest, row in _factor_rows(orbit, scale).items():
+    only its terms y_r^i y_s^b with i >= b are kept, doubled if i > b.
+    The tail is rest with b inserted, and s may sit at any copy of b
+    there: the weight is the multiplicity of b in the tail."""
+    for rest, row in _factor_rows(orbit).items():
         by_s: dict = {}
         for k, c in row.items():
             a, c2 = k + 2, 2 * c
@@ -237,22 +240,30 @@ def _merge_rows(orbit: SparsePoly, scale: int) -> Rows:
                 if a - 1 - b >= b:
                     r[a - 1 - b] = r.get(a - 1 - b, 0) - (c2 if a - 1 - b > b else c)
         for b, r in by_s.items():
-            yield (b,), rest, r
+            w = scale * (rest.count(b) + 1)
+            acc = folded.setdefault(tuple(sorted(rest + (b,), reverse=True)), {})
+            for k, c in r.items():
+                acc[k] = acc.get(k, 0) + w * c
 
 
-def _product_rows(a: SparsePoly, b: SparsePoly, scale: int) -> Rows:
-    """The rows of A(y_0, y_S) B(y_0, y_T), A and B being x_0 d/dx_0 of
-    the two cells, one pair of blocks at a time: the factor rows are
-    convolved over the shared special slot and the product is never
-    built."""
-    b_rows = _factor_rows(b).items()
-    for bs, ra in _factor_rows(a, scale).items():
-        for bt, rb in b_rows:
-            row: dict = {}
+def _product_rows(folded: dict, a: SparsePoly, b: SparsePoly, scale: int):
+    """Add A(y_0, y_S) B(y_0, y_T) to `folded`, A and B being x_0 d/dx_0
+    of the two cells: each pair of factor rows is convolved over the
+    shared special slot straight into its tail, bS + bT sorted, and the
+    product is never built.  S and T split the tail's slots in
+    aut(tail) / (aut(bS) aut(bT)) ways that read the pair's terms, aut(e)
+    being the product of the factorials of e's multiplicities."""
+    b_rows = [(bt, _aut(bt), rb) for bt, rb in _factor_rows(b).items()]
+    for bs, ra in _factor_rows(a).items():
+        aut_s = _aut(bs)
+        for bt, aut_t, rb in b_rows:
+            tail = tuple(sorted(bs + bt, reverse=True))
+            w = scale * _aut(tail) // (aut_s * aut_t)
+            acc = folded.setdefault(tail, {})
             for p, x in ra.items():
+                x *= w
                 for q, y in rb.items():
-                    row[p + q] = row.get(p + q, 0) + x * y
-            yield bs, bt, row
+                    acc[p + q] = acc.get(p + q, 0) + x * y
 
 
 def _aut(e: Sequence[int]) -> int:
@@ -265,38 +276,21 @@ def _aut(e: Sequence[int]) -> int:
     return n
 
 
-def theta_symmetrize(rows: Rows, m: int, den: int = 1) -> SparsePoly:
+def theta_symmetrize(folded: Mapping[tuple, Mapping[int, int]], m: int,
+                     den: int = 1) -> SparsePoly:
     """Orbit form of the sum of a summand over every placement (r; S; T):
     r one of the m slots and S, T the other slots split in increasing
-    order, with |S| the length of the summand's S blocks.
+    order.
 
-    The summand comes as rows (bS, bT, {k: c}): its coefficient at
-    y_r^k y_S^bS y_T^bT is c / den, for weakly decreasing bS and bT.  It
-    must be symmetric within S and within T, so that these rows fix it.
-    A term lands on the orbit of its sorted exponent lam once for every
-    placement that reads it there: aut(lam) / (aut(bS) aut(bT)) times,
-    aut(e) being the product of the factorials of e's multiplicities.
-    That is aut(tail) / (aut(bS) aut(bT)), tail being bS + bT sorted,
-    times mult(k in tail) + 1.  So the rows are folded by tail with the
-    first factor, and each distinct (tail, k) is then placed once, k
-    inserted into the tail, with the second.  The first factor is 1 for
-    a row with bS empty, whose tail is bT, and the multiplicity of b in
-    the tail for bS = (b,).  There are m C(m-1, |S|) placements in all.
-    Rows of several summands, each with its own S length, may share one
-    call.
+    The summand comes folded by tail, {tail: {k: c}}: c / den is the sum
+    of its coefficients at y_r^k y_S^bS y_T^bT over the blocks bS and bT
+    whose sorted union is the tail, each weighted by the number of
+    (S, T) placements that read it at one arrangement of the tail.  It
+    lands on the orbit of lam = sort(tail + (k,)) once more for each
+    position r may take among the copies of k in lam, so each distinct
+    (tail, k) is placed once, with weight mult(k in tail) + 1.  Summands
+    of several S lengths may share one accumulator.
     """
-    folded: dict = {}
-    for bs, bt, row in rows:
-        if not bs:
-            tail, w = bt, 1
-        elif len(bs) == 1:
-            tail, w = tuple(sorted(bs + bt, reverse=True)), bt.count(bs[0]) + 1
-        else:
-            tail = tuple(sorted(bs + bt, reverse=True))
-            w = _aut(tail) // (_aut(bs) * _aut(bt))
-        acc = folded.setdefault(tail, {})
-        for k, c in row.items():
-            acc[k] = acc.get(k, 0) + w * c
     out: dict = {}
     for tail, acc in folded.items():
         for k, c in acc.items():
@@ -335,8 +329,7 @@ def psi0_base(m: int) -> Cell:
     orbit = SparsePoly.from_core(
         "Y", m, {(1,) * j + (0,) * (m - j): (-1) ** (m - j) for j in range(m + 1)})
     for _ in range(m - 3):
-        rows = _factor_rows(orbit).items()
-        orbit = theta_symmetrize((((), rest, row) for rest, row in rows), m, orbit.den)
+        orbit = theta_symmetrize(_factor_rows(orbit), m, orbit.den)
     return Cell(m, 0, orbit)
 
 
@@ -346,7 +339,7 @@ K11 = SparsePoly.from_core("Y", 1, {(4,): 3, (3,): -4, (0,): 1}, 24)
 
 
 def _summands(m: int, g: int) -> Iterator[tuple]:
-    """(divisor, row builder, input cell keys) of each summand of K for
+    """(divisor, builder, input cell keys) of each summand of K for
     cell (m, g), g >= 1 but (1, 1): the one statement of the recursion,
     which assembly reads and the dependency walk `_deps` follows."""
     # T1: two derivatives of the (m+1, g-1) cell, then diagonal y_2 -> y_1
@@ -373,8 +366,9 @@ def _summands(m: int, g: int) -> Iterator[tuple]:
 
 def assemble_K(m: int, g: int, cells: Mapping[Tuple[int, int], Cell]) -> Cell:
     """Right-hand side for cell (m, g), g >= 1, in orbit form, from the
-    orbit forms of lower cells.  Each summand's rows (`_summands`) are scaled
-    to one common denominator and all of them go through one placement sum."""
+    orbit forms of lower cells.  Each summand (`_summands`) is scaled to one
+    common denominator and folded into one accumulator, and all of them go
+    through one placement sum."""
     if g < 1:
         raise ValueError("assembly applies to positive genus")
     if (m, g) == (1, 1):
@@ -389,8 +383,10 @@ def assemble_K(m: int, g: int, cells: Mapping[Tuple[int, int], Cell]) -> Cell:
     parts = [(div, make, [cell(key) for key in keys]) for div, make, keys in _summands(m, g)]
     dens = [div * math.prod(f.den for f in fs) for div, _, fs in parts]
     den = math.lcm(*dens)
-    rows = (row for d, (_, make, fs) in zip(dens, parts) for row in make(*fs, den // d))
-    K = theta_symmetrize(rows, m, den)
+    folded: dict = {}
+    for d, (_, make, fs) in zip(dens, parts):
+        make(folded, *fs, den // d)
+    K = theta_symmetrize(folded, m, den)
 
     # K = (sum w d/dw + c) Psi keeps Psi's root y_1 = 1: w_1 d/dw_1 sends
     # y_1^k to k y_1^k (y_1 - 1), and the other terms act on other slots

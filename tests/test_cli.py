@@ -316,8 +316,14 @@ def test_cache_refuses_a_cache_dir_that_is_not_a_directory(mode, tmp_path, capsy
     path.write_text("not a directory")
     if mode == "parent":  # --warm cannot create a directory under a file
         path, mode = path / "cells", "--warm"
-    argv = ["cache", "--cache-dir", str(path), "--genus", "1", "--m", "1"]
-    assert run(argv + ([] if mode == "status" else [mode])) == 3
+    # --genus and --m are flags of --warm alone: status and --clear refuse
+    # them on their own
+    argv = ["cache", "--cache-dir", str(path)]
+    if mode == "--warm":
+        argv += ["--warm", "--genus", "1", "--m", "1"]
+    elif mode == "--clear":
+        argv.append(mode)
+    assert run(argv) == 3
     out, err = capsys.readouterr()
     assert out == "" and "is not a directory" in err
     assert [p.name for p in tmp_path.iterdir()] == ["cache"]

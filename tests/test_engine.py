@@ -199,8 +199,9 @@ def test_two_variable_seed_against_raw_counts():
 
 
 def test_theta_placements():
-    # m=3, |S| = 1: the summand y_r y_s^2 lands on all ordered pairs r != s
-    got = theta_symmetrize([((2,), (0,), {1: 1})], 3)
+    # m=3, |S| = 1: the summand y_r y_s^2 lands on all ordered pairs r != s;
+    # its tail (2, 0) has one copy of s's exponent 2, so its fold weight is 1
+    got = theta_symmetrize({(2, 0): {1: 1}}, 3)
     expect: dict = {}
     for r in range(3):
         for s in range(3):
@@ -211,8 +212,9 @@ def test_theta_placements():
             e[s] += 2
             expect[tuple(e)] = expect.get(tuple(e), 0) + Fraction(1)
     assert expand_orbits(got) == SparsePoly("Y", 3, expect)
-    # placement count: m * C(m-1, i)
-    assert theta_symmetrize([((0, 0), (0,), {0: 1})], 4) == const("Y", 4, 4 * 3)
+    # placement count: m * C(m-1, i), with |S| = 2 of the tail's 3 slots
+    # folded in as C(3, 2)
+    assert theta_symmetrize({(0, 0, 0): {0: math.comb(3, 2)}}, 4) == const("Y", 4, 4 * 3)
 
 
 def test_psi0_base_matches_the_dense_operator_loop():
@@ -220,6 +222,16 @@ def test_psi0_base_matches_the_dense_operator_loop():
         rep = psi0_base(m)
         assert all(is_orbit_exponent(e) for e in rep.orbit.num)
         assert rep.poly == dense_psi0(m)
+
+
+def test_a_psi0_step_folded_with_weight_two_misses_the_dense_loop():
+    # each x d/dx step folds the factor rows, whose S block is empty, with
+    # the unit weight; m = 3 takes no step
+    mutant = _mutated(
+        "psi0_base", "_factor_rows(orbit)",
+        "{t: {k: 2 * c for k, c in r.items()} for t, r in _factor_rows(orbit).items()}")
+    assert mutant(3).poly == dense_psi0(3)
+    assert all(mutant(m).poly != dense_psi0(m) for m in range(4, 8))
 
 
 @pytest.fixture(scope="module")
@@ -268,11 +280,12 @@ def _drop_first_row(monkeypatch):
 
 
 def _no_stabilizer_orders(monkeypatch):
-    # `_aut`, and the fold's closed form for an S block of one entry b:
-    # aut(tail) / aut(bT), the multiplicity of b in the tail
+    # `_aut`, which the products' fold weight reads, and T2's closed form
+    # for its S block of one entry b: aut(tail) / aut(rest), the
+    # multiplicity of b in the tail
     monkeypatch.setattr(engine, "_aut", lambda e: 1)
-    monkeypatch.setattr(engine, "theta_symmetrize",
-                        _mutated("theta_symmetrize", "bt.count(bs[0]) + 1", "1"))
+    monkeypatch.setattr(engine, "_merge_rows",
+                        _mutated("_merge_rows", "rest.count(b) + 1", "1"))
 
 
 @pytest.mark.parametrize("mutate", [_drop_first_row, _no_stabilizer_orders],
@@ -296,13 +309,14 @@ def test_a_mutated_orbit_sum_fails_the_vanishing_check(grid, monkeypatch, mutate
     ("_diag_rows", "(2 if v2 < v1 else 1) * ", ""),
     ("_merge_rows", "2 * c", "c"),
     ("theta_symmetrize", "(tail.count(k) + 1) * c", "c"),
-    ("theta_symmetrize", "bt.count(bs[0]) + 1", "1"),
-    ("theta_symmetrize", "tail, w = bt, 1", "tail, w = bt, 2"),
+    ("_merge_rows", "rest.count(b) + 1", "1"),
+    ("_diag_rows", "p *= scale", "p *= 2 * scale"),
+    ("_product_rows", "_aut(tail)", "1"),
 ], ids=["self-mirrored-T4-unhalved", "mirrored-T4-pair-twice",
         "T2-one-h-term-too-many", "T1-middle-weight-one", "T2-unhalved",
         "T1-off-diagonal-undoubled", "T2-off-diagonal-undoubled",
         "placement-weight-one", "one-entry-S-fold-weight-one",
-        "empty-S-fold-weight-two"])
+        "empty-S-fold-weight-two", "product-fold-without-tail-orders"])
 def test_a_mutated_assembly_is_refused_or_misses_the_dense_K(
         grid, dense_K, monkeypatch, name, old, new):
     monkeypatch.setattr(engine, name, _mutated(name, old, new))

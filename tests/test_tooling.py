@@ -13,7 +13,7 @@ import pytest
 
 import hurwitz
 import hurwitz.algebra
-from hurwitz import cli
+from hurwitz import cli, engine
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -67,6 +67,36 @@ def test_benchmark_hooks_trace_a_cold_and_a_cached_pass(tmp_path, capsys):
     for name in ("engine.K_terms", "engine.psi_terms", "engine.assemble_s",
                  "engine.extract_s", "cache.hits"):
         assert got[name] > 0, name
+
+
+def test_no_summand_is_built_inside_the_placement_sum(monkeypatch):
+    # the traced `engine.assemble.theta_s` wraps `theta_symmetrize`, and
+    # `engine.assemble.self_s` is to count the building of the summands
+    running, calls = [False], []
+    theta = engine.theta_symmetrize
+
+    def placed(*args):
+        running[0] = True
+        try:
+            return theta(*args)
+        finally:
+            running[0] = False
+
+    def spy(name, build):
+        def called(*args):
+            calls.append((name, running[0]))
+            return build(*args)
+        return called
+
+    monkeypatch.setattr(engine, "theta_symmetrize", placed)
+    builders = ("_factor_rows", "_diag_rows", "_merge_rows", "_product_rows")
+    for name in builders:
+        monkeypatch.setattr(engine, name, spy(name, getattr(engine, name)))
+    eng = engine.Engine()
+    for m, g in ((4, 0), (4, 1), (3, 2)):
+        eng.cell(m, g)
+    assert {name for name, _ in calls} == set(builders)
+    assert [name for name, inside in calls if inside] == []
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
