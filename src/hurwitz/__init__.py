@@ -5,86 +5,17 @@ class-vector recurrence (oracle), a cut-and-join PDE pipeline over exact
 sparse polynomials (engine), and closed forms with embedded coefficient
 tables (formulas).  The package exists so the routes can be played
 against each other; every computed value is certified by at least two.
+
+The top level re-exports the five names of the README's Library example;
+every other name is imported from its module (`hurwitz.engine`,
+`hurwitz.formulas`, `hurwitz.oracle`, `hurwitz.errors`, ...).
 """
 
-from .algebra.poly import SparsePoly
-from .engine import (
-    Cell,
-    Engine,
-    extract_f,
-    psi0_base,
-    solve_pde,
-)
-from .errors import (
-    BudgetExceeded,
-    CertificationError,
-    HurwitzError,
-    InconsistentSystem,
-    NonzeroRemainder,
-    NotSymmetric,
-    NotVanishing,
-    ResidualNonzero,
-    RouteDisagreement,
-)
-from .formulas import (
-    HurwitzCount,
-    a_sequence,
-    f1_conjecture,
-    f1_simple,
-    f_genus0,
-    f_one_part,
-    f_table,
-    f_table_eval,
-    hurwitz,
-    mu0_simple,
-    pg_mu1,
-)
-from .oracle import (
-    FactorizationTable,
-    all_counts,
-    c_count,
-    dfs_count,
-    mu_count,
-    transitive_counts,
-)
-from .partitions import Partition, class_size, partitions
+from .engine import Engine
+from .formulas import f_table_eval, hurwitz
+from .oracle import c_count
+from .partitions import Partition
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "SparsePoly",
-    "Cell",
-    "Engine",
-    "extract_f",
-    "psi0_base",
-    "solve_pde",
-    "HurwitzError",
-    "BudgetExceeded",
-    "CertificationError",
-    "InconsistentSystem",
-    "NonzeroRemainder",
-    "NotSymmetric",
-    "NotVanishing",
-    "ResidualNonzero",
-    "RouteDisagreement",
-    "HurwitzCount",
-    "a_sequence",
-    "f1_conjecture",
-    "f1_simple",
-    "f_genus0",
-    "f_one_part",
-    "f_table",
-    "f_table_eval",
-    "hurwitz",
-    "mu0_simple",
-    "pg_mu1",
-    "FactorizationTable",
-    "all_counts",
-    "c_count",
-    "dfs_count",
-    "mu_count",
-    "transitive_counts",
-    "Partition",
-    "class_size",
-    "partitions",
-]
+__all__ = ["Engine", "Partition", "c_count", "hurwitz", "f_table_eval"]

@@ -141,27 +141,22 @@ def divide_ydiff(poly: SparsePoly, i: int, j: int) -> SparsePoly:
 
 # ----- operator basis -----------------------------------------------------
 
-def p_ladder(jmax: int) -> Tuple[list, list]:
-    """(P, Q) ladders as univariate integer dicts {degree: coeff}.
-
-    P[j] = (x d/dx)^j (y-1), Q[j] = P[j] shifted down one degree (valid
-    since w d/dw = (1/y) x d/dx on monomials); Q[0] is unused.
-    """
+def p_ladder(jmax: int) -> list:
+    """P_0 .. P_jmax as univariate integer dicts {degree: coeff}, with
+    P[j] = (x d/dx)^j (y-1).  The peel needs no Q_j: an even leading
+    degree is refused, not divided out."""
     P = [{1: 1, 0: -1}]
     for _ in range(jmax):
         nxt = core_apply_xdx({(k,): c for k, c in P[-1].items()}, 0)
         P.append({e[0]: c for e, c in nxt.items() if c})
-    Q = [None]
-    for j in range(1, jmax + 1):
-        Q.append({k - 1: c for k, c in P[j].items()})
-    return P, Q
+    return P
 
 
 @lru_cache(maxsize=None)
 def _ladder_rows(jmax: int) -> tuple:
     """P_0 .. P_jmax as rows: rows[j] lists P_j's (degree,
     coefficient) pairs in ascending degree."""
-    return tuple(tuple(sorted(P.items())) for P in p_ladder(jmax)[0])
+    return tuple(tuple(sorted(P.items())) for P in p_ladder(jmax))
 
 
 def xdx_basis_convert(p: SparsePoly, m: int) -> Tuple[Dict[tuple, int], int]:

@@ -4,7 +4,7 @@ A polynomial is stored as integer numerators over one shared
 denominator: `num` maps exponent tuples to nonzero ints and `den` is a
 positive int with gcd(den, *num.values()) == 1, so equal polynomials
 have equal storage.  The zero polynomial has an empty `num` and den 1.
-Fractions appear only at the API edge (`terms`, `coeff`, `sorted_terms`,
+Fractions appear only at the API edge (`terms`, `sorted_terms`,
 `to_obj`).  Exponents are ints and may be negative (a few downstream
 objects are honest Laurent polynomials).  Every polynomial carries a
 variable kind tag and an arity.  The class stores, compares and
@@ -23,7 +23,7 @@ import json
 import math
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Dict, Mapping, Sequence
+from typing import Dict, Mapping
 
 __all__ = ["SparsePoly", "KINDS", "Exponent"]
 
@@ -101,9 +101,6 @@ class SparsePoly:
 
     def is_zero(self) -> bool:
         return not self.num
-
-    def coeff(self, exps: Sequence[int]) -> Fraction:
-        return Fraction(self.num.get(tuple(exps), 0), self.den)
 
     def __len__(self) -> int:
         return len(self.num)

@@ -92,12 +92,6 @@ class TruncSeries:
     def arity(self) -> int:
         return self.base.arity
 
-    def coeff(self, exps) -> Fraction:
-        exps = tuple(exps)
-        if any(k > self.per_var_cap for k in exps) or sum(exps) > self.total_cap:
-            raise KeyError(f"{exps} lies outside the caps of this jet")
-        return self.base.coeff(sorted(exps, reverse=True))
-
 
 def tree_coeffs(nmax: int) -> list:
     """[x^n] w for n = 0..nmax."""

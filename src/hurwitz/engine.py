@@ -277,7 +277,7 @@ def _aut(e: Sequence[int]) -> int:
 
 
 def theta_symmetrize(folded: Mapping[tuple, Mapping[int, int]], m: int,
-                     den: int = 1) -> SparsePoly:
+                     den: int) -> SparsePoly:
     """Orbit form of the sum of a summand over every placement (r; S; T):
     r one of the m slots and S, T the other slots split in increasing
     order.

@@ -7,9 +7,11 @@ sizes:
     d_g * f_m = e1^(m-1) e1 Delta_1 + e1^(m-2) e2 Delta_2 + ... + e_m Delta_m
 
 Delta data is embedded as literal integer constants guarded by a
-checksum; no parsing happens at runtime.  Three independent routes for
-the torus sequence a_n = 24 n f1_simple(n) cross-check each other inside
-a_sequence.
+checksum; no parsing happens at runtime.  `f_table` is the one accessor
+of the tables: it refuses a genus without a table or constants that fail
+the checksum, then builds f_m^(g) from `_DELTAS` and `_D_G`.  Three
+independent routes for the torus sequence a_n = 24 n f1_simple(n)
+cross-check each other inside a_sequence.
 
 The values that `compute` and `table --values` print are computed in
 Python ints: each f over a denominator known in advance (a table's by
@@ -33,7 +35,6 @@ from .errors import BudgetExceeded, CertificationError
 from .partitions import Partition, centralizer_order
 
 __all__ = [
-    "AppendixTable",
     "HurwitzCount",
     "f_genus0",
     "f_one_part",
@@ -41,7 +42,6 @@ __all__ = [
     "f1_conjecture",
     "f_table",
     "f_table_eval",
-    "appendix_table",
     "hurwitz",
     "count_scale",
     "mu0_simple",
@@ -127,12 +127,6 @@ def _compute_digest() -> str:
     return h.hexdigest()
 
 
-class AppendixTable(NamedTuple):
-    g: int
-    d: int
-    deltas: tuple  # {(e1, e2, e3) exponents: int} for Delta_1 .. Delta_mMax
-
-
 @lru_cache(maxsize=None)
 def _table_certified() -> bool:
     """Whether the embedded constants match their checksum; computed once
@@ -141,25 +135,18 @@ def _table_certified() -> bool:
 
 
 @lru_cache(maxsize=None)
-def appendix_table(g: int) -> AppendixTable:
-    """The certified Deltas of genus g, copied so that no later change to
-    `_DELTAS` reaches a table built from them."""
+def f_table(g: int, m: int) -> SparsePoly:
+    """f_m^(g) from the embedded tables, as a polynomial in e_1 .. e_m."""
     if g not in _DELTAS:
         raise BudgetExceeded(f"no table for genus {g}")
     if not _table_certified():
         raise CertificationError("table constants fail their transcription checksum")
-    return AppendixTable(g, _D_G[g], tuple(dict(d) for d in _DELTAS[g]))
-
-
-@lru_cache(maxsize=None)
-def f_table(g: int, m: int) -> SparsePoly:
-    """f_m^(g) from the embedded tables, as a polynomial in e_1 .. e_m."""
-    tab = appendix_table(g)
-    if not 1 <= m <= len(tab.deltas):
-        raise BudgetExceeded(f"genus {g} table stops at m = {len(tab.deltas)}")
+    deltas = _DELTAS[g]
+    if not 1 <= m <= len(deltas):
+        raise BudgetExceeded(f"genus {g} table stops at m = {len(deltas)}")
     total: dict = {}
     for k in range(1, m + 1):
-        for e3, c in tab.deltas[k - 1].items():
+        for e3, c in deltas[k - 1].items():
             # e1^(m-k) * e_k * Delta_k term, embedded at arity m
             if any(e3[m:]):
                 raise CertificationError("table term does not fit arity")
@@ -168,7 +155,7 @@ def f_table(g: int, m: int) -> SparsePoly:
             e[k - 1] += 1
             e = tuple(e)
             total[e] = total.get(e, 0) + c
-    poly = SparsePoly.from_core("E", m, total, tab.d)
+    poly = SparsePoly.from_core("E", m, total, _D_G[g])
     if any(v < 0 for e in poly.num for v in e):
         raise CertificationError("Laurent term survived table assembly")
     return poly

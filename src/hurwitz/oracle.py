@@ -44,11 +44,11 @@ DFS_J_GUARD = 14
 
 
 class FactorizationTable:
-    __slots__ = ("mode", "entries")
+    """Counts by (n, j, alpha): of all tuples (`all_counts`) or of the
+    transitive ones (`transitive_counts`)."""
+    __slots__ = ("entries",)
 
-    def __init__(self, mode: str,
-                 entries: Optional[Dict[Tuple[int, int, Partition], int]] = None):
-        self.mode = mode  # "all" or "transitive"
+    def __init__(self, entries: Optional[Dict[Tuple[int, int, Partition], int]] = None):
         self.entries = {} if entries is None else entries
 
     def count(self, n: int, j: int, alpha: Partition) -> int:
@@ -160,7 +160,7 @@ def all_counts(n_max: int, j_max: int) -> FactorizationTable:
         raise BudgetExceeded(
             f"class-vector table is budgeted to n <= {N_BUDGET}, j <= {J_BUDGET}"
         )
-    table = FactorizationTable("all")
+    table = FactorizationTable()
     for n in range(1, n_max + 1):
         npairs = n * (n - 1) // 2
         v = {Partition((1,) * n): 1}
@@ -197,9 +197,10 @@ def transitive_counts(table: FactorizationTable) -> FactorizationTable:
     total(n-k, j-i, lam2) over lam1 + lam2 = lam.  The k = n term is
     trans(n, j, lam), so each trans[n] is total[n] less a convolution of
     the smaller trans[k] with total[n-k], all in integers.
+
+    Each (n, j) must carry the mass C(n,2)^j of all tuples; a sieved
+    table lacks it from (2, 0) on.  At n_max = 1 the two tables agree.
     """
-    if table.mode != "all":
-        raise ValueError("transitive_counts wants an all-mode table")
     if not table.entries:
         raise ValueError("empty table")
     n_max = max(k[0] for k in table.entries)
@@ -219,7 +220,7 @@ def transitive_counts(table: FactorizationTable) -> FactorizationTable:
         if c:
             total[n][(j, lam.parts)] = c * class_size(lam)
     trans: List[Dict[Tuple[int, tuple], int]] = [{} for _ in range(n_max + 1)]
-    out = FactorizationTable("transitive")
+    out = FactorizationTable()
     for n in range(1, n_max + 1):
         acc = dict(total[n])
         for k in range(1, n):

@@ -74,6 +74,17 @@ def mul(p: SparsePoly, *more: SparsePoly) -> SparsePoly:
     return p
 
 
+def coeff(p: SparsePoly, exps) -> Fraction:
+    """The coefficient of p at one exponent tuple."""
+    return Fraction(p.num.get(tuple(exps), 0), p.den)
+
+
+def jet_coeff(jet, exps) -> Fraction:
+    """The coefficient of a symmetric jet at any arrangement of an
+    orbit-form exponent."""
+    return coeff(jet.base, sorted(exps, reverse=True))
+
+
 def const(kind: str, arity: int, value) -> SparsePoly:
     return SparsePoly(kind, arity, {(0,) * arity: value})
 
@@ -141,6 +152,13 @@ def is_symmetric(p: SparsePoly) -> bool:
     swap[0], swap[1] = 1, 0
     cyc = [(i + 1) % m for i in range(m)]
     return permute(p, swap) == p and permute(p, cyc) == p
+
+
+def q_ladder(P: list) -> list:
+    """Q_j = (w d/dw)(x d/dx)^(j-1) (y-1) from the ladder P of
+    `p_ladder`: P_j shifted down one degree, since w d/dw = (1/y) x d/dx
+    on monomials.  Q[0] is unused."""
+    return [None] + [{k - 1: c for k, c in Pj.items()} for Pj in P[1:]]
 
 
 def apply_wdw(poly: SparsePoly, var: int) -> SparsePoly:
@@ -305,7 +323,8 @@ def fresh_basis_rows(dmax: int) -> Tuple[tuple, int]:
     degrees P, even Q) and label 0 the constant residue; the rows come
     from the triangular elimination of rows 0 .. dmax in Fractions, and
     L is the lcm of their denominators."""
-    P, Q = p_ladder(dmax // 2 + 1)
+    P = p_ladder(dmax // 2 + 1)
+    Q = q_ladder(P)
     table = [{0: Fraction(1)}]
     for d in range(1, dmax + 1):
         B = P[(d - 1) // 2] if d % 2 else Q[d // 2]

@@ -201,7 +201,7 @@ def test_two_variable_seed_against_raw_counts():
 def test_theta_placements():
     # m=3, |S| = 1: the summand y_r y_s^2 lands on all ordered pairs r != s;
     # its tail (2, 0) has one copy of s's exponent 2, so its fold weight is 1
-    got = theta_symmetrize({(2, 0): {1: 1}}, 3)
+    got = theta_symmetrize({(2, 0): {1: 1}}, 3, 1)
     expect: dict = {}
     for r in range(3):
         for s in range(3):
@@ -214,7 +214,7 @@ def test_theta_placements():
     assert expand_orbits(got) == SparsePoly("Y", 3, expect)
     # placement count: m * C(m-1, i), with |S| = 2 of the tail's 3 slots
     # folded in as C(3, 2)
-    assert theta_symmetrize({(0, 0, 0): {0: math.comb(3, 2)}}, 4) == const("Y", 4, 4 * 3)
+    assert theta_symmetrize({(0, 0, 0): {0: math.comb(3, 2)}}, 4, 1) == const("Y", 4, 4 * 3)
 
 
 def test_psi0_base_matches_the_dense_operator_loop():

@@ -11,7 +11,6 @@ from hurwitz.errors import BudgetExceeded, CertificationError
 from hurwitz.formulas import (
     TABLE_M_MAX,
     a_sequence,
-    appendix_table,
     count_scale,
     f1_conjecture,
     f1_simple,
@@ -82,23 +81,21 @@ def test_table_digest_is_sha256_without_openssl(monkeypatch):
 def test_a_changed_table_constant_fails_the_checksum(monkeypatch):
     monkeypatch.setitem(formulas._DELTAS[1][0], (0, 0, 0), 2)
     formulas._table_certified.cache_clear()
-    formulas.appendix_table.cache_clear()
+    formulas.f_table.cache_clear()
     try:
-        with pytest.raises(CertificationError):
-            appendix_table(1)
+        with pytest.raises(CertificationError, match="fail their transcription checksum"):
+            f_table(1, 1)
     finally:
         formulas._table_certified.cache_clear()
-        formulas.appendix_table.cache_clear()
+        formulas.f_table.cache_clear()
 
 
 @pytest.fixture
 def doctored_tables(monkeypatch):
     """Tables certified whatever `_DELTAS` holds; built afresh on both sides."""
     monkeypatch.setattr(formulas, "_table_certified", lambda: True)
-    formulas.appendix_table.cache_clear()
     formulas.f_table.cache_clear()
     yield monkeypatch
-    formulas.appendix_table.cache_clear()
     formulas.f_table.cache_clear()
 
 
@@ -113,30 +110,30 @@ def test_a_doctored_table_is_refused_at_assembly(doctored_tables, g, term, messa
 
 
 def test_a_table_keeps_the_deltas_it_certified(doctored_tables):
+    # a built table is memoised, so a later change to `_DELTAS` does not
+    # reach it
     want = f_table(2, 1)
     doctored_tables.setitem(formulas._DELTAS[2][0], (0, 1, 0), 1)
-    formulas.f_table.cache_clear()
-    assert f_table(2, 1) == want
+    assert f_table(2, 1) is want
 
 
 def test_table_loads_for_all_genera():
     for g, mmax in TABLE_M_MAX.items():
-        tab = appendix_table(g)
-        assert len(tab.deltas) == mmax
         for m in range(1, mmax + 1):
             p = f_table(g, m)
             assert p.kind == "E" and p.arity == m
-    with pytest.raises(BudgetExceeded):
-        appendix_table(5)
-    with pytest.raises(BudgetExceeded):
-        f_table(1, 7)
+        with pytest.raises(BudgetExceeded, match=f"genus {g} table stops at m = {mmax}$"):
+            f_table(g, mmax + 1)
+    for g in (0, 5):
+        with pytest.raises(BudgetExceeded, match=f"no table for genus {g}$"):
+            f_table(g, 1)
 
 
 def test_normalizing_denominators():
-    assert appendix_table(1).d == 24
-    assert appendix_table(2).d == 5760
-    assert appendix_table(3).d == 2903040
-    assert appendix_table(4).d == math.factorial(12) * 2 ** 5
+    assert formulas._D_G[1] == 24
+    assert formulas._D_G[2] == 5760
+    assert formulas._D_G[3] == 2903040
+    assert formulas._D_G[4] == math.factorial(12) * 2 ** 5
 
 
 def test_genus1_table_polynomials():

@@ -22,8 +22,10 @@ from reference import (
     as_fractions,
     const,
     forward_basis_convert,
+    jet_coeff,
     mul,
     orbit_form,
+    q_ladder,
     scale,
     sub,
     var,
@@ -92,7 +94,7 @@ def test_wdw_matches_w_coefficients(p):
     pj = expand_y_to_w(p, cap)
     qj = expand_y_to_w(q, cap)
     for b in range(cap + 1):
-        assert qj.coeff((b,)) == b * pj.coeff((b,))
+        assert jet_coeff(qj, (b,)) == b * jet_coeff(pj, (b,))
 
 
 def test_diag_fold():
@@ -121,26 +123,31 @@ def test_divide_ydiff_rejects_laurent():
 
 
 def test_p_ladder_degrees_and_leading_terms():
-    P, Q = p_ladder(5)
+    P = p_ladder(5)
+    Q = q_ladder(P)
     assert P[0] == {1: 1, 0: -1}
+
+    def y(table):
+        return SparsePoly("Y", 1, {(k,): c for k, c in table.items()})
+
     dblfact = 1
     for j in range(1, 6):
         assert max(P[j]) == 2 * j + 1
         dblfact *= 2 * j - 1
         assert P[j][2 * j + 1] == dblfact
-        assert Q[j] == {k - 1: c for k, c in P[j].items()}
+        assert y(Q[j]) == apply_wdw(y(P[j - 1]), 0)  # Q_j = (w d/dw) P_(j-1)
 
 
 def test_the_ladder_alternates_in_sign():
     # P_j has the sign (-1)^(k+1) at every degree k, so every product
     # summed into one coefficient of a ladder image has the same sign,
     # and the peel's images need no filter for cancelled terms
-    for j, P in enumerate(p_ladder(20)[0]):
+    for j, P in enumerate(p_ladder(20)):
         assert all(c * (-1) ** (k + 1) > 0 for k, c in P.items()), j
 
 
 def test_p_ladder_matches_iterated_xdx():
-    P, _ = p_ladder(4)
+    P = p_ladder(4)
     p = SparsePoly("Y", 1, {(1,): Fraction(1), (0,): Fraction(-1)})
     for j in range(5):
         assert p == SparsePoly("Y", 1, {(k,): Fraction(c) for k, c in P[j].items()})
@@ -151,7 +158,7 @@ def reconstruct_decomp(b_terms: dict, m: int) -> SparsePoly:
     """Expand a decomposition back to an explicit y-polynomial, as sums of
     products of the univariate P ladders; the reference that
     xdx_basis_convert is checked against."""
-    P, _ = p_ladder(max((max(jt, default=0) for jt in b_terms), default=0) + 1)
+    P = p_ladder(max((max(jt, default=0) for jt in b_terms), default=0) + 1)
 
     def product(univariates) -> SparsePoly:
         return mul(*(SparsePoly("Y", m, {
@@ -206,14 +213,15 @@ def test_basis_convert_names_the_nonvanishing_variable():
 
 def test_basis_convert_rejects_a_single_w_derivation():
     # P_1 x Q_1 carries one w d/dw factor, so it is not f(x d/dx) V_2
-    P, Q = p_ladder(1)
+    P = p_ladder(1)
+    Q = q_ladder(P)
     with pytest.raises(NotVanishing, match="w d/dw"):
         xdx_basis_convert(_symmetrized(P[1], Q[1]), 2)
 
 
 def test_basis_convert_rejects_double_even():
     # Q_1 x Q_1 has two even labels, outside the decomposable cone
-    _, Q = p_ladder(1)
+    Q = q_ladder(p_ladder(1))
     with pytest.raises(NotVanishing):
         xdx_basis_convert(_symmetrized(Q[1], Q[1]), 2)
 

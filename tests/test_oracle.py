@@ -105,12 +105,25 @@ def test_sieve_matches_log_reference():
     assert transitive_counts(t).entries == log_sieve(t)
 
 
+def test_the_mass_check_refuses_a_sieved_table():
+    # no transitive tuple has j = 0 on two points, so the mass of (2, 0)
+    # is 0, not C(2,2)^0
+    sieved = transitive_counts(all_counts(4, 6))
+    with pytest.raises(ValueError, match=r"all-table incomplete at n=2, j=0$"):
+        transitive_counts(sieved)
+
+
+def test_on_one_point_the_sieve_gives_back_its_input():
+    t = all_counts(1, 6)
+    assert transitive_counts(t).entries == t.entries
+
+
 def test_sieve_refuses_a_negative_count():
     # moving two tuples from the identity to the 3-cycles at (3, 2) keeps
     # the mass, but leaves fewer identity tuples than the three
     # non-transitive squares t t
     t = all_counts(3, 4)
-    doctored = FactorizationTable("all", dict(t.entries))
+    doctored = FactorizationTable(dict(t.entries))
     doctored.entries[(3, 2, Partition.of([1, 1, 1]))] -= 2
     doctored.entries[(3, 2, Partition.of([3]))] += 1
     with pytest.raises(CertificationError):

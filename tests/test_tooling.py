@@ -123,7 +123,7 @@ UNCALLED = {
     # read only by the benchmark's hooks and the tests; ROADMAP item 2 moves
     # them to tests/reference.py or deletes them
     "apply_xdx", "diag_fold", "divide_ydiff", "core_u_to_y", "core_w_jet_to_u",
-    "expand_y_to_w", "x_coefficient", "TruncSeries.coeff", "fit_sym_e_poly",
+    "expand_y_to_w", "x_coefficient", "fit_sym_e_poly",
     # `main` looks `run_<command>` up by name
     "run_compute", "run_table", "run_verify", "run_cache",
     # argparse calls it on a bad argument
