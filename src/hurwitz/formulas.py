@@ -128,18 +128,14 @@ def _compute_digest() -> str:
 
 
 @lru_cache(maxsize=None)
-def _table_certified() -> bool:
-    """Whether the embedded constants match their checksum; computed once
-    per process."""
-    return _compute_digest() == _TABLE_DIGEST
-
-
-@lru_cache(maxsize=None)
 def f_table(g: int, m: int) -> SparsePoly:
-    """f_m^(g) from the embedded tables, as a polynomial in e_1 .. e_m."""
+    """f_m^(g) from the embedded tables, as a polynomial in e_1 .. e_m.
+
+    Each build checks the checksum over the very constants it reads, so a
+    constant changed after an earlier build never reaches a new table."""
     if g not in _DELTAS:
         raise BudgetExceeded(f"no table for genus {g}")
-    if not _table_certified():
+    if _compute_digest() != _TABLE_DIGEST:
         raise CertificationError("table constants fail their transcription checksum")
     deltas = _DELTAS[g]
     if not 1 <= m <= len(deltas):

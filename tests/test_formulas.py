@@ -78,25 +78,25 @@ def test_table_digest_is_sha256_without_openssl(monkeypatch):
     assert formulas._compute_digest() == builtin
 
 
-def test_a_changed_table_constant_fails_the_checksum(monkeypatch):
-    monkeypatch.setitem(formulas._DELTAS[1][0], (0, 0, 0), 2)
-    formulas._table_certified.cache_clear()
-    formulas.f_table.cache_clear()
-    try:
-        with pytest.raises(CertificationError, match="fail their transcription checksum"):
-            f_table(1, 1)
-    finally:
-        formulas._table_certified.cache_clear()
-        formulas.f_table.cache_clear()
-
-
 @pytest.fixture
-def doctored_tables(monkeypatch):
-    """Tables certified whatever `_DELTAS` holds; built afresh on both sides."""
-    monkeypatch.setattr(formulas, "_table_certified", lambda: True)
+def fresh_tables(monkeypatch):
+    """`f_table` built afresh on both sides of the test."""
     formulas.f_table.cache_clear()
     yield monkeypatch
     formulas.f_table.cache_clear()
+
+
+def test_a_changed_table_constant_fails_the_checksum(fresh_tables):
+    fresh_tables.setitem(formulas._DELTAS[1][0], (0, 0, 0), 2)
+    with pytest.raises(CertificationError, match="fail their transcription checksum"):
+        f_table(1, 1)
+
+
+@pytest.fixture
+def doctored_tables(fresh_tables):
+    """Tables certified whatever `_DELTAS` holds."""
+    fresh_tables.setattr(formulas, "_compute_digest", lambda: formulas._TABLE_DIGEST)
+    return fresh_tables
 
 
 @pytest.mark.parametrize("g,term,message", [
@@ -109,11 +109,15 @@ def test_a_doctored_table_is_refused_at_assembly(doctored_tables, g, term, messa
         f_table(g, 1)
 
 
-def test_a_table_keeps_the_deltas_it_certified(doctored_tables):
-    # a built table is memoised, so a later change to `_DELTAS` does not
-    # reach it
+def test_a_table_keeps_the_deltas_it_certified(fresh_tables):
+    # a constant changed after one table is built does not reach a table
+    # built later: every build checks the constants it reads
     want = f_table(2, 1)
-    doctored_tables.setitem(formulas._DELTAS[2][0], (0, 1, 0), 1)
+    fresh_tables.setitem(formulas._DELTAS[2][1], (0, 0, 0), 1)
+    with pytest.raises(CertificationError, match="fail their transcription checksum"):
+        f_table(2, 2)
+    with pytest.raises(CertificationError, match="fail their transcription checksum"):
+        f_table(3, 1)
     assert f_table(2, 1) is want
 
 
