@@ -27,7 +27,7 @@ from typing import List, Optional, Tuple
 
 from . import formulas, oracle
 from .algebra.poly import SparsePoly
-from .algebra.sym import e_value
+from .algebra.sym import e_numerator, e_value
 from .engine import (
     CACHE_VERSION,
     DEFAULT_BUDGETS,
@@ -37,7 +37,13 @@ from .engine import (
     read_cell,
 )
 from .errors import BudgetExceeded, CertificationError, HurwitzError
-from .partitions import Partition, partitions, partitions_of_length
+from .partitions import (
+    Partition,
+    parts_of_length,
+    parts_text,
+    partitions,
+    partitions_of_length,
+)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -245,25 +251,29 @@ def _suite_recurrence(checks: List[dict]):
 
 
 def _suite_closedform(checks: List[dict]):
+    """Each check is an exact integer identity: the table's numerator times
+    the closed form's denominator against the closed form's numerator times
+    the table's.  The Fractions of `detail` are built for a failure only."""
     for g in range(1, 5):
         poly = formulas.f_table(g, 1)
         for n in range(1, 11):
-            want = formulas.f_one_part(n, g)
-            got = e_value(poly, (n,))
-            ok = got == want
+            num, den = formulas.f_one_part_ratio(n, g)
+            ok = e_numerator(poly, (n,)) * den == num * poly.den
             checks.append(_check(
                 f"one-part g={g} n={n}", ok,
-                "" if ok else f"table {got} vs series {want}"
+                "" if ok else f"table {e_value(poly, (n,))} vs series "
+                              f"{formulas.f_one_part(n, g)}"
             ))
     for m in range(1, 7):
+        poly = formulas.f_table(1, m)
         for n in range(m, m + 4):
-            for alpha in partitions_of_length(n, m):
-                got = formulas.f_table_eval(1, alpha)
-                want = formulas.f1_conjecture(alpha)
-                ok = got == want
+            for parts in parts_of_length(n, m):
+                ok = (e_numerator(poly, parts) * 24
+                      == formulas.f1_numerator(parts, n, m) * poly.den)
                 checks.append(_check(
-                    f"genus-1 table vs formula {alpha}", ok,
-                    "" if ok else f"table {got} vs formula {want}"
+                    f"genus-1 table vs formula {parts_text(parts)}", ok,
+                    "" if ok else f"table {e_value(poly, parts)} vs formula "
+                                  f"{formulas.f1_conjecture(Partition(parts))}"
                 ))
 
 
@@ -341,14 +351,20 @@ def run_cache(args) -> int:
         if args.genus is not None and args.genus not in budgets:
             print(f"error: no cell budget for genus {args.genus}", file=sys.stderr)
             return EXIT_BAD_ARGS
+        cells = []
         for g in sorted(budgets):
             if args.genus is not None and g != args.genus:
                 continue
             top = budgets[g] if args.m is None else min(budgets[g], args.m)
             start = 3 if g == 0 else 1
-            for m in range(start, top + 1):
-                engine.cell(m, g)
-                print(f"computed ({m},{g})")
+            cells += [(m, g) for m in range(start, top + 1)]
+        if not cells:  # genus-0 cells start at m = 3
+            print(f"error: no cell of genus {args.genus} has m <= {args.m}",
+                  file=sys.stderr)
+            return EXIT_BAD_ARGS
+        for m, g in cells:
+            engine.cell(m, g)
+            print(f"computed ({m},{g})")
         return EXIT_OK
     if args.genus is not None or args.m is not None:
         print("error: --genus and --m choose the cells of --warm", file=sys.stderr)
@@ -387,11 +403,13 @@ def _partition_arg(text: str) -> Partition:
 
 
 def _int_arg(text: str) -> int:
-    """ASCII digits after an optional `-`; `int` would also take `1_0`."""
+    """ASCII digits after an optional `-`; `int` would also take `1_0`.
+    Digits past `int`'s limit are refused the same way."""
     digits = text[1:] if text.startswith("-") else text
-    if not (digits.isascii() and digits.isdigit()):
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
-    return int(text)
+    if digits.isascii() and digits.isdigit():
+        with contextlib.suppress(ValueError):
+            return int(text)
+    raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
 
 
 @functools.cache

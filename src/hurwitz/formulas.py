@@ -17,8 +17,11 @@ The values that `compute` and `table --values` print are computed in
 Python ints: each f over a denominator known in advance (a table's by
 `sym.e_numerator`, which the sampling gate runs), and the count c by one
 exact division by the integer scale `count_scale`.  The one Fraction of
-each value is built where it is returned.  The recurrences behind
-`pg_mu1` and `a_sequence` still step through Fractions.
+each value is built where it is returned.  `verify`'s closed-form checks
+compare integers too: a table's numerator against the integer cores
+`f_one_part_ratio` and `f1_numerator`, cross-multiplied by the two
+denominators.  Only the recurrences behind `pg_mu1` and `a_sequence`
+still step through Fractions.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .algebra.poly import SparsePoly
 from .algebra.series import tree_coeffs
@@ -38,8 +41,10 @@ __all__ = [
     "HurwitzCount",
     "f_genus0",
     "f_one_part",
+    "f_one_part_ratio",
     "f1_simple",
     "f1_conjecture",
+    "f1_numerator",
     "f_table",
     "f_table_eval",
     "hurwitz",
@@ -170,6 +175,11 @@ def f_genus0(alpha: Partition) -> Fraction:
 
 def f_one_part(n: int, g: int) -> Fraction:
     """One-part f: (1/4^g) n^(2g-2) [x^(2g)] (sinh x / x)^(n-1)."""
+    return Fraction(*f_one_part_ratio(n, g))
+
+
+def f_one_part_ratio(n: int, g: int) -> Tuple[int, int]:
+    """`f_one_part(n, g)` as the integers (num, den), not reduced."""
     if n < 1 or g < 0:
         raise ValueError("need n >= 1 and g >= 0")
     # with r = n - 1 and p = 2g + r, expanding sinh^r x = 2^-r (e^x - e^-x)^r
@@ -179,8 +189,8 @@ def f_one_part(n: int, g: int) -> Fraction:
     s = sum((-1) ** k * math.comb(r, k) * (r - 2 * k) ** p for k in range(r + 1))
     den = 4 ** g * 2 ** r * math.factorial(p)
     if g == 0:
-        return Fraction(s, den * n * n)
-    return Fraction(s * n ** (2 * g - 2), den)
+        return s, den * n * n
+    return s * n ** (2 * g - 2), den
 
 
 def f1_simple(n: int) -> Fraction:
@@ -195,15 +205,19 @@ def f1_simple(n: int) -> Fraction:
 
 def f1_conjecture(alpha: Partition) -> Fraction:
     """Genus-1 f for any alpha through elementary symmetric functions:
-    (n^m - n^(m-1) - sum_(i=2..m) (i-2)! e_i n^(m-i)) / 24, the sum by
-    Horner's rule in n."""
-    n, m = alpha.n, alpha.m
-    e = elementary_values(alpha.parts, m)
+    (n^m - n^(m-1) - sum_(i=2..m) (i-2)! e_i n^(m-i)) / 24."""
+    return Fraction(f1_numerator(alpha.parts, alpha.n, alpha.m), 24)
+
+
+def f1_numerator(parts: Sequence[int], n: int, m: int) -> int:
+    """The numerator of `f1_conjecture` over 24, at the partition with these
+    parts, weight n and length m; the sum by Horner's rule in n."""
+    e = elementary_values(parts, m)
     s, fact = n - 1, 1
     for i in range(2, m + 1):
         s = s * n - fact * e[i - 1]
         fact *= i - 1
-    return Fraction(s, 24)
+    return s
 
 
 # ----- scaling chain ------------------------------------------------------

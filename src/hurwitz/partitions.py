@@ -11,8 +11,8 @@ import math
 from functools import lru_cache, total_ordering
 from typing import Iterator, Sequence, Tuple
 
-__all__ = ["Partition", "partitions", "parts_of_length", "partitions_of_length",
-           "centralizer_order", "class_size"]
+__all__ = ["Partition", "parts_text", "partitions", "parts_of_length",
+           "partitions_of_length", "centralizer_order", "class_size"]
 
 
 @total_ordering
@@ -66,11 +66,15 @@ class Partition:
 
         Each nonblank field must be ASCII digits, with spaces around them
         allowed; blank fields are skipped.  `int` alone would also read
-        `3_0` as 30, and accept a sign or non-ASCII digits."""
+        `3_0` as 30, and accept a sign or non-ASCII digits; a field past
+        `int`'s digit limit is refused the same way."""
         fields = [tok for tok in map(str.strip, text.split(",")) if tok]
         if not all(tok.isascii() and tok.isdigit() for tok in fields):
             raise ValueError(f"cannot parse partition {text!r}")
-        parts = [int(tok) for tok in fields]
+        try:
+            parts = [int(tok) for tok in fields]
+        except ValueError:
+            raise ValueError(f"cannot parse partition {text!r}") from None
         if not parts:
             raise ValueError("empty partition")
         return Partition.of(parts)
@@ -85,7 +89,12 @@ class Partition:
         return self.min_length + 2 * g
 
     def __str__(self) -> str:
-        return "(" + ",".join(str(a) for a in self.parts) + ")"
+        return parts_text(self.parts)
+
+
+def parts_text(parts: Sequence[int]) -> str:
+    """Parts as a Partition prints them: `(3,1,1)`."""
+    return "(" + ",".join(map(str, parts)) + ")"
 
 
 @lru_cache(maxsize=None)

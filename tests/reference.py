@@ -8,6 +8,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Dict, List, Tuple
 
+from hurwitz import formulas
 from hurwitz.algebra.operators import (
     apply_xdx,
     core_apply_xdx,
@@ -17,10 +18,10 @@ from hurwitz.algebra.operators import (
 )
 from hurwitz.algebra.poly import SparsePoly
 from hurwitz.algebra.series import expand_y_to_w, sweep, tree_coeffs, x_coefficient, x_orbit
-from hurwitz.algebra.sym import fit_sym_e_poly, is_orbit_exponent, to_e_basis
+from hurwitz.algebra.sym import e_value, fit_sym_e_poly, is_orbit_exponent, to_e_basis
 from hurwitz.engine import _sample_plan
 from hurwitz.errors import CertificationError, NotVanishing
-from hurwitz.partitions import Partition, class_size
+from hurwitz.partitions import Partition, class_size, partitions_of_length
 
 
 # ----- dense polynomial helpers ---------------------------------------------
@@ -622,6 +623,31 @@ def fraction_f1_conjecture(alpha: Partition) -> Fraction:
     for i in range(2, m + 1):
         s -= math.factorial(i - 2) * e[i - 1] * n ** (m - i)
     return s / 24
+
+
+def fraction_closedform_checks() -> list:
+    """`verify --suite closedform`'s 78 checks with every value a Fraction:
+    each table value and closed form is built and the two compared.  The
+    tables are read through `formulas.f_table`, so a test may doctor them."""
+    checks = []
+
+    def check(name, got, want, what):
+        ok = got == want
+        checks.append({"name": name, "status": "pass" if ok else "fail",
+                       "detail": "" if ok else f"table {got} vs {what} {want}"})
+
+    for g in range(1, 5):
+        poly = formulas.f_table(g, 1)
+        for n in range(1, 11):
+            check(f"one-part g={g} n={n}", e_value(poly, (n,)),
+                  formulas.f_one_part(n, g), "series")
+    for m in range(1, 7):
+        for n in range(m, m + 4):
+            for alpha in partitions_of_length(n, m):
+                check(f"genus-1 table vs formula {alpha}",
+                      formulas.f_table_eval(1, alpha),
+                      fraction_f1_conjecture(alpha), "formula")
+    return checks
 
 
 def fraction_count_scale(alpha: Partition, g: int) -> Fraction:

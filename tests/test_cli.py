@@ -11,13 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from hurwitz import cli, engine, oracle
+from hurwitz import cli, engine, formulas, oracle
+from hurwitz.algebra.poly import SparsePoly
 from hurwitz.cli import main
 from hurwitz.engine import CACHE_VERSION, Engine, _deps
 from hurwitz.errors import BudgetExceeded
 from hurwitz.formulas import f_table
-from hurwitz.partitions import Partition
-from reference import scale
+from hurwitz.partitions import Partition, partitions_of_length
+from reference import fraction_closedform_checks, scale
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -111,6 +112,43 @@ def test_integer_flags_take_ascii_digits_only(tmp_path, capsys, value):
     ):
         assert run(argv) == 3, argv
         assert f"invalid integer {value!r}" in capsys.readouterr().err, argv
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.fixture
+def int_digit_limit():
+    """CPython's default limit on the digits `int` reads from a string."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+def test_integer_flags_refuse_digits_past_the_int_limit(tmp_path, capsys, int_digit_limit):
+    value = "1" * (int_digit_limit + 1)
+    for argv in (
+        ["table", "--genus", value, "--m", "3"],
+        ["table", "--genus", "1", "--m", "3", "--values", "--n-max", value],
+        ["cache", "--cache-dir", str(tmp_path), "--warm", "--m", value],
+    ):
+        assert run(argv) == 3, argv[:3]
+        err = capsys.readouterr().err
+        assert err.endswith(f"invalid integer {value!r}\n"), argv[:3]
+    assert not any(tmp_path.iterdir())
+
+
+def test_alpha_refuses_a_part_past_the_int_limit(capsys, int_digit_limit):
+    text = "2," + "1" * (int_digit_limit + 1)
+    assert run(["compute", "--alpha", text, "--genus", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument --alpha: cannot parse partition {text!r}\n")
+
+
+@pytest.mark.parametrize("m", ["1", "2"])
+def test_cache_warm_refuses_a_range_without_a_cell(tmp_path, capsys, m):
+    # genus-0 cells start at m = 3, as `table --genus 0` does
+    assert run(["cache", "--warm", "--genus", "0", "--m", m, "--cache-dir", str(tmp_path)]) == 3
+    assert capsys.readouterr() == ("", f"error: no cell of genus 0 has m <= {m}\n")
     assert not any(tmp_path.iterdir())
 
 
@@ -239,6 +277,42 @@ def test_verify_closedform(capsys):
     assert run(["verify", "--suite", "closedform"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["failures"] == 0
+
+
+def test_closedform_checks_equal_the_fraction_suite():
+    checks = []
+    cli._suite_closedform(checks)
+    assert len(checks) == 78
+    assert checks == fraction_closedform_checks()
+
+
+def test_closedform_failures_equal_the_fraction_suite(monkeypatch, capsys):
+    # one numerator raised by one in the genus-1 m = 3 table and in the
+    # genus-3 one-part table, and the genus-1 m = 5 table over twice its
+    # denominator, where the table's numerator alone still equals the
+    # formula's: every check on any of the three fails
+    real = formulas.f_table
+    doctored = {}
+    for g, m in ((1, 3), (3, 1)):
+        poly = real(g, m)
+        num = dict(poly.num)
+        num[min(num)] += 1
+        doctored[g, m] = SparsePoly.from_core("E", m, num, poly.den)
+    doctored[1, 5] = SparsePoly.from_core("E", 5, real(1, 5).num, 2 * real(1, 5).den)
+    monkeypatch.setattr(formulas, "f_table",
+                        lambda g, m: doctored[g, m] if (g, m) in doctored else real(g, m))
+    want = fraction_closedform_checks()
+    failed = [c["name"] for c in want if c["status"] == "fail"]
+    assert failed == [f"one-part g=3 n={n}" for n in range(1, 11)] + [
+        f"genus-1 table vs formula {alpha}"
+        for m in (3, 5) for n in range(m, m + 4) for alpha in partitions_of_length(n, m)]
+    checks = []
+    cli._suite_closedform(checks)
+    assert checks == want
+    assert run(["verify", "--suite", "closedform"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["checks"] == want
+    assert err == f"FIRST FAILURE: one-part g=3 n=1: {want[20]['detail']}\n"
 
 
 def test_cache_requires_directory(capsys):
