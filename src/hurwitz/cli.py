@@ -341,12 +341,7 @@ def run_cache(args) -> int:
         return EXIT_BAD_ARGS
     cdir = engine.cache_dir
     if args.warm:
-        with contextlib.suppress(OSError):  # refused just below
-            cdir.mkdir(parents=True, exist_ok=True)
-    if (args.warm or cdir.exists()) and not cdir.is_dir():
-        print(f"error: cache directory {cdir} is not a directory", file=sys.stderr)
-        return EXIT_BAD_ARGS
-    if args.warm:
+        # the cells first, so that a refused range creates no directory
         budgets = dict(DEFAULT_BUDGETS)
         if args.genus is not None and args.genus not in budgets:
             print(f"error: no cell budget for genus {args.genus}", file=sys.stderr)
@@ -362,6 +357,12 @@ def run_cache(args) -> int:
             print(f"error: no cell of genus {args.genus} has m <= {args.m}",
                   file=sys.stderr)
             return EXIT_BAD_ARGS
+        with contextlib.suppress(OSError):  # refused just below
+            cdir.mkdir(parents=True, exist_ok=True)
+    if (args.warm or cdir.exists()) and not cdir.is_dir():
+        print(f"error: cache directory {cdir} is not a directory", file=sys.stderr)
+        return EXIT_BAD_ARGS
+    if args.warm:
         for m, g in cells:
             engine.cell(m, g)
             print(f"computed ({m},{g})")
