@@ -28,28 +28,21 @@ from typing import List, Optional, Tuple
 from . import formulas, oracle
 from .algebra.poly import SparsePoly
 from .algebra.sym import e_numerator, e_value
-from .engine import (
-    CACHE_VERSION,
-    DEFAULT_BUDGETS,
-    INPUT_J_MAX,
-    INPUT_N_MAX,
-    Engine,
-    read_cell,
-)
+from .engine import CACHE_VERSION, DEFAULT_BUDGETS, Engine, is_cell, read_cell
 from .errors import BudgetExceeded, CertificationError, HurwitzError
-from .partitions import (
-    Partition,
-    parts_of_length,
-    parts_text,
-    partitions,
-    partitions_of_length,
-)
+from .partitions import Partition, parts_of_length, parts_text, partitions
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_UNAVAILABLE = 2
 EXIT_BAD_ARGS = 3
 EXIT_BROKEN_PIPE = 1
+# Largest weight n and transposition count j = n + m + 2g - 2 a request may
+# ask for (`_check_input`).  At j = 160 the slowest closed form, one part at
+# genus 55 to 75, takes about 0.05 s; every count printed stays far below
+# the 4,300 digits CPython will convert to a string.
+INPUT_N_MAX = 160
+INPUT_J_MAX = 160
 # Most rows one `table --values` grid may print.  Measured at the largest
 # accepted n_max, the slowest grids (genus 3 with m = 3, genus 0 with m near
 # 70, one part at genus near 60) print in about a second.
@@ -67,6 +60,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_BAD_ARGS)
 
 
+def _check_input(what: str, n: int, m: int, g: int):
+    """Refuse a request of weight n, m parts and genus g past the request
+    bound, before anything is computed."""
+    if n > INPUT_N_MAX or n + m + 2 * g - 2 > INPUT_J_MAX:
+        raise BudgetExceeded(
+            f"{what} need n <= {INPUT_N_MAX} and "
+            f"j = n + m + 2g - 2 <= {INPUT_J_MAX}"
+        )
+
+
 # ----- route selection ----------------------------------------------------
 
 def _f_from_formulas(alpha: Partition, g: int) -> Optional[Fraction]:
@@ -81,11 +84,7 @@ def _f_from_formulas(alpha: Partition, g: int) -> Optional[Fraction]:
 
 def best_route(alpha: Partition, g: int, engine: Engine) -> Tuple[Fraction, str]:
     """f by the preferred available route: engine, formulas, oracle."""
-    if alpha.n > INPUT_N_MAX or alpha.j_for_genus(g) > INPUT_J_MAX:
-        raise BudgetExceeded(
-            f"requests need n <= {INPUT_N_MAX} and "
-            f"j = n + m + 2g - 2 <= {INPUT_J_MAX}"
-        )
+    _check_input("requests", alpha.n, alpha.m, g)
     try:
         return e_value(engine.cell(alpha.m, g).f_e, alpha.parts), "engine"
     except BudgetExceeded:
@@ -138,14 +137,11 @@ def run_compute(args) -> int:
 
 def _table_f_poly(g: int, m: int) -> SparsePoly:
     if g == 0:
-        if m < 3:
+        if not is_cell(m, 0):
             raise BudgetExceeded("genus-0 polynomials start at m = 3")
         # the smallest alpha with m parts is 1^m: refuse an m that no
         # `compute` request can reach before building m-variable exponents
-        if m > INPUT_N_MAX or 2 * m - 2 > INPUT_J_MAX:
-            raise BudgetExceeded(
-                f"genus-0 polynomials need an alpha of m parts within n <= "
-                f"{INPUT_N_MAX} and j = n + m - 2 <= {INPUT_J_MAX}")
+        _check_input("genus-0 polynomials at alpha = 1^m", m, m, 0)
         return SparsePoly.from_core("E", m, {(m - 3,) + (0,) * (m - 1): 1})
     return formulas.f_table(g, m)
 
@@ -163,13 +159,9 @@ def run_table(args) -> int:
         else:
             print(poly)
         return EXIT_OK
-    if args.n_max > INPUT_N_MAX or args.n_max + m + 2 * g - 2 > INPUT_J_MAX:
-        raise BudgetExceeded(
-            f"value grids need n <= {INPUT_N_MAX} and "
-            f"j = n + m + 2g - 2 <= {INPUT_J_MAX}"
-        )
+    _check_input("value grids", args.n_max, m, g)
     alphas = list(islice(chain.from_iterable(
-        partitions_of_length(n, m) for n in range(m, args.n_max + 1)
+        map(Partition, parts_of_length(n, m)) for n in range(m, args.n_max + 1)
     ), TABLE_ROWS_MAX + 1))
     if len(alphas) > TABLE_ROWS_MAX:
         raise BudgetExceeded(f"value grids are limited to {TABLE_ROWS_MAX} rows")
@@ -209,7 +201,7 @@ def _suite_oracle(engine: Engine, n_max: int, checks: List[dict]):
         for alpha in partitions(n):
             for g in range(0, 3):
                 c_oracle = oracle.c_count(alpha, g)
-                if g == 0 and alpha.m < 3:
+                if not is_cell(alpha.m, g):
                     f = formulas.f_genus0(alpha)
                     label = f"oracle {alpha} g={g} (formulas)"
                 else:
@@ -335,6 +327,9 @@ def _cache_status_line(path) -> str:
 
 
 def run_cache(args) -> int:
+    """The status of each cache file, `--clear`, or `--warm`: compute the
+    cells the engine's budgets accept (`Engine._check_budget`), genus by
+    genus and m by m, only of `--genus` and up to `--m` when given."""
     engine = Engine(cache_dir=args.cache_dir)
     if engine.cache_dir is None:
         print("error: no cache directory configured (pass --cache-dir)", file=sys.stderr)
@@ -342,18 +337,14 @@ def run_cache(args) -> int:
     cdir = engine.cache_dir
     if args.warm:
         # the cells first, so that a refused range creates no directory
-        budgets = dict(DEFAULT_BUDGETS)
+        budgets = engine.budgets
         if args.genus is not None and args.genus not in budgets:
             print(f"error: no cell budget for genus {args.genus}", file=sys.stderr)
             return EXIT_BAD_ARGS
-        cells = []
-        for g in sorted(budgets):
-            if args.genus is not None and g != args.genus:
-                continue
-            top = budgets[g] if args.m is None else min(budgets[g], args.m)
-            start = 3 if g == 0 else 1
-            cells += [(m, g) for m in range(start, top + 1)]
-        if not cells:  # genus-0 cells start at m = 3
+        cells = [(m, g) for g in sorted(budgets) if args.genus in (None, g)
+                 for m in range(1, budgets[g] + 1)
+                 if is_cell(m, g) and (args.m is None or m <= args.m)]
+        if not cells:  # e.g. genus 0 with --m 2: no cell has m <= 2
             print(f"error: no cell of genus {args.genus} has m <= {args.m}",
                   file=sys.stderr)
             return EXIT_BAD_ARGS

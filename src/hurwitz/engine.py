@@ -117,22 +117,22 @@ __all__ = [
     "extract_f",
     "Engine",
     "DEFAULT_BUDGETS",
-    "INPUT_N_MAX",
-    "INPUT_J_MAX",
+    "is_cell",
     "per_var_bound",
     "read_cell",
 ]
 
 DEFAULT_BUDGETS = {0: 8, 1: 6, 2: 4, 3: 3, 4: 2}
-# Largest weight n and transposition count j = n + m + 2g - 2 a request may
-# ask for.  At j = 160 the slowest closed form, one part at genus 55 to 75,
-# takes about 0.05 s; every count printed stays far below the 4,300 digits
-# CPython will convert to a string.
-INPUT_N_MAX = 160
-INPUT_J_MAX = 160
 # version 2 stores Psi in orbit form; version 1 stored it dense
 CACHE_VERSION = 2
 CELL_FILE = re.compile(r"psi_m([1-9][0-9]*)_g(0|[1-9][0-9]*)\.json")
+
+
+def is_cell(m: int, g: int) -> bool:
+    """Whether (m, g) is a cell at all, whatever the budgets: the genus-0
+    closed form n^(m-3) is a polynomial only from m = 3, and every other
+    genus starts at one part."""
+    return m >= (3 if g == 0 else 1)
 
 
 def per_var_bound(m: int, g: int) -> int:
@@ -690,8 +690,9 @@ class Engine:
     # -- budget and cache plumbing
 
     def _check_budget(self, m: int, g: int):
-        lim = self.budgets.get(g)
-        if lim is None or m < 1 or m > lim or (g == 0 and m < 3):
+        """Refuse a pair that is no cell (`is_cell`) or lies past its
+        genus's budget; a genus without a budget has no cell in it."""
+        if not is_cell(m, g) or m > self.budgets.get(g, 0):
             done = sorted(self._cells)
             raise BudgetExceeded(
                 f"cell ({m},{g}) is outside the budget {self.budgets}; "

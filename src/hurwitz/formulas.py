@@ -55,8 +55,6 @@ __all__ = [
     "TABLE_M_MAX",
 ]
 
-TABLE_M_MAX = {1: 6, 2: 4, 3: 3, 4: 2}
-
 # Delta_k as {(e1-exp, e2-exp, e3-exp): coefficient}; genus 1 Delta_1
 # carries the Laurent term -1/e1, which cancels against the e1^m factor.
 _DELTAS: Dict[int, List[Dict[tuple, int]]] = {
@@ -97,6 +95,9 @@ _DELTAS: Dict[int, List[Dict[tuple, int]]] = {
          (0, 3, 0): -1584},
     ],
 }
+
+# the last m of each genus's table: f_m reads Delta_1 .. Delta_m
+TABLE_M_MAX = {g: len(d) for g, d in _DELTAS.items()}
 
 _D_G = {
     1: 24,

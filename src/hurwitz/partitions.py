@@ -12,7 +12,7 @@ from functools import lru_cache, total_ordering
 from typing import Iterator, Sequence, Tuple
 
 __all__ = ["Partition", "parts_text", "partitions", "parts_of_length",
-           "partitions_of_length", "centralizer_order", "class_size"]
+           "centralizer_order", "class_size"]
 
 
 @total_ordering
@@ -131,12 +131,6 @@ def parts_of_length(n: int, m: int) -> Iterator[Tuple[int, ...]]:
     decreasing tuples, in the descending-lex order of partitions(n),
     without visiting the others."""
     return _parts_of_length(n, m, n)
-
-
-def partitions_of_length(n: int, m: int) -> Iterator[Partition]:
-    """`parts_of_length(n, m)` as Partition objects."""
-    for p in parts_of_length(n, m):
-        yield Partition(p)
 
 
 def centralizer_order(alpha: Partition) -> int:

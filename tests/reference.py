@@ -21,7 +21,7 @@ from hurwitz.algebra.series import expand_y_to_w, sweep, tree_coeffs, x_coeffici
 from hurwitz.algebra.sym import e_value, fit_sym_e_poly, is_orbit_exponent, to_e_basis
 from hurwitz.engine import _sample_plan
 from hurwitz.errors import CertificationError, NotVanishing
-from hurwitz.partitions import Partition, class_size, partitions_of_length
+from hurwitz.partitions import Partition, class_size, parts_of_length
 
 
 # ----- dense polynomial helpers ---------------------------------------------
@@ -643,7 +643,7 @@ def fraction_closedform_checks() -> list:
                   formulas.f_one_part(n, g), "series")
     for m in range(1, 7):
         for n in range(m, m + 4):
-            for alpha in partitions_of_length(n, m):
+            for alpha in map(Partition, parts_of_length(n, m)):
                 check(f"genus-1 table vs formula {alpha}",
                       formulas.f_table_eval(1, alpha),
                       fraction_f1_conjecture(alpha), "formula")

@@ -14,10 +14,10 @@ import pytest
 from hurwitz import cli, engine, formulas, oracle
 from hurwitz.algebra.poly import SparsePoly
 from hurwitz.cli import main
-from hurwitz.engine import CACHE_VERSION, Engine, _deps
+from hurwitz.engine import CACHE_VERSION, Engine, _deps, is_cell
 from hurwitz.errors import BudgetExceeded
 from hurwitz.formulas import f_table
-from hurwitz.partitions import Partition, partitions_of_length
+from hurwitz.partitions import Partition, parts_of_length, parts_text
 from reference import fraction_closedform_checks, scale
 
 
@@ -150,6 +150,37 @@ def test_cache_warm_refuses_unbudgeted_genus(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+def _budget_accepts(m, g) -> bool:
+    try:
+        Engine()._check_budget(m, g)
+    except BudgetExceeded:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("m_max", [None, 1, 2, 3, 5])
+@pytest.mark.parametrize("genus", [None, *engine.DEFAULT_BUDGETS])
+def test_cache_warm_computes_the_cells_the_budgets_accept(tmp_path, capsys, monkeypatch,
+                                                           genus, m_max):
+    # --warm asks for exactly the cells `_check_budget` accepts in its
+    # range, genus by genus and m by m; the recording `cell` solves nothing
+    asked = []
+    monkeypatch.setattr(Engine, "cell", lambda self, m, g: asked.append((m, g)))
+    want = [(m, g) for g in range(max(engine.DEFAULT_BUDGETS) + 2)
+            for m in range(max(engine.DEFAULT_BUDGETS.values()) + 2)
+            if genus in (None, g) and (m_max is None or m <= m_max)
+            and _budget_accepts(m, g)]
+    argv = ["cache", "--warm", "--cache-dir", str(tmp_path)]
+    if genus is not None:
+        argv += ["--genus", str(genus)]
+    if m_max is not None:
+        argv += ["--m", str(m_max)]
+    code = run(argv)
+    assert asked == want
+    assert capsys.readouterr().out == "".join(f"computed ({m},{g})\n" for m, g in want)
+    assert code == (0 if want else 3)
+
+
 @pytest.mark.parametrize("alpha", ["1500", "200000"])
 def test_compute_refuses_oversized_input(alpha, capsys):
     # refused up front: a count over 4,300 digits cannot be printed, and
@@ -164,7 +195,7 @@ def test_verify_oracle_budgets_cover_dependencies():
     for n_max in range(1, 9):
         engine = Engine(budgets=cli._oracle_budgets(n_max))
         todo = [(m, g) for m in range(1, n_max + 1) for g in range(3)
-                if g >= 1 or m >= 3]
+                if is_cell(m, g)]
         seen = set()
         while todo:
             cell = todo.pop()
@@ -213,7 +244,8 @@ def test_table_genus0_stops_where_compute_does(capsys, monkeypatch):
     # the refusal comes before anything sized by m is built
     monkeypatch.setattr(cli, "SparsePoly", None)
     assert run(["table", "--genus", "0", "--m", "82"]) == 2
-    assert capsys.readouterr().out == ""
+    assert capsys.readouterr() == ("", "unavailable: genus-0 polynomials at alpha = 1^m "
+                                       "need n <= 160 and j = n + m + 2g - 2 <= 160\n")
 
 
 def test_table_values_grid(capsys):
@@ -240,7 +272,7 @@ def test_table_values_walks_only_m_part_partitions(capsys):
 
 @pytest.mark.parametrize("genus,m,n_max", [
     (1, 1, 161),   # n over INPUT_N_MAX
-    (1, 2, 160),   # j = n + m + 2g - 2 = 162 over INPUT_J_MAX
+    (1, 2, 160),   # j = 162 over INPUT_J_MAX, and over TABLE_ROWS_MAX rows
     (0, 3, 150),   # over TABLE_ROWS_MAX rows
 ])
 def test_table_values_refuses_oversized_grid(monkeypatch, genus, m, n_max):
@@ -250,6 +282,20 @@ def test_table_values_refuses_oversized_grid(monkeypatch, genus, m, n_max):
     monkeypatch.setattr(cli, "_f_from_formulas", computed)
     assert run(["table", "--genus", str(genus), "--m", str(m), "--values",
                 "--n-max", str(n_max)]) == 2
+
+
+@pytest.mark.parametrize("argv,top,what", [
+    # one part at genus 5: j = n + 2g - 1 reaches 160 at n = 151
+    (["compute", "--alpha", "{}", "--genus", "5"], 151, "requests"),
+    # genus 1, m = 1: j = n_max + 1 reaches 160 at n_max = 159, in 159 rows
+    (["table", "--genus", "1", "--m", "1", "--values", "--n-max", "{}"], 159, "value grids"),
+], ids=["compute", "table-values"])
+def test_the_request_bound_refuses_j_past_it_with_n_within(argv, top, what, capsys):
+    assert run([a.format(top) for a in argv]) == 0
+    assert capsys.readouterr().err == ""
+    assert run([a.format(top + 1) for a in argv]) == 2
+    assert capsys.readouterr() == (
+        "", f"unavailable: {what} need n <= 160 and j = n + m + 2g - 2 <= 160\n")
 
 
 def test_table_beyond_tables_is_unavailable(capsys):
@@ -296,8 +342,8 @@ def test_closedform_failures_equal_the_fraction_suite(monkeypatch, capsys):
     want = fraction_closedform_checks()
     failed = [c["name"] for c in want if c["status"] == "fail"]
     assert failed == [f"one-part g=3 n={n}" for n in range(1, 11)] + [
-        f"genus-1 table vs formula {alpha}"
-        for m in (3, 5) for n in range(m, m + 4) for alpha in partitions_of_length(n, m)]
+        f"genus-1 table vs formula {parts_text(parts)}"
+        for m in (3, 5) for n in range(m, m + 4) for parts in parts_of_length(n, m)]
     checks = []
     cli._suite_closedform(checks)
     assert checks == want

@@ -33,6 +33,7 @@ from hurwitz.engine import (
     K11,
     assemble_K,
     extract_f,
+    is_cell,
     per_var_bound,
     psi0_base,
     solve_pde,
@@ -239,8 +240,9 @@ def grid():
     """The cold_grid cells: every budgeted cell with m <= 5."""
     eng = Engine()
     for g, top in DEFAULT_BUDGETS.items():
-        for m in range(3 if g == 0 else 1, min(top, 5) + 1):
-            eng.f_result(m, g)
+        for m in range(1, min(top, 5) + 1):
+            if is_cell(m, g):
+                eng.f_result(m, g)
     return {k: eng.cell(*k) for k in eng.computed_cells()}
 
 
@@ -613,7 +615,7 @@ def _cells_in_reach():
     cells = set()
     for budgets in (DEFAULT_BUDGETS, cli._oracle_budgets(cli.ORACLE_N_MAX)):
         for g, top in budgets.items():
-            cells.update((m, g) for m in range(3 if g == 0 else 1, top + 1))
+            cells.update((m, g) for m in range(1, top + 1) if is_cell(m, g))
     return sorted(cells)
 
 
@@ -918,6 +920,17 @@ def test_budget_guard_reports_progress():
         eng.cell(2, 0)  # no genus-0 cell below three variables
 
 
+def test_is_cell_names_the_cells():
+    # the genus-0 closed form n^(m-3) is a polynomial only from m = 3
+    assert not is_cell(2, 0) and not is_cell(0, 1)
+    assert is_cell(3, 0) and is_cell(1, 1)
+    # no budget, however deep, admits a pair that is no cell
+    eng = Engine(budgets={0: 99, 1: 99})
+    for m, g in ((2, 0), (0, 1)):
+        with pytest.raises(BudgetExceeded, match=rf"cell \({m},{g}\) is outside"):
+            eng._check_budget(m, g)
+
+
 def test_an_extraction_that_raises_leaves_its_cell_unreported(monkeypatch):
     extract = engine.extract_f
 
@@ -967,9 +980,10 @@ def test_the_dependency_order_is_pinned():
 def test_every_budgeted_cell_depends_on_budgeted_cells():
     eng = Engine()
     for g, top in DEFAULT_BUDGETS.items():
-        for m in range(3 if g == 0 else 1, top + 1):
-            for dep in engine._deps(m, g):
-                eng._check_budget(*dep)
+        for m in range(1, top + 1):
+            if is_cell(m, g):
+                for dep in engine._deps(m, g):
+                    eng._check_budget(*dep)
 
 
 def test_cell_pulls_dependencies():

@@ -6,7 +6,7 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from hurwitz.partitions import Partition, class_size, partitions, partitions_of_length
+from hurwitz.partitions import Partition, class_size, parts_of_length, partitions
 
 
 def test_construction_and_normalization():
@@ -58,14 +58,13 @@ def test_enumeration_order_and_uniqueness():
 
 
 def test_of_length():
-    got = [p.parts for p in partitions_of_length(5, 2)]
-    assert got == [(4, 1), (3, 2)]
-    assert list(partitions_of_length(3, 4)) == []
-    assert list(partitions_of_length(0, 0)) == [Partition(())]
+    assert list(parts_of_length(5, 2)) == [(4, 1), (3, 2)]
+    assert list(parts_of_length(3, 4)) == []
+    assert list(parts_of_length(0, 0)) == [()]
     for n in range(9):
         for m in range(n + 2):
-            assert list(partitions_of_length(n, m)) == [
-                p for p in partitions(n) if p.m == m]
+            assert list(parts_of_length(n, m)) == [
+                p.parts for p in partitions(n) if p.m == m]
 
 
 def test_class_sizes_small():
@@ -102,7 +101,7 @@ def test_n_and_m_are_the_sum_and_length_of_the_parts():
             assert (p.n, p.m) == (q.n, q.m) == (n, len(p.parts))
             assert p.n == sum(p.parts)
         for m in range(n + 2):
-            for p in partitions_of_length(n, m):
+            for p in map(Partition, parts_of_length(n, m)):
                 assert (p.n, p.m) == (n, m) == (sum(p.parts), len(p.parts))
     lam = Partition.parse("4,1,1")
     assert (lam.n, lam.m, lam.min_length, lam.j_for_genus(2)) == (6, 3, 7, 11)

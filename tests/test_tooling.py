@@ -14,6 +14,9 @@ import pytest
 import hurwitz
 import hurwitz.algebra
 from hurwitz import cli, engine
+from hurwitz.algebra.poly import SparsePoly
+from hurwitz.errors import BudgetExceeded
+from hurwitz.partitions import partitions
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -97,6 +100,36 @@ def test_no_summand_is_built_inside_the_placement_sum(monkeypatch):
         eng.cell(m, g)
     assert {name for name, _ in calls} == set(builders)
     assert [name for name, inside in calls if inside] == []
+
+
+class _Budgeted(engine.Engine):
+    """Accepts the cells its budgets accept, as `Engine.cell` does, and
+    returns the constant f = 1 for each instead of solving it."""
+
+    def cell(self, m, g):
+        self._check_budget(m, g)
+        return engine.Cell(m, g, None, SparsePoly.from_core("E", m, {(0,) * m: 1}))
+
+
+def test_the_benchmark_route_mirror_agrees_with_best_route():
+    # perfbench/queries.py restates the route `hurwitz compute` takes, to
+    # sort its requests by route; with every budgeted cell warmed it must
+    # name the route `best_route` takes, or "refused" where it raises
+    queries = _load("queries")
+    eng = _Budgeted()
+    warmed = {(m, g) for g, top in eng.budgets.items()
+              for m in range(1, top + 1) if engine.is_cell(m, g)}
+    routes = set()
+    for n in range(1, queries.N_MAX + 1):
+        for alpha in partitions(n):
+            for g in range(queries.G_MAX + 1):
+                try:
+                    taken = cli.best_route(alpha, g, eng)[1]
+                except BudgetExceeded:
+                    taken = "refused"
+                assert queries.route(alpha, g, warmed) == taken, (alpha, g)
+                routes.add(taken)
+    assert routes == {"engine", "formulas", "oracle", "refused"}
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
