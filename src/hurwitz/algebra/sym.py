@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import CertificationError, InconsistentSystem, NotSymmetric
 from .poly import SparsePoly
@@ -222,11 +222,14 @@ def elementary_values(alpha: Sequence[int], m: int) -> List[int]:
     return e[1:]
 
 
-def e_numerator(f_e: SparsePoly, parts: Sequence[int]) -> int:
+def e_numerator(f_e: SparsePoly, parts: Sequence[int],
+                ev: Optional[List[int]] = None) -> int:
     """f_e.den times the e-polynomial f_e at (e_1(parts), ..., e_m(parts)).
     The first call refuses a negative exponent and keeps on f_e the terms
     grouped by their exponent past e_1; each group is summed over one list
-    of e_1's powers, then raised by its powers of e_2 .. e_m."""
+    of e_1's powers, then raised by its powers of e_2 .. e_m.  A caller that
+    reads the e-values itself passes them as `ev`, which must then equal
+    `elementary_values(parts, f_e.arity)`."""
     try:
         groups, top = f_e._e_plan
     except AttributeError:
@@ -239,7 +242,8 @@ def e_numerator(f_e: SparsePoly, parts: Sequence[int]) -> int:
                   for rest, by_e1 in by_rest.items()]
         top = max((e[0] for e in f_e.num if e), default=0)
         f_e._e_plan = groups, top
-    ev = elementary_values(parts, f_e.arity)
+    if ev is None:
+        ev = elementary_values(parts, f_e.arity)
     powers = [1]
     for _ in range(top):
         powers.append(powers[-1] * ev[0])

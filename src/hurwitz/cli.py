@@ -27,10 +27,11 @@ from typing import List, Optional, Tuple
 
 from . import formulas, oracle
 from .algebra.poly import SparsePoly
-from .algebra.sym import e_numerator, e_value
+from .algebra.sym import e_numerator, e_value, elementary_values
 from .engine import CACHE_VERSION, DEFAULT_BUDGETS, Engine, is_cell, read_cell
 from .errors import BudgetExceeded, CertificationError, HurwitzError
-from .partitions import Partition, parts_of_length, parts_text, partitions
+from .partitions import (Partition, parts_of_length, parts_of_weight, parts_text,
+                         partitions)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -197,55 +198,71 @@ def _suite_appendix(engine: Engine, checks: List[dict]):
 
 
 def _suite_oracle(engine: Engine, n_max: int, checks: List[dict]):
+    """Each count check is the exact integer identity c_oracle * den * f_den
+    == num * f_num, with (num, den) = `count_scale(alpha, g)` and f =
+    f_num / f_den read from the engine's cell or, below the genus-0 cells,
+    from the closed form.  Where it fails, `formulas.hurwitz` scales f as
+    the Fraction route did: it refuses a non-count, and otherwise names the
+    count for `detail`."""
     for n in range(1, n_max + 1):
         for alpha in partitions(n):
             for g in range(0, 3):
                 c_oracle = oracle.c_count(alpha, g)
                 if not is_cell(alpha.m, g):
-                    f = formulas.f_genus0(alpha)
+                    f_num, f_den = formulas.f_genus0_ratio(alpha)
                     label = f"oracle {alpha} g={g} (formulas)"
                 else:
-                    f = e_value(engine.cell(alpha.m, g).f_e, alpha.parts)
+                    f_e = engine.cell(alpha.m, g).f_e
+                    f_num, f_den = e_numerator(f_e, alpha.parts), f_e.den
                     label = f"oracle {alpha} g={g} (engine)"
-                hc = formulas.hurwitz(alpha, g, f)
-                ok = hc.c == c_oracle
+                num, den = formulas.count_scale(alpha, g)
+                # a negative c_oracle is no count: `hurwitz` decides it
+                ok = c_oracle >= 0 and c_oracle * den * f_den == num * f_num
                 detail = "" if ok else (
-                    f"counting route {Fraction(c_oracle)} vs "
-                    f"extraction route {Fraction(hc.c)}"
+                    f"counting route {Fraction(c_oracle)} vs extraction route "
+                    f"{Fraction(formulas.hurwitz(alpha, g, Fraction(f_num, f_den)).c)}"
                 )
                 checks.append(_check(label, ok, detail))
     for n in range(1, 7):
-        alpha = Partition((1,) * n)
-        mu_closed = formulas.mu0_simple(n)
-        mu_oracle = oracle.mu_count(alpha, 0)
-        ok = mu_closed == mu_oracle
+        two_mu0 = formulas.two_mu0_simple(n)
+        mu_oracle = oracle.mu_count(Partition((1,) * n), 0)
+        ok = two_mu0 * mu_oracle.denominator == 2 * mu_oracle.numerator
         checks.append(_check(
             f"genus-0 mu at 1^{n}", ok,
-            "" if ok else f"closed {mu_closed} vs oracle {mu_oracle}"
+            "" if ok else f"closed {formulas.mu0_simple(n)} vs oracle {mu_oracle}"
         ))
 
 
 def _suite_recurrence(checks: List[dict]):
+    """The torus sequence a_n three ways (`formulas.a_sequence`), then the
+    genus-1 recurrence against f1_simple as the exact integer identity
+    2 n! M_n == (2n)! s_n, with M_n = 12 mu_n (`pg_twelve_mu1`) and s_n =
+    24 f1_simple(n), cross-multiplied by f1_simple's denominator.  The
+    Fractions of `detail` are built for a failure only."""
     try:
         formulas.a_sequence(12)
         checks.append(_check("a_n triple equality n<=12", True))
     except CertificationError as err:
         checks.append(_check("a_n triple equality n<=12", False, str(err)))
-    mu1 = formulas.pg_mu1(10)
+    twelve_mu1 = formulas.pg_twelve_mu1(10)
     for n in range(2, 11):
-        want = Fraction(math.factorial(2 * n)) * formulas.f1_simple(n) \
-            / math.factorial(n)
-        ok = mu1[n - 1] == want
+        f = formulas.f1_simple(n)
+        ok = (2 * math.factorial(n) * twelve_mu1[n - 1] * f.denominator
+              == math.factorial(2 * n) * 24 * f.numerator)
         checks.append(_check(
             f"torus recurrence n={n}", ok,
-            "" if ok else f"recurrence {mu1[n - 1]} vs direct {want}"
+            "" if ok else f"recurrence {Fraction(twelve_mu1[n - 1], 12)} vs direct "
+                          f"{Fraction(math.factorial(2 * n)) * f / math.factorial(n)}"
         ))
 
 
 def _suite_closedform(checks: List[dict]):
     """Each check is an exact integer identity: the table's numerator times
     the closed form's denominator against the closed form's numerator times
-    the table's.  The Fractions of `detail` are built for a failure only."""
+    the table's.  A genus-1 point's elementary values are computed once and
+    read by both sides; the points come from the partition lists that
+    `parts_of_weight` keeps.  The Fractions of `detail` are built for a
+    failure only."""
     for g in range(1, 5):
         poly = formulas.f_table(g, 1)
         for n in range(1, 11):
@@ -259,9 +276,12 @@ def _suite_closedform(checks: List[dict]):
     for m in range(1, 7):
         poly = formulas.f_table(1, m)
         for n in range(m, m + 4):
-            for parts in parts_of_length(n, m):
-                ok = (e_numerator(poly, parts) * 24
-                      == formulas.f1_numerator(parts, n, m) * poly.den)
+            for parts in parts_of_weight(n):
+                if len(parts) != m:
+                    continue
+                ev = elementary_values(parts, m)
+                ok = (e_numerator(poly, parts, ev) * 24
+                      == formulas.f1_numerator(ev, n) * poly.den)
                 checks.append(_check(
                     f"genus-1 table vs formula {parts_text(parts)}", ok,
                     "" if ok else f"table {e_value(poly, parts)} vs formula "

@@ -20,8 +20,9 @@ exact division by the integer scale `count_scale`.  The one Fraction of
 each value is built where it is returned.  `verify`'s closed-form checks
 compare integers too: a table's numerator against the integer cores
 `f_one_part_ratio` and `f1_numerator`, cross-multiplied by the two
-denominators.  Only the recurrences behind `pg_mu1` and `a_sequence`
-still step through Fractions.
+denominators.  The recurrences step in ints as well: `pg_twelve_mu1` in
+12 mu1 and `two_mu0_simple`, and `a_sequence`'s three routes in a_n
+itself; `pg_mu1` and `mu0_simple` build their Fractions on return.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .partitions import Partition, centralizer_order
 __all__ = [
     "HurwitzCount",
     "f_genus0",
+    "f_genus0_ratio",
     "f_one_part",
     "f_one_part_ratio",
     "f1_simple",
@@ -50,7 +52,9 @@ __all__ = [
     "hurwitz",
     "count_scale",
     "mu0_simple",
+    "two_mu0_simple",
     "pg_mu1",
+    "pg_twelve_mu1",
     "a_sequence",
     "TABLE_M_MAX",
 ]
@@ -171,7 +175,13 @@ def f_table_eval(g: int, alpha: Partition) -> Fraction:
 
 def f_genus0(alpha: Partition) -> Fraction:
     """n^(m-3); a genuine rational for m < 3."""
-    return Fraction(alpha.n) ** (alpha.m - 3)
+    return Fraction(*f_genus0_ratio(alpha))
+
+
+def f_genus0_ratio(alpha: Partition) -> Tuple[int, int]:
+    """`f_genus0(alpha)` as the integers (num, den)."""
+    k = alpha.m - 3
+    return (alpha.n ** k, 1) if k >= 0 else (1, alpha.n ** -k)
 
 
 def f_one_part(n: int, g: int) -> Fraction:
@@ -207,15 +217,15 @@ def f1_simple(n: int) -> Fraction:
 def f1_conjecture(alpha: Partition) -> Fraction:
     """Genus-1 f for any alpha through elementary symmetric functions:
     (n^m - n^(m-1) - sum_(i=2..m) (i-2)! e_i n^(m-i)) / 24."""
-    return Fraction(f1_numerator(alpha.parts, alpha.n, alpha.m), 24)
+    return Fraction(f1_numerator(elementary_values(alpha.parts, alpha.m), alpha.n), 24)
 
 
-def f1_numerator(parts: Sequence[int], n: int, m: int) -> int:
-    """The numerator of `f1_conjecture` over 24, at the partition with these
-    parts, weight n and length m; the sum by Horner's rule in n."""
-    e = elementary_values(parts, m)
+def f1_numerator(e: Sequence[int], n: int) -> int:
+    """The numerator of `f1_conjecture` over 24, at a partition of weight n
+    whose elementary values are e = [e_1, ..., e_m]; the sum by Horner's
+    rule in n."""
     s, fact = n - 1, 1
-    for i in range(2, m + 1):
+    for i in range(2, len(e) + 1):
         s = s * n - fact * e[i - 1]
         fact *= i - 1
     return s
@@ -257,7 +267,14 @@ def hurwitz(alpha: Partition, g: int, f: Fraction) -> HurwitzCount:
 
 def mu0_simple(n: int) -> Fraction:
     """Genus-0 mu at alpha = 1^n: (2n-2)! n^(n-3) / n!."""
-    return Fraction(math.factorial(2 * n - 2) * n ** n, n ** 3 * math.factorial(n))
+    return Fraction(two_mu0_simple(n), 2)
+
+
+def two_mu0_simple(n: int) -> int:
+    """2 mu0_simple(n) = 2 (2n-2)! n^(n-3) / n!, an integer for every n >= 1:
+    it is 2 C(2n-2, n-1) (n-1)! n^(n-4), an integer from n = 4 on, and 2, 1
+    and 8 at n = 1, 2 and 3.  So the one floor division below is exact."""
+    return 2 * math.factorial(2 * n - 2) * n ** n // (n ** 3 * math.factorial(n))
 
 
 # ----- recurrences --------------------------------------------------------
@@ -265,22 +282,30 @@ def mu0_simple(n: int) -> Fraction:
 def pg_mu1(n_max: int) -> List[Fraction]:
     """mu_n^(1) for n = 1..n_max by the genus-1 recurrence; entry n-1
     holds mu_n."""
+    return [Fraction(t, 12) for t in pg_twelve_mu1(n_max)]
+
+
+def pg_twelve_mu1(n_max: int) -> List[int]:
+    """12 mu_n^(1) for n = 1..n_max, the genus-1 recurrence in ints; entry
+    n-1 holds 12 mu_n.  With mu0_j = mu0_simple(j), the recurrence
+
+        mu_n = (n/6) C(n,2) (2n-1) mu0_n
+               + sum_(j=1..n-2) 2 (2n-1) (n-j) j^2 C(2n-2, 2j-2) mu0_j mu_(n-j)
+
+    reads, in M_n = 12 mu_n and z_j = 2 mu0_j (`two_mu0_simple`),
+
+        M_n = (2n-1) (n C(n,2) z_n + sum_j (n-j) j^2 C(2n-2, 2j-2) z_j M_(n-j))."""
     if n_max < 2:
         raise ValueError("need n_max >= 2")
-    mu1: List[Fraction] = []
+    z = [two_mu0_simple(n) for n in range(1, n_max + 1)]
+    twelve_mu1: List[int] = []
     for n in range(1, n_max + 1):
-        total = (
-            Fraction(n, 6) * math.comb(n, 2) * (2 * n - 1) * mu0_simple(n)
-        )
+        total = n * math.comb(n, 2) * z[n - 1]
         for jj in range(1, n - 1):
-            total += (
-                2 * (2 * n - 1)
-                * (n - jj) * jj * jj
-                * math.comb(2 * n - 2, 2 * jj - 2)
-                * mu0_simple(jj) * mu1[n - jj - 1]
-            )
-        mu1.append(total)
-    return mu1
+            total += ((n - jj) * jj * jj * math.comb(2 * n - 2, 2 * jj - 2)
+                      * z[jj - 1] * twelve_mu1[n - jj - 1])
+        twelve_mu1.append((2 * n - 1) * total)
+    return twelve_mu1
 
 
 def a_sequence(n_max: int) -> List[int]:
@@ -288,7 +313,6 @@ def a_sequence(n_max: int) -> List[int]:
     direct, by its own recurrence, and through the tree series."""
     if n_max < 2:
         raise ValueError("need n_max >= 2")
-    direct = [24 * n * f1_simple(n) for n in range(1, n_max + 1)]
     rec: List[int] = []
     for n in range(1, n_max + 1):
         s = (n - 1) * n ** (n - 1)
@@ -296,30 +320,33 @@ def a_sequence(n_max: int) -> List[int]:
             s += math.comb(n, jj) * jj ** (jj - 1) * rec[n - jj - 1]
         rec.append(s)
     # third route: n! [x^n] w^2/(1-w)^2 with w the tree series, in
-    # exponential scaling t[d] = d! [x^d] w, so that the powers W_k of w
-    # multiply by binomial convolution
+    # exponential scaling t[d] = d! [x^d] w, where a product of two series
+    # is a binomial convolution.  v = w/(1-w) solves v = w + w v, one
+    # convolution sum per term, and w^2/(1-w)^2 = v^2 is one binomial
+    # self-convolution of v.  Both read w itself, not the equation
+    # w = x e^w, so a changed tree term gives the value that the power sum
+    # sum_(k>=2) (k-1) w^k gives.  The sums start at 1: w has no constant
+    # term (refused below), and so neither has v
     t = [math.factorial(d) * c for d, c in enumerate(tree_coeffs(n_max))]
     if any(c.denominator != 1 for c in t):
         raise CertificationError("the tree series has a non-integral d! [x^d] w")
-    t = [int(c) for c in t]
-    wpow = [1] + [0] * n_max
-    tree = [0] * (n_max + 1)
-    for k in range(1, n_max + 1):
-        wpow = [
-            sum(math.comb(d, i) * wpow[i] * t[d - i] for i in range(d + 1))
-            for d in range(n_max + 1)
-        ]
-        if k >= 2:
-            # w^2/(1-w)^2 = sum_{k>=2} (k-1) w^k
-            for d in range(n_max + 1):
-                tree[d] += (k - 1) * wpow[d]
+    if t[0]:
+        raise CertificationError("the tree series has a constant term")
+    t = [c.numerator for c in t]
+    v = [0] * (n_max + 1)
+    for d in range(1, n_max + 1):
+        v[d] = t[d] + sum(math.comb(d, i) * t[i] * v[d - i] for i in range(1, d))
     out: List[int] = []
     for n in range(1, n_max + 1):
-        a, b, c = direct[n - 1], rec[n - 1], tree[n]
-        if not (a == b == c) or a.denominator != 1:
+        f = f1_simple(n)
+        a, r = divmod(24 * n * f.numerator, f.denominator)
+        b = rec[n - 1]
+        c = sum(math.comb(n, i) * v[i] * v[n - i] for i in range(1, n))
+        if r or not a == b == c:
             raise CertificationError(
-                f"a_{n} disagrees across routes: direct {a}, recurrence {b}, "
-                f"series {c}"
+                f"a_{n} disagrees across routes: direct "
+                f"{Fraction(24 * n * f.numerator, f.denominator)}, "
+                f"recurrence {b}, series {c}"
             )
-        out.append(int(a))
+        out.append(a)
     return out

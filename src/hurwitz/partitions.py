@@ -11,8 +11,8 @@ import math
 from functools import lru_cache, total_ordering
 from typing import Iterator, Sequence, Tuple
 
-__all__ = ["Partition", "parts_text", "partitions", "parts_of_length",
-           "centralizer_order", "class_size"]
+__all__ = ["Partition", "parts_text", "partitions", "parts_of_weight",
+           "parts_of_length", "centralizer_order", "class_size"]
 
 
 @total_ordering
@@ -108,9 +108,15 @@ def _parts_lists(n: int, cap: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(out)
 
 
+def parts_of_weight(n: int) -> Tuple[Tuple[int, ...], ...]:
+    """The parts of every partition of n, as weakly decreasing tuples in
+    descending-lex order; built once per n and kept."""
+    return _parts_lists(n, n)
+
+
 def partitions(n: int) -> Iterator[Partition]:
     """All partitions of n, descending-lex order."""
-    for p in _parts_lists(n, n):
+    for p in parts_of_weight(n):
         yield Partition(p)
 
 

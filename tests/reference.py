@@ -8,7 +8,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Dict, List, Tuple
 
-from hurwitz import formulas
+from hurwitz import formulas, oracle
 from hurwitz.algebra.operators import (
     apply_xdx,
     core_apply_xdx,
@@ -19,9 +19,9 @@ from hurwitz.algebra.operators import (
 from hurwitz.algebra.poly import SparsePoly
 from hurwitz.algebra.series import expand_y_to_w, sweep, tree_coeffs, x_coefficient, x_orbit
 from hurwitz.algebra.sym import e_value, fit_sym_e_poly, is_orbit_exponent, to_e_basis
-from hurwitz.engine import _sample_plan
+from hurwitz.engine import _sample_plan, is_cell
 from hurwitz.errors import CertificationError, NotVanishing
-from hurwitz.partitions import Partition, class_size, parts_of_length
+from hurwitz.partitions import Partition, class_size, parts_of_length, partitions
 
 
 # ----- dense polynomial helpers ---------------------------------------------
@@ -647,6 +647,142 @@ def fraction_closedform_checks() -> list:
                 check(f"genus-1 table vs formula {alpha}",
                       formulas.f_table_eval(1, alpha),
                       fraction_f1_conjecture(alpha), "formula")
+    return checks
+
+
+# ----- the recurrences and the recurrence and oracle suites in Fractions ----
+# The package steps these in integers; the Fraction forms below are the
+# recurrences and `verify` suites as they were, kept as the references the
+# integer forms must equal.  They read `formulas.f1_simple`,
+# `formulas.tree_coeffs`, `oracle.c_count` and the engine's cells when
+# called, so a test may doctor those.
+
+def fraction_mu0_simple(n: int) -> Fraction:
+    """Genus-0 mu at alpha = 1^n: (2n-2)! n^(n-3) / n!."""
+    return Fraction(math.factorial(2 * n - 2) * n ** n, n ** 3 * math.factorial(n))
+
+
+def fraction_pg_mu1(n_max: int) -> List[Fraction]:
+    """mu_n^(1) for n = 1..n_max by the genus-1 recurrence in Fractions."""
+    if n_max < 2:
+        raise ValueError("need n_max >= 2")
+    mu1: List[Fraction] = []
+    for n in range(1, n_max + 1):
+        total = (
+            Fraction(n, 6) * math.comb(n, 2) * (2 * n - 1) * fraction_mu0_simple(n)
+        )
+        for jj in range(1, n - 1):
+            total += (
+                2 * (2 * n - 1)
+                * (n - jj) * jj * jj
+                * math.comb(2 * n - 2, 2 * jj - 2)
+                * fraction_mu0_simple(jj) * mu1[n - jj - 1]
+            )
+        mu1.append(total)
+    return mu1
+
+
+def tree_series_by_powers(n_max: int) -> List[int]:
+    """n! [x^n] w^2/(1-w)^2 for n = 0..n_max, as the sum over k >= 2 of
+    (k - 1) w^k, each power W_k of the tree series w stepped by one
+    binomial convolution with t[d] = d! [x^d] w."""
+    t = [math.factorial(d) * c for d, c in enumerate(formulas.tree_coeffs(n_max))]
+    if any(c.denominator != 1 for c in t):
+        raise CertificationError("the tree series has a non-integral d! [x^d] w")
+    t = [int(c) for c in t]
+    wpow = [1] + [0] * n_max
+    tree = [0] * (n_max + 1)
+    for k in range(1, n_max + 1):
+        wpow = [
+            sum(math.comb(d, i) * wpow[i] * t[d - i] for i in range(d + 1))
+            for d in range(n_max + 1)
+        ]
+        if k >= 2:
+            # w^2/(1-w)^2 = sum_{k>=2} (k-1) w^k
+            for d in range(n_max + 1):
+                tree[d] += (k - 1) * wpow[d]
+    return tree
+
+
+def fraction_a_sequence(n_max: int) -> List[int]:
+    """a_n = 24 n f1_simple(n) for n = 1..n_max, its direct route in
+    Fractions, checked against its recurrence and the power-sum series."""
+    if n_max < 2:
+        raise ValueError("need n_max >= 2")
+    direct = [24 * n * formulas.f1_simple(n) for n in range(1, n_max + 1)]
+    rec: List[int] = []
+    for n in range(1, n_max + 1):
+        s = (n - 1) * n ** (n - 1)
+        for jj in range(1, n - 1):
+            s += math.comb(n, jj) * jj ** (jj - 1) * rec[n - jj - 1]
+        rec.append(s)
+    tree = tree_series_by_powers(n_max)
+    out: List[int] = []
+    for n in range(1, n_max + 1):
+        a, b, c = direct[n - 1], rec[n - 1], tree[n]
+        if not (a == b == c) or a.denominator != 1:
+            raise CertificationError(
+                f"a_{n} disagrees across routes: direct {a}, recurrence {b}, "
+                f"series {c}"
+            )
+        out.append(int(a))
+    return out
+
+
+def _check(name: str, ok: bool, detail: str = "") -> dict:
+    return {"name": name, "status": "pass" if ok else "fail", "detail": detail}
+
+
+def fraction_recurrence_checks() -> list:
+    """`verify --suite recurrence`'s checks with every value a Fraction."""
+    checks = []
+    try:
+        fraction_a_sequence(12)
+        checks.append(_check("a_n triple equality n<=12", True))
+    except CertificationError as err:
+        checks.append(_check("a_n triple equality n<=12", False, str(err)))
+    mu1 = fraction_pg_mu1(10)
+    for n in range(2, 11):
+        want = Fraction(math.factorial(2 * n)) * formulas.f1_simple(n) \
+            / math.factorial(n)
+        ok = mu1[n - 1] == want
+        checks.append(_check(
+            f"torus recurrence n={n}", ok,
+            "" if ok else f"recurrence {mu1[n - 1]} vs direct {want}"
+        ))
+    return checks
+
+
+def fraction_oracle_checks(engine, n_max: int) -> list:
+    """`verify --suite oracle`'s checks with every f a Fraction, scaled to
+    a count by `formulas.hurwitz`, which refuses a non-count by raising."""
+    checks = []
+    for n in range(1, n_max + 1):
+        for alpha in partitions(n):
+            for g in range(0, 3):
+                c_oracle = oracle.c_count(alpha, g)
+                if not is_cell(alpha.m, g):
+                    f = formulas.f_genus0(alpha)
+                    label = f"oracle {alpha} g={g} (formulas)"
+                else:
+                    f = e_value(engine.cell(alpha.m, g).f_e, alpha.parts)
+                    label = f"oracle {alpha} g={g} (engine)"
+                hc = formulas.hurwitz(alpha, g, f)
+                ok = hc.c == c_oracle
+                detail = "" if ok else (
+                    f"counting route {Fraction(c_oracle)} vs "
+                    f"extraction route {Fraction(hc.c)}"
+                )
+                checks.append(_check(label, ok, detail))
+    for n in range(1, 7):
+        alpha = Partition((1,) * n)
+        mu_closed = fraction_mu0_simple(n)
+        mu_oracle = oracle.mu_count(alpha, 0)
+        ok = mu_closed == mu_oracle
+        checks.append(_check(
+            f"genus-0 mu at 1^{n}", ok,
+            "" if ok else f"closed {mu_closed} vs oracle {mu_oracle}"
+        ))
     return checks
 
 

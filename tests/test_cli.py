@@ -15,10 +15,15 @@ from hurwitz import cli, engine, formulas, oracle
 from hurwitz.algebra.poly import SparsePoly
 from hurwitz.cli import main
 from hurwitz.engine import CACHE_VERSION, Engine, _deps, is_cell
-from hurwitz.errors import BudgetExceeded
+from hurwitz.errors import BudgetExceeded, CertificationError
 from hurwitz.formulas import f_table
 from hurwitz.partitions import Partition, parts_of_length, parts_text
-from reference import fraction_closedform_checks, scale
+from reference import (
+    fraction_closedform_checks,
+    fraction_oracle_checks,
+    fraction_recurrence_checks,
+    scale,
+)
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -351,6 +356,133 @@ def test_closedform_failures_equal_the_fraction_suite(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert json.loads(out)["checks"] == want
     assert err == f"FIRST FAILURE: one-part g=3 n=1: {want[20]['detail']}\n"
+
+
+def _suite_outcome(suite):
+    """The checks a suite appends, or the message of the CertificationError
+    it raises."""
+    checks = []
+    try:
+        suite(checks)
+    except CertificationError as err:
+        return "raised", str(err)
+    return "checks", checks
+
+
+def _verify_outcome(argv, capsys):
+    """`_suite_outcome`'s form of what `verify` prints, after checking that
+    it exits 1 with the first failure or the refusal on stderr."""
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    if not out:
+        assert err.startswith("verification failure: ") and err.endswith("\n")
+        return "raised", err[len("verification failure: "):-1]
+    checks = json.loads(out)["checks"]
+    first = next(c for c in checks if c["status"] == "fail")
+    assert err == f"FIRST FAILURE: {first['name']}: {first['detail']}\n"
+    return "checks", checks
+
+
+def test_recurrence_checks_equal_the_fraction_suite():
+    checks = []
+    cli._suite_recurrence(checks)
+    assert len(checks) == 10 and all(c["status"] == "pass" for c in checks)
+    assert checks == fraction_recurrence_checks()
+
+
+# f1_simple raised by 1/24 at n = 5, or halved at n = 7 (a value over 48,
+# which only an identity cross-multiplied by its denominator reads right),
+# or raised by 1/240 at n = 5, so that a_5 = 24 * 5 * f1 is a half past
+# the true a_5; and the tree term t_6 = 6! [x^6] w raised by 6!: each
+# failure's detail, and verify's exit and stderr, are those of the
+# Fraction suite
+@pytest.mark.parametrize("doctor,failed", [
+    ("f1-raised", ["a_n triple equality n<=12", "torus recurrence n=5"]),
+    ("f1-halved", ["a_n triple equality n<=12", "torus recurrence n=7"]),
+    ("f1-nudged", ["a_n triple equality n<=12", "torus recurrence n=5"]),
+    ("tree-term", ["a_n triple equality n<=12"]),
+])
+def test_recurrence_failures_equal_the_fraction_suite(monkeypatch, capsys, doctor, failed):
+    f1_simple, tree_coeffs = formulas.f1_simple, formulas.tree_coeffs
+    if doctor == "tree-term":
+        def changed(n):
+            w = tree_coeffs(n)
+            w[6] += 1
+            return w
+        monkeypatch.setattr(formulas, "tree_coeffs", changed)
+    else:
+        at, change = {"f1-raised": (5, lambda f: f + Fraction(1, 24)),
+                      "f1-halved": (7, lambda f: f / 2),
+                      "f1-nudged": (5, lambda f: f + Fraction(1, 240))}[doctor]
+        monkeypatch.setattr(formulas, "f1_simple",
+                            lambda n: change(f1_simple(n)) if n == at else f1_simple(n))
+    want = fraction_recurrence_checks()
+    assert [c["name"] for c in want if c["status"] == "fail"] == failed
+    assert _suite_outcome(cli._suite_recurrence) == ("checks", want)
+    assert _verify_outcome(["verify", "--suite", "recurrence"], capsys) == ("checks", want)
+
+
+@pytest.fixture(scope="module")
+def oracle_engine():
+    """An engine with the cells of `verify --suite oracle` at its largest
+    --n-max, which cover every smaller one."""
+    return Engine(budgets=cli._oracle_budgets(cli.ORACLE_N_MAX))
+
+
+@pytest.mark.parametrize("n_max", range(1, cli.ORACLE_N_MAX + 1))
+def test_oracle_checks_equal_the_fraction_suite(oracle_engine, n_max):
+    checks = []
+    cli._suite_oracle(oracle_engine, n_max, checks)
+    assert all(c["status"] == "pass" for c in checks)
+    assert checks == fraction_oracle_checks(oracle_engine, n_max)
+
+
+def _doctored_cell(doctor, at=None):
+    """`Engine.cell` with f_e doctored: at the cell `at`, one numerator
+    raised by one or the denominator doubled; at every cell, negated."""
+    real = Engine.cell
+
+    def cell(self, m, g):
+        c = real(self, m, g)
+        if at not in (None, (m, g)):
+            return c
+        num, den = dict(c.f_e.num), c.f_e.den
+        if doctor == "numerator":
+            num[min(num)] += 1
+        elif doctor == "den":
+            den *= 2
+        else:
+            num = {e: -v for e, v in num.items()}
+        return engine.Cell(m, g, c.orbit, SparsePoly.from_core("E", m, num, den))
+    return cell
+
+
+# one numerator of the (3,1) cell's f_e raised by one; every oracle count
+# raised by one; the (1,1) cell's f_e over twice its denominator, which
+# scales f at (2), g=1 to the non-count 1/2, so that `hurwitz` refuses it;
+# every count and every engine f negated, where the identity holds at the
+# first engine point and `hurwitz` refuses the negative count
+@pytest.mark.parametrize("cell_doctor,count_doctor,kind", [
+    (("numerator", (3, 1)), None, "checks"),
+    (None, (1, 1), "checks"),
+    (("den", (1, 1)), None, "raised"),
+    (("negated",), (-1, 0), "raised"),
+], ids=["f_e-numerator", "c_count-off-by-one", "f_e-den-doubled", "all-negated"])
+def test_oracle_failures_equal_the_fraction_suite(monkeypatch, capsys, cell_doctor,
+                                                  count_doctor, kind):
+    n_max = 4
+    if count_doctor:
+        c_count, (sign, shift) = oracle.c_count, count_doctor
+        monkeypatch.setattr(oracle, "c_count",
+                            lambda alpha, g: sign * c_count(alpha, g) + shift)
+    if cell_doctor:
+        monkeypatch.setattr(Engine, "cell", _doctored_cell(*cell_doctor))
+    eng = Engine(budgets=cli._oracle_budgets(n_max))
+    want = _suite_outcome(lambda checks: checks.extend(fraction_oracle_checks(eng, n_max)))
+    assert want[0] == kind
+    assert _suite_outcome(lambda checks: cli._suite_oracle(eng, n_max, checks)) == want
+    argv = ["verify", "--suite", "oracle", "--n-max", str(n_max)]
+    assert _verify_outcome(argv, capsys) == want
 
 
 def test_cache_requires_directory(capsys):

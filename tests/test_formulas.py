@@ -21,10 +21,20 @@ from hurwitz.formulas import (
     hurwitz,
     mu0_simple,
     pg_mu1,
+    pg_twelve_mu1,
+    two_mu0_simple,
 )
 from hurwitz.oracle import c_count, mu_count
 from hurwitz.partitions import Partition, partitions
-from reference import fraction_count_scale, fraction_f1_conjecture, fraction_hurwitz
+from reference import (
+    fraction_a_sequence,
+    fraction_count_scale,
+    fraction_f1_conjecture,
+    fraction_hurwitz,
+    fraction_mu0_simple,
+    fraction_pg_mu1,
+    tree_series_by_powers,
+)
 
 alphas = st.lists(st.integers(1, 9), min_size=1, max_size=7).map(Partition.of)
 
@@ -349,6 +359,61 @@ def test_a_sequence_refuses_a_changed_tree_term(monkeypatch, bump):
     monkeypatch.setattr(formulas, "tree_coeffs", changed)
     with pytest.raises(CertificationError):
         a_sequence(8)
+
+
+def test_a_sequence_refuses_a_tree_series_with_a_constant_term(monkeypatch):
+    tree_coeffs = formulas.tree_coeffs
+
+    def changed(n):
+        w = tree_coeffs(n)
+        w[0] += 1
+        return w
+
+    monkeypatch.setattr(formulas, "tree_coeffs", changed)
+    with pytest.raises(CertificationError, match="constant term"):
+        a_sequence(8)
+
+
+def test_pg_mu1_equals_the_fraction_recurrence():
+    for n_max in range(2, 26):
+        want = fraction_pg_mu1(n_max)
+        twelve = pg_twelve_mu1(n_max)
+        assert all(type(t) is int for t in twelve)
+        assert twelve == [12 * mu for mu in want]
+        assert pg_mu1(n_max) == want
+
+
+def test_two_mu0_simple_is_an_int():
+    for n in range(1, 41):
+        z = two_mu0_simple(n)
+        assert type(z) is int and z == 2 * fraction_mu0_simple(n), n
+        assert mu0_simple(n) == fraction_mu0_simple(n), n
+
+
+def test_a_sequence_series_route_equals_the_power_sum():
+    # a_sequence returns only where its series route agrees with the other
+    # two, so equal answers mean an equal series route at every n <= 30
+    assert a_sequence(30) == tree_series_by_powers(30)[1:]
+    for n_max in (2, 3, 12):
+        assert a_sequence(n_max) == fraction_a_sequence(n_max)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_a_sequence_reports_a_changed_tree_term_as_the_power_sum(monkeypatch, d):
+    tree_coeffs = formulas.tree_coeffs
+
+    def changed(n):
+        w = tree_coeffs(n)
+        w[d] += Fraction(1, math.factorial(d))
+        return w
+
+    monkeypatch.setattr(formulas, "tree_coeffs", changed)
+    with pytest.raises(CertificationError) as want:
+        fraction_a_sequence(10)
+    with pytest.raises(CertificationError) as got:
+        a_sequence(10)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(f"a_{max(d + 1, 2)} disagrees")
 
 
 @given(st.integers(2, 30), st.integers(1, 29))

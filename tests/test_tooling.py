@@ -5,6 +5,7 @@ import ast
 import importlib.util
 import os
 import pkgutil
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -142,6 +143,31 @@ def test_demo_runs(demo):
     assert proc.returncode == 0, proc.stderr
 
 
+def _ab(*args, cwd):
+    return subprocess.run([sys.executable, str(ROOT / "tools" / "ab.py"), *args],
+                          capture_output=True, text=True, timeout=300, cwd=cwd)
+
+
+def test_the_ab_tool_finds_one_tree_equal_to_itself(tmp_path):
+    proc = _ab(str(ROOT), str(ROOT), "--rounds", "1", "--seed", "3", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "answers equal: all 200 requests, every round" in proc.stdout
+    assert "verify:recurrence" in proc.stdout and "throughput:" in proc.stdout
+
+
+def test_the_ab_tool_names_a_request_the_trees_answer_differently(tmp_path):
+    # a copy whose `compute --format json` names its route differently
+    shutil.copytree(ROOT / "src", tmp_path / "head" / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli_py = tmp_path / "head" / "src" / "hurwitz" / "cli.py"
+    text = cli_py.read_text()
+    assert text.count('"route": route}') == 1
+    cli_py.write_text(text.replace('"route": route}', '"route": route + "!"}'))
+    proc = _ab(str(ROOT), str(tmp_path / "head"), "--rounds", "1", cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines()[1].startswith("DIFFERENT answers to compute ")
+
+
 @pytest.mark.parametrize("package", [hurwitz, hurwitz.algebra])
 def test_every_exported_name_resolves(package):
     modules = [package] + [importlib.import_module(f"{package.__name__}.{info.name}")
@@ -163,6 +189,9 @@ UNCALLED = {
     "_Parser.error",
     # perfbench/worker.py reads it
     "Engine.f_result",
+    # perfbench/layers.py times it; `verify` reads its integer core,
+    # `pg_twelve_mu1`, and the tests hold the two to each other
+    "pg_mu1",
     # the demos read it
     "Engine.computed_cells",
     # the direct-enumeration route, exported for the tests and callers
