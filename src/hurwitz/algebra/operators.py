@@ -159,11 +159,11 @@ def _ladder_rows(jmax: int) -> tuple:
     return tuple(tuple(sorted(P.items())) for P in p_ladder(jmax))
 
 
-def xdx_basis_convert(p: SparsePoly, m: int) -> Tuple[Dict[tuple, int], int]:
-    """The symmetric p as sum_j c_j prod_i (x_i d/dx_i)^(j_i) V_m, both
-    in orbit form: p's terms and the returned j have weakly decreasing
-    exponents.  The c_j come as integer numerators over one denominator,
-    ({j: c_j den}, den), not reduced.
+def xdx_basis_convert(p: SparsePoly) -> Tuple[Dict[tuple, int], int]:
+    """The symmetric p in its m = p.arity variables as sum_j c_j prod_i
+    (x_i d/dx_i)^(j_i) V_m, both in orbit form: p's terms and the returned
+    j have weakly decreasing exponents.  The c_j come as integer numerators
+    over one denominator, ({j: c_j den}, den), not reduced.
 
     A leading-term peel.  The lex-greatest remaining exponent d must
     have every entry odd, d = 2j + 1: it is then the leading term of
@@ -190,13 +190,11 @@ def xdx_basis_convert(p: SparsePoly, m: int) -> Tuple[Dict[tuple, int], int]:
     """
     if p.kind != "Y":
         raise ValueError("xdx_basis_convert wants a Y polynomial")
-    if p.arity != m:
-        raise ValueError("arity mismatch")
     if not all(map(is_orbit_exponent, p.num)):
         raise ValueError("xdx_basis_convert wants an orbit form: weakly decreasing exponents")
     if any(e and e[-1] < 0 for e in p.num):
         raise ValueError("negative exponent has no polynomial form")
-    work, den = dict(p.num), p.den
+    m, work, den = p.arity, dict(p.num), p.den
     out: Dict[tuple, int] = {}
     rows = _ladder_rows(max((e[0] for e in work if e), default=0) // 2)
     memo: Dict[tuple, Core] = {}

@@ -73,16 +73,6 @@ def _check_input(what: str, n: int, m: int, g: int):
 
 # ----- route selection ----------------------------------------------------
 
-def _f_from_formulas(alpha: Partition, g: int) -> Optional[Fraction]:
-    if g == 0:
-        return formulas.f_genus0(alpha)
-    if alpha.m == 1:
-        return formulas.f_one_part(alpha.n, g)
-    if g in formulas.TABLE_M_MAX and alpha.m <= formulas.TABLE_M_MAX[g]:
-        return formulas.f_table_eval(g, alpha)
-    return None
-
-
 def best_route(alpha: Partition, g: int, engine: Engine) -> Tuple[Fraction, str]:
     """f by the preferred available route: engine, formulas, oracle."""
     _check_input("requests", alpha.n, alpha.m, g)
@@ -90,9 +80,10 @@ def best_route(alpha: Partition, g: int, engine: Engine) -> Tuple[Fraction, str]
         return e_value(engine.cell(alpha.m, g).f_e, alpha.parts), "engine"
     except BudgetExceeded:
         pass
-    f = _f_from_formulas(alpha, g)
-    if f is not None:
-        return f, "formulas"
+    try:
+        return formulas.f_closed_form(alpha, g), "formulas"
+    except BudgetExceeded:
+        pass
     c = oracle.c_count(alpha, g)  # raises BudgetExceeded when out of range
     num, den = formulas.count_scale(alpha, g)
     return Fraction(c * den, num), "oracle"
@@ -166,12 +157,8 @@ def run_table(args) -> int:
     ), TABLE_ROWS_MAX + 1))
     if len(alphas) > TABLE_ROWS_MAX:
         raise BudgetExceeded(f"value grids are limited to {TABLE_ROWS_MAX} rows")
-    rows = []
-    for alpha in alphas:
-        f = _f_from_formulas(alpha, g)
-        if f is None:
-            raise BudgetExceeded(f"no closed form or table for genus {g}, m = {m}")
-        rows.append(_count_row(formulas.hurwitz(alpha, g, f), "formulas"))
+    rows = [_count_row(formulas.hurwitz(alpha, g, formulas.f_closed_form(alpha, g)),
+                       "formulas") for alpha in alphas]
     if args.format == "json":
         print(json.dumps(rows, sort_keys=True))
     else:

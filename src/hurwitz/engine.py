@@ -142,8 +142,6 @@ def per_var_bound(m: int, g: int) -> int:
 
 def total_bound(m: int, g: int) -> int:
     """Total y-degree bound: m more than the top per-variable excess."""
-    if g == 0:
-        return 3 * m - 6
     return 3 * m + 6 * g - 6
 
 
@@ -600,7 +598,7 @@ def extract_f(cell: Cell) -> Cell:
     mismatch is fatal.
     """
     m, g = cell.m, cell.g
-    num, den = xdx_basis_convert(cell.orbit, m)
+    num, den = xdx_basis_convert(cell.orbit)
     f_e = to_e_basis(num, den, m)
     _check_f(f_e, m, g)
     _check_samples(cell.orbit, f_e, m, g)

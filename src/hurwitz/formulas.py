@@ -8,10 +8,11 @@ sizes:
 
 Delta data is embedded as literal integer constants guarded by a
 checksum; no parsing happens at runtime.  `f_table` is the one accessor
-of the tables: it refuses a genus without a table or constants that fail
-the checksum, then builds f_m^(g) from `_DELTAS` and `_D_G`.  Three
-independent routes for the torus sequence a_n = 24 n f1_simple(n)
-cross-check each other inside a_sequence.
+of the tables: it refuses an uncovered (g, m), then constants that fail
+the checksum, then builds f_m^(g) from `_DELTAS` and `_D_G`.  One rule,
+`f_closed_form`, says which closed form or table answers (alpha, g).  The
+genus-1 formula is `f1_numerator` alone: `f1_simple` reads it at 1^n, where
+a_sequence's three routes and the genus-1 recurrence check it.
 
 The values that `compute` and `table --values` print are computed in
 Python ints: each f over a denominator known in advance (a table's by
@@ -49,6 +50,7 @@ __all__ = [
     "f1_numerator",
     "f_table",
     "f_table_eval",
+    "f_closed_form",
     "hurwitz",
     "count_scale",
     "mu0_simple",
@@ -141,15 +143,15 @@ def _compute_digest() -> str:
 def f_table(g: int, m: int) -> SparsePoly:
     """f_m^(g) from the embedded tables, as a polynomial in e_1 .. e_m.
 
-    Each build checks the checksum over the very constants it reads, so a
-    constant changed after an earlier build never reaches a new table."""
+    An uncovered (g, m) is refused unhashed; each build checks the checksum
+    over the constants it reads, so a later change never reaches a new table."""
     if g not in _DELTAS:
         raise BudgetExceeded(f"no table for genus {g}")
-    if _compute_digest() != _TABLE_DIGEST:
-        raise CertificationError("table constants fail their transcription checksum")
     deltas = _DELTAS[g]
     if not 1 <= m <= len(deltas):
         raise BudgetExceeded(f"genus {g} table stops at m = {len(deltas)}")
+    if _compute_digest() != _TABLE_DIGEST:
+        raise CertificationError("table constants fail their transcription checksum")
     total: dict = {}
     for k in range(1, m + 1):
         for e3, c in deltas[k - 1].items():
@@ -169,6 +171,16 @@ def f_table(g: int, m: int) -> SparsePoly:
 
 def f_table_eval(g: int, alpha: Partition) -> Fraction:
     return e_value(f_table(g, alpha.m), alpha.parts)
+
+
+def f_closed_form(alpha: Partition, g: int) -> Fraction:
+    """f by the closed forms: genus 0, then one part, else the genus-g
+    table, whose `f_table` raises BudgetExceeded for an uncovered (g, m)."""
+    if g == 0:
+        return f_genus0(alpha)
+    if alpha.m == 1:
+        return f_one_part(alpha.n, g)
+    return f_table_eval(g, alpha)
 
 
 # ----- closed forms -------------------------------------------------------
@@ -205,13 +217,11 @@ def f_one_part_ratio(n: int, g: int) -> Tuple[int, int]:
 
 
 def f1_simple(n: int) -> Fraction:
-    """Genus-1 f at alpha = 1^n."""
+    """Genus-1 f at alpha = 1^n: `f1_numerator` at e_i(1^n) = C(n, i) over
+    24, so the recurrences that prove this case run the conjecture's code."""
     if n < 1:
         raise ValueError("need n >= 1")
-    s = n ** n - n ** (n - 1)
-    for i in range(2, n + 1):
-        s -= math.comb(n, i) * math.factorial(i - 2) * n ** (n - i)
-    return Fraction(s, 24)
+    return Fraction(f1_numerator([math.comb(n, i) for i in range(1, n + 1)], n), 24)
 
 
 def f1_conjecture(alpha: Partition) -> Fraction:

@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .errors import BudgetExceeded, CertificationError
-from .partitions import Partition, class_size, partitions
+from .partitions import Partition, centralizer_order, class_size, partitions
 
 __all__ = [
     "FactorizationTable",
@@ -271,7 +271,5 @@ def c_count(alpha: Partition, g: int) -> int:
 
 
 def mu_count(alpha: Partition, g: int) -> Fraction:
-    """Disconnected-normalized count: |C_alpha| c_g(alpha) / n!."""
-    return Fraction(
-        class_size(alpha) * c_count(alpha, g), math.factorial(alpha.n)
-    )
+    """Disconnected-normalized count c_g(alpha) / z_alpha = |C_alpha| c / n!."""
+    return Fraction(c_count(alpha, g), centralizer_order(alpha))

@@ -625,6 +625,17 @@ def fraction_f1_conjecture(alpha: Partition) -> Fraction:
     return s / 24
 
 
+def f1_simple_by_binomial_sum(n: int) -> Fraction:
+    """Genus-1 f at alpha = 1^n as the binomial sum
+    (n^n - n^(n-1) - sum_(i=2..n) C(n, i) (i-2)! n^(n-i)) / 24."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    s = n ** n - n ** (n - 1)
+    for i in range(2, n + 1):
+        s -= math.comb(n, i) * math.factorial(i - 2) * n ** (n - i)
+    return Fraction(s, 24)
+
+
 def fraction_closedform_checks() -> list:
     """`verify --suite closedform`'s 78 checks with every value a Fraction:
     each table value and closed form is built and the two compared.  The

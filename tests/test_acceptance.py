@@ -1,4 +1,5 @@
-"""Acceptance gate: the seven cross-validation criteria, run exactly.
+"""Acceptance gate: the seven cross-validation criteria, run exactly, and
+the three routes held to each other wherever more than one answers.
 
 Criterion 7 is advisory by design: its checks are reported but do not
 fail the suite.
@@ -10,12 +11,15 @@ from fractions import Fraction
 import pytest
 
 from hurwitz.algebra.poly import SparsePoly
-from hurwitz.algebra.sym import elementary_values
+from hurwitz.algebra.sym import e_value, elementary_values
 from hurwitz.engine import Engine, assemble_K, per_var_bound
+from hurwitz.errors import BudgetExceeded
 from hurwitz.formulas import (
     TABLE_M_MAX,
     a_sequence,
+    count_scale,
     f1_conjecture,
+    f_closed_form,
     f_genus0,
     f_one_part,
     f_table,
@@ -144,3 +148,31 @@ def test_criterion_7_advisory_reports():
             print(f"ADVISORY: {line}")
     else:
         print("criterion 7: no advisories; the genus-1 formula holds")
+
+
+def test_the_routes_agree_wherever_more_than_one_answers():
+    # every alpha of weight n <= 8 at genus g <= 4, by each route that
+    # does not refuse it: the engine at its default budgets, the closed
+    # forms and tables, and the oracle's count over the scale c / f
+    eng = Engine()
+
+    def by_engine(alpha, g):
+        return e_value(eng.cell(alpha.m, g).f_e, alpha.parts)
+
+    def by_oracle(alpha, g):
+        num, den = count_scale(alpha, g)
+        return Fraction(c_count(alpha, g) * den, num)
+
+    shared = 0
+    for n in range(1, 9):
+        for alpha in partitions(n):
+            for g in range(5):
+                got = []
+                for route in (by_engine, f_closed_form, by_oracle):
+                    try:
+                        got.append(route(alpha, g))
+                    except BudgetExceeded:
+                        pass
+                assert len(set(got)) <= 1, (alpha, g, got)
+                shared += len(got) >= 2
+    assert shared >= 245

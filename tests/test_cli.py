@@ -284,7 +284,7 @@ def test_table_values_refuses_oversized_grid(monkeypatch, genus, m, n_max):
     def computed(*_args):
         raise AssertionError("refused grids compute nothing")
 
-    monkeypatch.setattr(cli, "_f_from_formulas", computed)
+    monkeypatch.setattr(formulas, "f_closed_form", computed)
     assert run(["table", "--genus", str(genus), "--m", str(m), "--values",
                 "--n-max", str(n_max)]) == 2
 
@@ -305,6 +305,34 @@ def test_the_request_bound_refuses_j_past_it_with_n_within(argv, top, what, caps
 
 def test_table_beyond_tables_is_unavailable(capsys):
     assert run(["table", "--genus", "2", "--m", "5"]) == 2
+
+
+@pytest.mark.parametrize("genus,m,words", [
+    (5, 2, "no table for genus 5"),
+    (1, 7, "genus 1 table stops at m = 6"),
+    (4, 3, "genus 4 table stops at m = 2"),
+])
+def test_an_uncovered_value_grid_refuses_in_the_table_words(capsys, genus, m, words):
+    # `table --values` refuses an uncovered (g, m) as `table` does
+    for values in ([], ["--values"]):
+        assert run(["table", "--genus", str(genus), "--m", str(m)] + values) == 2
+        assert capsys.readouterr() == ("", f"unavailable: {words}\n")
+
+
+def test_a_doctored_table_digest_fails_only_the_tables_built(monkeypatch, capsys):
+    # the range is checked before the digest: a table outside it is
+    # refused unhashed, so the request falls through to the oracle
+    formulas.f_table.cache_clear()
+    monkeypatch.setattr(formulas, "_TABLE_DIGEST", "0" * 64)
+    try:
+        assert run(["table", "--genus", "1", "--m", "2", "--values"]) == 1
+        assert capsys.readouterr() == (
+            "", "verification failure: table constants fail their transcription checksum\n")
+        assert run(["compute", "--alpha", "1,1,1,1,1,1,1", "--genus", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "f = 9893\n" in out and out.endswith("route = oracle\n")
+    finally:
+        formulas.f_table.cache_clear()
 
 
 def test_verify_recurrence(capsys):

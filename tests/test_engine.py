@@ -359,7 +359,7 @@ def test_a_sweep_taking_each_copy_of_a_value_fails_extraction(monkeypatch):
 
 
 def _peel_matches_the_forward_route(rep, m):
-    num, den = xdx_basis_convert(rep.orbit, m)
+    num, den = xdx_basis_convert(rep.orbit)
     assert all(type(c) is int for c in num.values()) and type(den) is int
     return as_fractions(num, den) == forward_basis_convert(rep.orbit, m)
 
@@ -390,7 +390,7 @@ def test_the_peel_builds_each_sub_image_once(staircase, monkeypatch):
     builds = apart = 0
     for (m, g), rep in staircase.items():
         built.clear()
-        num, _ = xdx_basis_convert(rep.orbit, m)
+        num, _ = xdx_basis_convert(rep.orbit)
         subs = [s for s in built if len(s) < m]
         assert len(set(subs)) == len(subs), (m, g)
         assert sorted(s for s in built if len(s) == m) == sorted(num), (m, g)

@@ -27,6 +27,7 @@ from hurwitz.formulas import (
 from hurwitz.oracle import c_count, mu_count
 from hurwitz.partitions import Partition, partitions
 from reference import (
+    f1_simple_by_binomial_sum,
     fraction_a_sequence,
     fraction_count_scale,
     fraction_f1_conjecture,
@@ -293,6 +294,12 @@ def test_f1_conjecture_matches_the_fraction_reference(alpha):
 @given(st.integers(1, 14))
 def test_f1_simple_matches_the_fraction_reference(n):
     assert f1_simple(n) == fraction_f1_conjecture(Partition((1,) * n))
+
+
+def test_f1_simple_matches_the_binomial_sum():
+    # f1_simple reads the genus-1 formula's Horner form at e_i = C(n, i)
+    for n in range(1, 61):
+        assert f1_simple(n) == f1_simple_by_binomial_sum(n), n
 
 
 @given(st.integers(1, 40))

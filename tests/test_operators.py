@@ -187,12 +187,12 @@ def decomps(m, jmax=2, max_terms=3):
 def test_basis_convert_roundtrip(md):
     m, d = md
     dense = {p: c for j, c in d.items() for p in set(permutations(j))}
-    assert as_fractions(*xdx_basis_convert(orbit_form(reconstruct_decomp(dense, m)), m)) == d
+    assert as_fractions(*xdx_basis_convert(orbit_form(reconstruct_decomp(dense, m)))) == d
 
 
 def test_basis_convert_rejects_nonvanishing():
     with pytest.raises(NotVanishing):
-        xdx_basis_convert(const("Y", 1, 1), 1)
+        xdx_basis_convert(const("Y", 1, 1))
 
 
 def _symmetrized(a: dict, b: dict) -> SparsePoly:
@@ -208,7 +208,7 @@ def test_basis_convert_names_the_nonvanishing_variable():
     # first variable is named
     p = _symmetrized({1: 1, 0: -1}, {1: 1})
     with pytest.raises(NotVanishing, match="y_1"):
-        xdx_basis_convert(p, 2)
+        xdx_basis_convert(p)
 
 
 def test_basis_convert_rejects_a_single_w_derivation():
@@ -216,14 +216,14 @@ def test_basis_convert_rejects_a_single_w_derivation():
     P = p_ladder(1)
     Q = q_ladder(P)
     with pytest.raises(NotVanishing, match="w d/dw"):
-        xdx_basis_convert(_symmetrized(P[1], Q[1]), 2)
+        xdx_basis_convert(_symmetrized(P[1], Q[1]))
 
 
 def test_basis_convert_rejects_double_even():
     # Q_1 x Q_1 has two even labels, outside the decomposable cone
     Q = q_ladder(p_ladder(1))
     with pytest.raises(NotVanishing):
-        xdx_basis_convert(_symmetrized(Q[1], Q[1]), 2)
+        xdx_basis_convert(_symmetrized(Q[1], Q[1]))
 
 
 # ----- the peel's rescale branch ------------------------------------------
@@ -239,7 +239,7 @@ def test_the_peel_rescales_the_work_it_subtracts_from():
     # the unscaled p instead would use p up and return c_2 = 1/3
     p = SparsePoly("Y", 1, {(5,): 1, (4,): -5, (3,): 2})
     with pytest.raises(NotVanishing, match=r"term \(4,\) carries a w d/dw factor"):
-        xdx_basis_convert(p, 1)
+        xdx_basis_convert(p)
     with pytest.raises(NotVanishing):
         forward_basis_convert(p, 1)
 
@@ -249,7 +249,7 @@ def test_the_peel_does_not_round_an_inexact_leading_division():
     # 1/3 down to 0 would peel P_1 alone and return {(2,): 0, (1,): 1}
     p = SparsePoly("Y", 1, {(5,): 1, (3,): 1, (2,): -1})
     with pytest.raises(NotVanishing, match=r"term \(4,\) carries a w d/dw factor"):
-        xdx_basis_convert(p, 1)
+        xdx_basis_convert(p)
 
 
 def test_the_peel_rescales_and_then_finds_a_constant_residue():
@@ -257,6 +257,6 @@ def test_the_peel_rescales_and_then_finds_a_constant_residue():
     # which does not vanish at y_2 = 1
     p = SparsePoly("Y", 2, {(5, 1): 1})
     with pytest.raises(NotVanishing, match="does not vanish at y_1 = 1"):
-        xdx_basis_convert(p, 2)
+        xdx_basis_convert(p)
     with pytest.raises(NotVanishing, match="does not vanish at y_1 = 1"):
         forward_basis_convert(p, 2)

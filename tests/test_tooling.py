@@ -1,8 +1,9 @@
 """The benchmark's layer hooks and the demos stay runnable, and `src`
-holds no function that nothing calls unless it is listed here."""
+holds no function that the CLI never reaches unless it is listed here."""
 
 import ast
 import importlib.util
+import json
 import os
 import pkgutil
 import shutil
@@ -177,57 +178,125 @@ def test_every_exported_name_resolves(package):
         assert not missing, (module.__name__, missing)
 
 
-# Functions of `src` whose name no code in `src` reads outside their own body.
-UNCALLED = {
-    # read only by the benchmark's hooks and the tests; ROADMAP item 2 moves
-    # them to tests/reference.py or deletes them
-    "apply_xdx", "diag_fold", "divide_ydiff", "core_u_to_y", "core_w_jet_to_u",
-    "expand_y_to_w", "x_coefficient", "fit_sym_e_poly",
-    # `main` looks `run_<command>` up by name
-    "run_compute", "run_table", "run_verify", "run_cache",
-    # argparse calls it on a bad argument
-    "_Parser.error",
-    # perfbench/worker.py reads it
-    "Engine.f_result",
-    # perfbench/layers.py times it; `verify` reads its integer core,
-    # `pg_twelve_mu1`, and the tests hold the two to each other
-    "pg_mu1",
-    # the demos read it
-    "Engine.computed_cells",
-    # the direct-enumeration route, exported for the tests and callers
-    "dfs_count",
+# Functions of `src` that no CLI command below reaches, each with the reason
+# it stays: the benchmark's hooks wrap or read it (ROADMAP item 2 moves the
+# hooked names to tests/reference.py or deletes them), a benchmark worker
+# or a demo calls it, it runs only when something fails, or it is a Python
+# dunder.  A helper that only the tests reach fails the test below.
+WRAPPED = "wrapped by perfbench/layers.py"
+HOOK_READ = "read by perfbench/layers.py's hooks"
+WORKER = "read by perfbench/worker.py"
+DEMOS = "read by the demos"
+FAILURE = "failure-only"
+DUNDER = "a Python dunder"
+UNREACHED = {
+    "algebra.operators.apply_xdx": WRAPPED,
+    "algebra.operators.diag_fold": WRAPPED,
+    "algebra.operators.divide_ydiff": WRAPPED,
+    "algebra.operators._check_var": WRAPPED,  # by apply_xdx and divide_ydiff
+    "algebra.series.core_y_to_u": WRAPPED,
+    "algebra.series.core_u_to_w_jet": WRAPPED,
+    "algebra.series.core_w_jet_to_u": WRAPPED,
+    "algebra.series.core_u_to_y": WRAPPED,
+    "algebra.series.expand_y_to_w": WRAPPED,
+    "algebra.poly.SparsePoly.per_var_degrees": WRAPPED,  # by expand_y_to_w
+    "algebra.series.TruncSeries.__init__": WRAPPED,  # expand_y_to_w's result
+    "algebra.series.TruncSeries.arity": WRAPPED,
+    "algebra.series.TruncSeries.kind": WRAPPED,
+    "algebra.series.x_coefficient": WRAPPED,
+    "algebra.series._x_column": WRAPPED,  # by x_coefficient
+    "algebra.sym.fit_sym_e_poly": WRAPPED,
+    "algebra.sym.e_monomials_by_weight": WRAPPED,  # by fit_sym_e_poly
+    "algebra.sym.e_monomials_by_weight.<locals>.rec": WRAPPED,
+    "formulas.pg_mu1": WRAPPED,  # `verify` reads its integer core, pg_twelve_mu1
+    "engine.Cell.poly": HOOK_READ,
+    "algebra.sym.expand_orbits": HOOK_READ,  # by Cell.poly
+    "algebra.sym._reorderings": HOOK_READ,
+    "algebra.sym._arrangements": HOOK_READ,
+    "engine.Engine.f_result": WORKER,
+    "oracle.dfs_count": WORKER,  # and the demos
+    "oracle._tally": WORKER,  # by dfs_count
+    "oracle._representative": WORKER,
+    "engine.Engine.computed_cells": DEMOS,
+    "cli._Parser.error": FAILURE,  # argparse calls it on a bad argument
+    "formulas.f1_conjecture": FAILURE,  # a failing closedform check's detail
+    "formulas.mu0_simple": FAILURE,  # a failing oracle mu check's detail
+    "algebra.poly.SparsePoly.__init__": DUNDER,
+    "algebra.poly._as_fraction": DUNDER,  # by SparsePoly.__init__
+    "algebra.poly.SparsePoly.__repr__": DUNDER,
+    "partitions.Partition.__lt__": DUNDER,
+    "partitions.Partition.__repr__": DUNDER,
+    "partitions.Partition.__reduce__": DUNDER,
+    "partitions.Partition.__setattr__": DUNDER,
+    "partitions.Partition.__delattr__": DUNDER,
 }
 
+# Runs in a fresh interpreter, so that no memo filled by an earlier test
+# hides a call: every request of tests/cli_bytes.json, then a cache warmed,
+# listed, read by one `compute` and cleared.  Prints [file, first line, name]
+# of each function of the package that ran.
+_TRACE = """
+import contextlib, io, json, sys, tempfile
+from pathlib import Path
 
-def _uncalled_functions() -> set:
-    """Functions (`Class.method` for methods, dunders aside) whose name
-    appears as no `ast.Name` or `ast.Attribute` outside their own body.
-    Imports and `__all__` strings are not reads."""
-    defs, reads = [], {}
+ran = set()
 
-    def scan(node, owner, inside):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if not (node.name.startswith("__") and node.name.endswith("__")):
-                defs.append((f"{owner}.{node.name}" if owner else node.name, node))
-            for part in [*node.decorator_list, node.args, node.returns]:
-                if part is not None:
-                    scan(part, None, inside)
-            for stmt in node.body:
-                scan(stmt, None, inside + (node,))
-            return
-        if isinstance(node, ast.ClassDef):
-            owner = node.name
-        elif isinstance(node, (ast.Name, ast.Attribute)):
-            name = node.id if isinstance(node, ast.Name) else node.attr
-            reads.setdefault(name, []).append(inside)
+def profile(frame, event, _arg):
+    if event == "call":
+        ran.add(frame.f_code)
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            cli.main(argv)
+        except SystemExit:
+            pass
+
+sys.setprofile(profile)
+from hurwitz import cli
+for request in json.loads(Path(sys.argv[1]).read_text()):
+    run(request.split(" "))
+with tempfile.TemporaryDirectory() as cache:
+    for argv in (["cache", "--warm", "--m", "5"], ["cache"],
+                 ["compute", "--alpha", "3,2,1", "--genus", "2"], ["cache", "--clear"]):
+        run(argv + ["--cache-dir", cache])
+sys.setprofile(None)
+package = str(Path(cli.__file__).parent)
+print(json.dumps([[c.co_filename, c.co_firstlineno, c.co_name]
+                  for c in ran if c.co_filename.startswith(package)]))
+"""
+
+
+def _src_functions(package: Path) -> dict:
+    """{(file, first line, name): `module.qualname`} for every function of
+    the package; a decorated function's first line is its first
+    decorator's, as in its code object."""
+    out = {}
+
+    def scan(node, path, qual):
         for child in ast.iter_child_nodes(node):
-            scan(child, owner, inside)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                out[(str(path), first, child.name)] = qual + child.name
+                scan(child, path, f"{qual}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                scan(child, path, f"{qual}{child.name}.")
+            else:
+                scan(child, path, qual)
 
-    for path in sorted((ROOT / "src").rglob("*.py")):
-        scan(ast.parse(path.read_text()), None, ())
-    return {qual for qual, node in defs
-            if all(node in inside for inside in reads.get(node.name, ()))}
+    for path in sorted(package.rglob("*.py")):
+        module = ".".join(path.relative_to(package).with_suffix("").parts)
+        scan(ast.parse(path.read_text()), path, f"{module}.")
+    return out
 
 
-def test_only_the_listed_functions_go_uncalled():
-    assert _uncalled_functions() == UNCALLED
+def test_only_the_listed_functions_go_unreached():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _TRACE, str(ROOT / "tests" / "cli_bytes.json")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    functions = _src_functions(ROOT / "src" / "hurwitz")
+    ran = {tuple(key) for key in json.loads(proc.stdout)}
+    assert {name for key, name in functions.items() if key not in ran} == set(UNREACHED)
