@@ -30,8 +30,8 @@ from .algebra.poly import SparsePoly
 from .algebra.sym import e_numerator, e_value, elementary_values
 from .engine import CACHE_VERSION, DEFAULT_BUDGETS, Engine, is_cell, read_cell
 from .errors import BudgetExceeded, CertificationError, HurwitzError
-from .partitions import (Partition, parts_of_length, parts_of_weight, parts_text,
-                         partitions)
+from .partitions import (Partition, centralizer_order, parts_of_length,
+                         parts_of_weight, parts_text, partitions)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -190,18 +190,21 @@ def _suite_oracle(engine: Engine, n_max: int, checks: List[dict]):
     f_num / f_den read from the engine's cell or, below the genus-0 cells,
     from the closed form.  Where it fails, `formulas.hurwitz` scales f as
     the Fraction route did: it refuses a non-count, and otherwise names the
-    count for `detail`."""
+    count for `detail`.  Each genus-0 mu check at 1^n is the identity
+    2 mu0 z == 2 c, with 2 mu0 = `two_mu0_simple(n)` and z = n!; the
+    Fraction mu = c / z of `oracle.mu_count` is built for `detail` only."""
     for n in range(1, n_max + 1):
         for alpha in partitions(n):
+            text = str(alpha)
             for g in range(0, 3):
                 c_oracle = oracle.c_count(alpha, g)
                 if not is_cell(alpha.m, g):
                     f_num, f_den = formulas.f_genus0_ratio(alpha)
-                    label = f"oracle {alpha} g={g} (formulas)"
+                    label = f"oracle {text} g={g} (formulas)"
                 else:
                     f_e = engine.cell(alpha.m, g).f_e
                     f_num, f_den = e_numerator(f_e, alpha.parts), f_e.den
-                    label = f"oracle {alpha} g={g} (engine)"
+                    label = f"oracle {text} g={g} (engine)"
                 num, den = formulas.count_scale(alpha, g)
                 # a negative c_oracle is no count: `hurwitz` decides it
                 ok = c_oracle >= 0 and c_oracle * den * f_den == num * f_num
@@ -211,12 +214,13 @@ def _suite_oracle(engine: Engine, n_max: int, checks: List[dict]):
                 )
                 checks.append(_check(label, ok, detail))
     for n in range(1, 7):
-        two_mu0 = formulas.two_mu0_simple(n)
-        mu_oracle = oracle.mu_count(Partition((1,) * n), 0)
-        ok = two_mu0 * mu_oracle.denominator == 2 * mu_oracle.numerator
+        ones = Partition((1,) * n)
+        ok = (formulas.two_mu0_simple(n) * centralizer_order(ones)
+              == 2 * oracle.c_count(ones, 0))
         checks.append(_check(
             f"genus-0 mu at 1^{n}", ok,
-            "" if ok else f"closed {formulas.mu0_simple(n)} vs oracle {mu_oracle}"
+            "" if ok else f"closed {formulas.mu0_simple(n)} vs oracle "
+                          f"{oracle.mu_count(ones, 0)}"
         ))
 
 
@@ -247,9 +251,9 @@ def _suite_closedform(checks: List[dict]):
     """Each check is an exact integer identity: the table's numerator times
     the closed form's denominator against the closed form's numerator times
     the table's.  A genus-1 point's elementary values are computed once and
-    read by both sides; the points come from the partition lists that
-    `parts_of_weight` keeps.  The Fractions of `detail` are built for a
-    failure only."""
+    read by both sides; the points and their names come from
+    `_genus1_points`.  The Fractions of `detail` are built for a failure
+    only."""
     for g in range(1, 5):
         poly = formulas.f_table(g, 1)
         for n in range(1, 11):
@@ -262,18 +266,25 @@ def _suite_closedform(checks: List[dict]):
             ))
     for m in range(1, 7):
         poly = formulas.f_table(1, m)
-        for n in range(m, m + 4):
-            for parts in parts_of_weight(n):
-                if len(parts) != m:
-                    continue
-                ev = elementary_values(parts, m)
-                ok = (e_numerator(poly, parts, ev) * 24
-                      == formulas.f1_numerator(ev, n) * poly.den)
-                checks.append(_check(
-                    f"genus-1 table vs formula {parts_text(parts)}", ok,
-                    "" if ok else f"table {e_value(poly, parts)} vs formula "
-                                  f"{formulas.f1_conjecture(Partition(parts))}"
-                ))
+        for n, parts, name in _genus1_points(m):
+            ev = elementary_values(parts, m)
+            ok = (e_numerator(poly, parts, ev) * 24
+                  == formulas.f1_numerator(ev, n) * poly.den)
+            checks.append(_check(
+                name, ok,
+                "" if ok else f"table {e_value(poly, parts)} vs formula "
+                              f"{formulas.f1_conjecture(Partition(parts))}"
+            ))
+
+
+@functools.cache
+def _genus1_points(m: int) -> Tuple[Tuple[int, Tuple[int, ...], str], ...]:
+    """(n, parts, check name) of each genus-1 point of `_suite_closedform`
+    with m parts, n = m .. m + 3, in `parts_of_weight` order.  The points
+    and their names never change, so they are listed once per process."""
+    return tuple((n, parts, f"genus-1 table vs formula {parts_text(parts)}")
+                 for n in range(m, m + 4) for parts in parts_of_weight(n)
+                 if len(parts) == m)
 
 
 def _oracle_budgets(n_max: int) -> dict:

@@ -128,6 +128,11 @@ CACHE_VERSION = 2
 CELL_FILE = re.compile(r"psi_m([1-9][0-9]*)_g(0|[1-9][0-9]*)\.json")
 
 
+def _cell_name(m: int, g: int) -> str:
+    """The name of cell (m, g)'s cache file, which CELL_FILE matches."""
+    return f"psi_m{m}_g{g}.json"
+
+
 def is_cell(m: int, g: int) -> bool:
     """Whether (m, g) is a cell at all, whatever the budgets: the genus-0
     closed form n^(m-3) is a polynomial only from m = 3, and every other
@@ -610,12 +615,19 @@ def extract_f(cell: Cell) -> Cell:
 def read_cell(path: Path) -> Optional[Cell]:
     """The cell stored in a cache file, decoded and checked, without
     expanding Psi; None when the file is a miss.  A name that is not a
-    cell file, a file that cannot be read and one that is not regular
-    (opened without blocking, so that a FIFO waits for no writer) are
-    misses; the bytes read to end of file go to `_decode_cell`."""
+    cell file is a miss; the cell it names is read by `_read_cell_file`,
+    the one read `Engine._load` makes too."""
     name = CELL_FILE.fullmatch(path.name)
     if name is None:
         return None
+    return _read_cell_file(path, int(name[1]), int(name[2]))
+
+
+def _read_cell_file(path, m: int, g: int) -> Optional[Cell]:
+    """Cell (m, g) from the file at `path` (a str or a Path), or None for a
+    miss.  A file that cannot be read and one that is not regular (opened
+    without blocking, so that a FIFO waits for no writer) are misses; the
+    bytes read to end of file go to `_decode_cell`, on every call."""
     try:
         fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
         try:
@@ -627,7 +639,7 @@ def read_cell(path: Path) -> Optional[Cell]:
             os.close(fd)
     except OSError:
         return None
-    return _decode_cell(int(name[1]), int(name[2]), data)
+    return _decode_cell(m, g, data)
 
 
 @lru_cache(maxsize=64)
@@ -700,12 +712,15 @@ class Engine:
     def _cache_path(self, m: int, g: int) -> Optional[Path]:
         if self.cache_dir is None:
             return None
-        return self.cache_dir / f"psi_m{m}_g{g}.json"
+        return self.cache_dir / _cell_name(m, g)
 
     def _load(self, m: int, g: int) -> bool:
-        """Read a cached cell; a file `read_cell` rejects is a miss."""
-        path = self._cache_path(m, g)
-        hit = None if path is None else read_cell(path)
+        """Read a cached cell through `_read_cell_file`, as `read_cell`
+        reads the file of the same name; a miss there is a miss here.  The
+        path is `_cache_path`'s, joined as a str with no Path parsed."""
+        if self.cache_dir is None:
+            return False
+        hit = _read_cell_file(os.path.join(self.cache_dir, _cell_name(m, g)), m, g)
         if hit is None:
             return False
         self._cells[(m, g)] = hit

@@ -201,8 +201,10 @@ def f_one_part(n: int, g: int) -> Fraction:
     return Fraction(*f_one_part_ratio(n, g))
 
 
+@lru_cache(maxsize=None)
 def f_one_part_ratio(n: int, g: int) -> Tuple[int, int]:
-    """`f_one_part(n, g)` as the integers (num, den), not reduced."""
+    """`f_one_part(n, g)` as the integers (num, den), not reduced; a pure
+    function of (n, g), kept once per process like `f_table`."""
     if n < 1 or g < 0:
         raise ValueError("need n >= 1 and g >= 0")
     # with r = n - 1 and p = 2g + r, expanding sinh^r x = 2^-r (e^x - e^-x)^r

@@ -114,10 +114,11 @@ def parts_of_weight(n: int) -> Tuple[Tuple[int, ...], ...]:
     return _parts_lists(n, n)
 
 
-def partitions(n: int) -> Iterator[Partition]:
-    """All partitions of n, descending-lex order."""
-    for p in parts_of_weight(n):
-        yield Partition(p)
+@lru_cache(maxsize=None)
+def partitions(n: int) -> Tuple[Partition, ...]:
+    """All partitions of n, descending-lex order; one tuple per n, built
+    once and kept, which callers share (a Partition is immutable)."""
+    return tuple(map(Partition, parts_of_weight(n)))
 
 
 def _parts_of_length(n: int, m: int, cap: int) -> Iterator[Tuple[int, ...]]:

@@ -6,7 +6,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from hurwitz import formulas, oracle
 from hurwitz.algebra.operators import (
@@ -21,7 +21,8 @@ from hurwitz.algebra.series import expand_y_to_w, sweep, tree_coeffs, x_coeffici
 from hurwitz.algebra.sym import e_value, fit_sym_e_poly, is_orbit_exponent, to_e_basis
 from hurwitz.engine import _sample_plan, is_cell
 from hurwitz.errors import CertificationError, NotVanishing
-from hurwitz.partitions import Partition, class_size, parts_of_length, partitions
+from hurwitz.partitions import (Partition, class_size, parts_of_length, parts_of_weight,
+                                partitions)
 
 
 # ----- dense polynomial helpers ---------------------------------------------
@@ -822,3 +823,10 @@ def class_size_by_multiplicities(alpha: Partition) -> int:
     for a, k in Counter(alpha.parts).items():
         z *= a ** k * math.factorial(k)
     return math.factorial(alpha.n) // z
+
+
+def partitions_by_generator(n: int) -> Iterator[Partition]:
+    """All partitions of n in descending-lex order, as `partitions` gave
+    them when it was a generator: a new Partition per part tuple, per call."""
+    for p in parts_of_weight(n):
+        yield Partition(p)

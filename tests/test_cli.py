@@ -386,6 +386,25 @@ def test_closedform_failures_equal_the_fraction_suite(monkeypatch, capsys):
     assert err == f"FIRST FAILURE: one-part g=3 n=1: {want[20]['detail']}\n"
 
 
+def test_the_one_part_memo_hides_no_later_change(monkeypatch, capsys):
+    # a clean run fills the memo; the suite still reads the series through
+    # `formulas`, so a wrong value put there afterwards fails its check
+    assert run(["verify", "--suite", "closedform"]) == 0
+    capsys.readouterr()
+    real = formulas.f_one_part_ratio
+
+    def wrong(n, g):
+        num, den = real(n, g)
+        return (num + 1, den) if (n, g) == (4, 2) else (num, den)
+
+    monkeypatch.setattr(formulas, "f_one_part_ratio", wrong)
+    assert run(["verify", "--suite", "closedform"]) == 1
+    out, err = capsys.readouterr()
+    failed = [c for c in json.loads(out)["checks"] if c["status"] == "fail"]
+    assert [c["name"] for c in failed] == ["one-part g=2 n=4"]
+    assert err == f"FIRST FAILURE: one-part g=2 n=4: {failed[0]['detail']}\n"
+
+
 def _suite_outcome(suite):
     """The checks a suite appends, or the message of the CertificationError
     it raises."""

@@ -4,6 +4,7 @@ import functools
 import inspect
 import json
 import math
+import os
 import random
 import textwrap
 from fractions import Fraction
@@ -1175,3 +1176,72 @@ def test_a_rewritten_cache_file_is_decoded_afresh(tmp_path, monkeypatch):
     path.write_text(json.dumps(obj))
     assert Engine(cache_dir=str(tmp_path)).f_result(2, 1).f_e == f_table(1, 2)
     assert path.read_text() == good
+
+
+def _fill_fifo(path, data: bytes):
+    """Write `data` into the FIFO at `path`, which a reader holds open,
+    and close the writer, so that a read gets every byte and then EOF."""
+    writer = os.open(path, os.O_WRONLY | os.O_NONBLOCK)
+    try:
+        os.write(writer, data)
+    finally:
+        os.close(writer)
+
+
+# Each file named like the (2,1) cell: the genuine bytes, half of them,
+# another version, the (1,1) cell's bytes, a FIFO holding the genuine bytes,
+# a directory, and no file at all.  Only the first is a hit
+@pytest.mark.parametrize("case", ["genuine", "truncated", "other-version", "other-cell",
+                                  "fifo", "directory", "missing"])
+def test_load_and_read_cell_agree_on_hit_or_miss(tmp_path, case):
+    if case == "fifo" and not hasattr(os, "mkfifo"):
+        pytest.skip("no named pipes on this platform")
+    genuine = tmp_path / "genuine"
+    Engine(cache_dir=str(genuine)).cell(2, 1)
+    good = (genuine / "psi_m2_g1.json").read_bytes()
+    cdir = tmp_path / "cells"
+    cdir.mkdir()
+    path = cdir / "psi_m2_g1.json"
+    keep = None
+    if case == "genuine":
+        path.write_bytes(good)
+    elif case == "truncated":
+        path.write_bytes(good[:len(good) // 2])
+    elif case == "other-version":
+        obj = json.loads(good)
+        obj["version"] = CACHE_VERSION + 1
+        path.write_text(json.dumps(obj))
+    elif case == "other-cell":
+        path.write_bytes((genuine / "psi_m1_g1.json").read_bytes())
+    elif case == "fifo":
+        os.mkfifo(path)
+        keep = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    elif case == "directory":
+        path.mkdir()
+    try:
+        answers = []
+        for read in (lambda: engine.read_cell(path) is not None,
+                     lambda: Engine(cache_dir=str(cdir))._load(2, 1)):
+            if keep is not None:  # every read finds the whole cell waiting
+                os.read(keep, 1 << 16)
+                _fill_fifo(path, good)
+            answers.append(read())
+    finally:
+        if keep is not None:
+            os.close(keep)
+    assert answers == [case == "genuine"] * 2
+
+
+def test_load_and_read_cell_decode_a_rewritten_file_again(tmp_path, monkeypatch):
+    Engine(cache_dir=str(tmp_path)).cell(2, 1)
+    path = tmp_path / "psi_m2_g1.json"
+    good = path.read_text()
+    calls = _counted_sample_checks(monkeypatch)
+    assert engine.read_cell(path) is not None
+    assert Engine(cache_dir=str(tmp_path))._load(2, 1)
+    assert calls == [(2, 1)]  # the same bytes, decoded once
+    for indent, read in ((1, lambda: engine.read_cell(path)),
+                         (2, lambda: Engine(cache_dir=str(tmp_path)).cell(2, 1))):
+        path.write_text(json.dumps(json.loads(good), indent=indent))
+        assert read().f_e == f_table(1, 2)
+    assert calls == [(2, 1)] * 3

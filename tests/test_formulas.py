@@ -201,6 +201,16 @@ def test_one_part_matches_power_recurrence():
         assert f_one_part(n, g) == f_one_part_by_recurrence(n, g), (n, g)
 
 
+def test_the_one_part_memo_answers_what_the_series_gives():
+    # each (n, g) is asked twice, the genera rising and then falling, so a
+    # memo keyed on less than (n, g) answers one of the two wrongly
+    for n in range(1, 41):
+        for g in list(range(9)) + list(range(8, -1, -1)):
+            got = formulas.f_one_part_ratio(n, g)
+            assert got == formulas.f_one_part_ratio.__wrapped__(n, g), (n, g)
+            assert Fraction(*got) == f_one_part_by_recurrence(n, g), (n, g)
+
+
 def test_one_part_matches_tables():
     for g in range(1, 5):
         for n in range(1, 11):

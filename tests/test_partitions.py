@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hurwitz.partitions import Partition, class_size, parts_of_length, partitions
+from reference import partitions_by_generator
 
 
 def test_construction_and_normalization():
@@ -46,6 +47,14 @@ def test_enumeration_counts():
     expect = [1, 2, 3, 5, 7, 11, 15, 22]
     for n, p in zip(range(1, 9), expect):
         assert len(list(partitions(n))) == p
+
+
+def test_partitions_is_one_shared_tuple_in_the_generators_order():
+    # a tuple, so that no caller can change what every later caller reads
+    for n in range(1, 13):
+        got = partitions(n)
+        assert type(got) is tuple and partitions(n) is got
+        assert got == tuple(partitions_by_generator(n))
 
 
 def test_enumeration_order_and_uniqueness():

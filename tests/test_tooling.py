@@ -169,6 +169,61 @@ def test_the_ab_tool_names_a_request_the_trees_answer_differently(tmp_path):
     assert proc.stdout.splitlines()[1].startswith("DIFFERENT answers to compute ")
 
 
+def _bench(*args, cwd):
+    return subprocess.run([sys.executable, str(ROOT / "tools" / "bench.py"), *args],
+                          capture_output=True, text=True, timeout=60, cwd=cwd)
+
+
+def _bench_files() -> list:
+    return sorted(ROOT.glob("BENCH_*.json"), key=lambda p: int(p.stem.split("pr")[-1]))
+
+
+def test_the_bench_reader_reads_every_committed_file(tmp_path):
+    proc = _bench(cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    heads = [line.split(":")[0] for line in proc.stdout.splitlines()
+             if not line.startswith(" ")]
+    assert heads == [p.name for p in _bench_files()]
+    # every file gives at least one metric with both medians and a ratio
+    blocks = proc.stdout.split("\nBENCH_")
+    assert all(len(block.splitlines()) > 1 for block in blocks)
+
+
+def test_the_bench_reader_names_each_file_it_cannot_read(tmp_path):
+    (tmp_path / "BENCH_pr1.json").write_text("{")
+    (tmp_path / "BENCH_pr2.json").write_text('{"pairs_10_all": {"metrics": {}}}')
+    good = _bench_files()[-1]
+    proc = _bench(str(tmp_path / "BENCH_pr1.json"), str(tmp_path / "BENCH_pr2.json"),
+                  str(good), cwd=tmp_path)
+    assert proc.returncode == 1
+    assert [line.split(": cannot read: ")[0] for line in proc.stderr.splitlines()] == [
+        "BENCH_pr1.json", "BENCH_pr2.json"]
+    assert "not readable as JSON" in proc.stderr and "no pairs_*" in proc.stderr
+    assert proc.stdout.startswith(f"{good.name}: src_lines ")
+
+
+def test_the_newest_bench_file_has_the_pairs_10_all_layout():
+    doc = json.loads(_bench_files()[-1].read_text())
+    for key in ("label", "change", "claim", "result", "command", "machine", "python",
+                "quartiles", "src_lines", "src_digest", "pairs_10_all", "ab_tool_5_rounds"):
+        assert key in doc, key
+    assert set(doc["src_digest"]) == {"parent", "change"}
+    assert {"parent", "change"} <= set(doc["src_lines"])
+    pairs = doc["pairs_10_all"]
+    assert len(pairs["seeds"]) == 10
+    for side in ("parent", "change"):
+        assert len(pairs["failed_of_attempted"][side]) == 10
+    for workload in ("cold_grid", "warm_queries", "oracle_enum"):
+        for metric in ("setup_s", "wall_s", "req_per_s", "req_p50_ms", "req_p99_ms",
+                       "peak_rss_mb"):
+            entry = pairs["metrics"][f"{workload}.{metric}"]
+            assert len(entry["parent"]) == len(entry["change"]) == 10
+            for key in ("parent_median", "change_median", "parent_quartiles",
+                        "change_quartiles", "change_pct", "change_better_in"):
+                assert key in entry, (workload, metric, key)
+
+
 @pytest.mark.parametrize("package", [hurwitz, hurwitz.algebra])
 def test_every_exported_name_resolves(package):
     modules = [package] + [importlib.import_module(f"{package.__name__}.{info.name}")
@@ -221,6 +276,7 @@ UNREACHED = {
     "cli._Parser.error": FAILURE,  # argparse calls it on a bad argument
     "formulas.f1_conjecture": FAILURE,  # a failing closedform check's detail
     "formulas.mu0_simple": FAILURE,  # a failing oracle mu check's detail
+    "oracle.mu_count": FAILURE,  # the same
     "algebra.poly.SparsePoly.__init__": DUNDER,
     "algebra.poly._as_fraction": DUNDER,  # by SparsePoly.__init__
     "algebra.poly.SparsePoly.__repr__": DUNDER,

@@ -20,9 +20,13 @@ stderr for every request, and BASE's answer must pass `queries.check`;
 otherwise the tool names the request and exits 1.  It exits 2 when it
 cannot load a tree or warm the cache.
 
-It prints, per request kind, the median wall time of each tree and their
-ratio; p50 and p99 over all timed requests; each round's time ratio; and
-the throughput ratio (requests per second of HEAD over BASE).  Limits:
+It prints, per request kind, each tree's median and p99 wall time and
+its median CPU time (`time.process_time`), each with the ratio of HEAD to
+BASE; p50 and p99 over all timed requests, in wall and CPU time; each
+round's wall and CPU time ratios; and the throughput ratio (requests per
+wall second of HEAD over BASE).  A kind's p99 rests on its count times
+the rounds (30 samples for 6 requests over 5 rounds), so for a small kind
+it is close to the maximum and moves from run to run.  Limits:
 both trees share one heap and one garbage collector, so a change that
 only moves allocation or collection is not judged fairly; peak RSS
 cannot be split between them; interpreter start is not measured.
@@ -97,16 +101,16 @@ def load_queries(package: str):
 
 def call(cli, argv):
     """Exit code, stdout and stderr of one in-process request, and its
-    wall time in seconds."""
+    wall and CPU times in seconds."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        t0 = time.perf_counter()
+        t0, c0 = time.perf_counter(), time.process_time()
         try:
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-        t1 = time.perf_counter()
-    return (code, out.getvalue(), err.getvalue()), t1 - t0
+        t1, c1 = time.perf_counter(), time.process_time()
+    return (code, out.getvalue(), err.getvalue()), (t1 - t0, c1 - c0)
 
 
 def kind(expect: tuple) -> str:
@@ -118,8 +122,9 @@ def kind(expect: tuple) -> str:
 
 
 def run(base_cli, head_cli, queries, reqs, rounds: int):
-    """Per-request wall times `{side: [[s per request] per round]}`; the
-    first differing or failing request ends the run with exit 1."""
+    """Per-request times `{side: [[(wall s, CPU s) per request] per
+    round]}`; the first differing or failing request ends the run with
+    exit 1."""
     sides = {"base": base_cli, "head": head_cli}
     times = {"base": [], "head": []}
     for r in range(rounds + 1):
@@ -155,20 +160,29 @@ def report(reqs, times, rounds: int):
     kinds: dict = {}
     for i, (_, expect) in enumerate(reqs):
         kinds.setdefault(kind(expect), []).append(i)
-    print(f"{'kind':<20}{'n':>5}{'base ms':>11}{'head ms':>11}{'head/base':>11}")
+    # clock 0 is wall time, clock 1 CPU time
+    stats = (("median", 0, statistics.median), ("p99", 0, lambda v: quantile(v, 0.99)),
+             ("cpu", 1, statistics.median))
+    print(f"{'kind':<20}{'n':>5}" + "".join(
+        f"{label + ' base':>12}{label + ' head':>12}{'ratio':>7}" for label, _, _ in stats))
     for name in sorted(kinds):
-        med = {side: statistics.median(row[i] for row in times[side] for i in kinds[name])
-               for side in times}
-        print(f"{name:<20}{len(kinds[name]):>5}{med['base'] * 1e3:>11.4f}"
-              f"{med['head'] * 1e3:>11.4f}{med['head'] / med['base']:>11.3f}")
+        row = f"{name:<20}{len(kinds[name]):>5}"
+        for _, clock, summary in stats:
+            b, h = (summary([r[i][clock] for r in times[side] for i in kinds[name]])
+                    for side in ("base", "head"))
+            row += f"{b * 1e3:>12.4f}{h * 1e3:>12.4f}{h / b:>7.3f}"
+        print(row)
     flat = {side: [t for row in times[side] for t in row] for side in times}
-    for label, q in (("p50", 0.5), ("p99", 0.99)):
-        b, h = quantile(flat["base"], q) * 1e3, quantile(flat["head"], q) * 1e3
-        print(f"{'all ' + label:<25}{b:>11.4f}{h:>11.4f}{h / b:>11.3f}")
-    ratios = [sum(h) / sum(b) for b, h in zip(times["base"], times["head"])]
-    print("round time ratios head/base: " + " ".join(f"{x:.3f}" for x in ratios))
+    for label, clock, q in (("p50", 0, 0.5), ("p99", 0, 0.99),
+                            ("cpu p50", 1, 0.5), ("cpu p99", 1, 0.99)):
+        b, h = (quantile([t[clock] for t in flat[side]], q) * 1e3 for side in ("base", "head"))
+        print(f"{'all ' + label:<25}{b:>12.4f}{h:>12.4f}{h / b:>7.3f}")
+    for label, clock in (("time", 0), ("cpu", 1)):
+        ratios = [sum(t[clock] for t in h) / sum(t[clock] for t in b)
+                  for b, h in zip(times["base"], times["head"])]
+        print(f"round {label} ratios head/base: " + " ".join(f"{x:.3f}" for x in ratios))
     n = len(reqs) * rounds
-    base_rate, head_rate = n / sum(flat["base"]), n / sum(flat["head"])
+    base_rate, head_rate = (n / sum(t[0] for t in flat[side]) for side in ("base", "head"))
     print(f"throughput: base {base_rate:.0f}/s, head {head_rate:.0f}/s, "
           f"head/base {head_rate / base_rate:.3f}")
 
