@@ -4,11 +4,11 @@ A polynomial is stored as integer numerators over one shared
 denominator: `num` maps exponent tuples to nonzero ints and `den` is a
 positive int with gcd(den, *num.values()) == 1, so equal polynomials
 have equal storage.  The zero polynomial has an empty `num` and den 1.
-Fractions appear only at the API edge (`terms`, `sorted_terms`,
-`to_obj`).  Exponents are ints and may be negative (a few downstream
-objects are honest Laurent polynomials).  Every polynomial carries a
-variable kind tag and an arity.  The class stores, compares and
-serializes; the package computes on `num` and `den` directly.
+Fractions appear only at the API edge (`terms`, `to_obj`).  Exponents
+are ints and may be negative (a few downstream objects are honest
+Laurent polynomials).  Every polynomial carries a variable kind tag and
+an arity.  The class stores, compares and serializes; the package
+computes on `num` and `den` directly.
 
 Kinds:
     Y   y_i = 1/(1 - w_i), the working coordinates of the solved forms
@@ -130,13 +130,11 @@ class SparsePoly:
 
     # ----- ordering and serialization -----------------------------------
 
-    def sorted_terms(self) -> list:
-        """Terms in graded lexicographic order (degree first, then exponents)."""
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-
     def to_obj(self) -> dict:
         """Each term as [exponent, numerator, denominator] in lowest
-        terms, the order of `sorted_terms`."""
+        terms, in graded lexicographic order (degree first, then
+        exponents): the one term order of the cache files and of `table`'s
+        JSON and CSV."""
         num, den = self.num, self.den
         terms = []
         for e in sorted(num, key=lambda e: (sum(e), e)):

@@ -92,7 +92,7 @@ def best_route(alpha: Partition, g: int, engine: Engine) -> Tuple[Fraction, str]
 # ----- compute ------------------------------------------------------------
 
 def _count_row(hc: formulas.HurwitzCount, route: str) -> dict:
-    """One count as `compute` and `table --values` print it in JSON."""
+    """One count as `compute` and `table --values` print it, in all formats."""
     a = hc.alpha
     return {"alpha": list(a.parts), "n": a.n, "m": a.m, "g": hc.g,
             "f": str(hc.f), "mu": str(hc.mu), "c": str(hc.c), "route": route}
@@ -110,18 +110,15 @@ def run_compute(args) -> int:
     alpha = args.alpha
     engine = Engine(cache_dir=args.cache_dir)
     f, route = best_route(alpha, args.genus, engine)
-    hc = formulas.hurwitz(alpha, args.genus, f)
+    row = _count_row(formulas.hurwitz(alpha, args.genus, f), route)
     if args.format == "json":
-        print(json.dumps(_count_row(hc, route), sort_keys=True))
+        print(json.dumps(row, sort_keys=True))
     elif args.format == "csv":
-        _print_csv([_count_row(hc, route)])
-    else:
-        print(f"alpha = {alpha}")
-        print(f"g = {args.genus}")
-        print(f"f = {hc.f}")
-        print(f"mu = {hc.mu}")
-        print(f"c = {hc.c}")
-        print(f"route = {route}")
+        _print_csv([row])
+    else:  # the row without n and m, alpha as it prints
+        for key, value in row.items():
+            if key not in ("n", "m"):
+                print(f"{key} = {parts_text(value) if key == 'alpha' else value}")
     return EXIT_OK
 
 
@@ -146,8 +143,8 @@ def run_table(args) -> int:
             print(poly.to_json())
         elif args.format == "csv":
             print("exponents,coefficient")
-            for e, c in poly.sorted_terms():
-                print(f"{'-'.join(str(v) for v in e)},{c}")
+            for e, num, den in poly.to_obj()["terms"]:
+                print(f"{'-'.join(map(str, e))},{num}" + ("" if den == "1" else f"/{den}"))
         else:
             print(poly)
         return EXIT_OK
@@ -172,16 +169,13 @@ def _check(name: str, ok: bool, detail: str = "") -> dict:
     return {"name": name, "status": "pass" if ok else "fail", "detail": detail}
 
 
-def _suite_appendix(engine: Engine, checks: List[dict]):
+def _suite_appendix(engine: Engine, _n_max: int, checks: List[dict]):
     for g in sorted(formulas.TABLE_M_MAX):
         for m in range(1, formulas.TABLE_M_MAX[g] + 1):
-            want = formulas.f_table(g, m)
-            got = engine.cell(m, g).f_e
+            want, got = formulas.f_table(g, m), engine.cell(m, g).f_e
             ok = got == want
-            detail = "" if ok else (
-                f"engine {got} vs table {want}"
-            )
-            checks.append(_check(f"appendix g={g} m={m}", ok, detail))
+            checks.append(_check(f"appendix g={g} m={m}", ok,
+                                 "" if ok else f"engine {got} vs table {want}"))
 
 
 def _suite_oracle(engine: Engine, n_max: int, checks: List[dict]):
@@ -224,7 +218,7 @@ def _suite_oracle(engine: Engine, n_max: int, checks: List[dict]):
         ))
 
 
-def _suite_recurrence(checks: List[dict]):
+def _suite_recurrence(_engine: Engine, _n_max: int, checks: List[dict]):
     """The torus sequence a_n three ways (`formulas.a_sequence`), then the
     genus-1 recurrence against f1_simple as the exact integer identity
     2 n! M_n == (2n)! s_n, with M_n = 12 mu_n (`pg_twelve_mu1`) and s_n =
@@ -247,7 +241,7 @@ def _suite_recurrence(checks: List[dict]):
         ))
 
 
-def _suite_closedform(checks: List[dict]):
+def _suite_closedform(_engine: Engine, _n_max: int, checks: List[dict]):
     """Each check is an exact integer identity: the table's numerator times
     the closed form's denominator against the closed form's numerator times
     the table's.  A genus-1 point's elementary values are computed once and
@@ -294,27 +288,35 @@ def _oracle_budgets(n_max: int) -> dict:
     return {g: max(DEFAULT_BUDGETS[g], n_max + 2 - g) for g in (0, 1, 2)}
 
 
+def _oracle_suite_budgets(n_max: int) -> dict:
+    """`_oracle_budgets`, after refusing an --n-max past ORACLE_N_MAX."""
+    if n_max > ORACLE_N_MAX:
+        raise BudgetExceeded(
+            f"the oracle suite is budgeted to --n-max <= {ORACLE_N_MAX}")
+    return _oracle_budgets(n_max)
+
+
+# `verify`'s suites in the order `--suite all` runs them: each appends its
+# checks given (engine, --n-max, list), and some need cell budgets of --n-max
+SUITES = {
+    "appendix": (_suite_appendix, None),
+    "oracle": (_suite_oracle, _oracle_suite_budgets),
+    "recurrence": (_suite_recurrence, None),
+    "closedform": (_suite_closedform, None),
+}
+
+
 def run_verify(args) -> int:
-    budgets = None
-    if args.suite in ("oracle", "all"):
-        if args.n_max > ORACLE_N_MAX:
-            raise BudgetExceeded(
-                f"the oracle suite is budgeted to --n-max <= {ORACLE_N_MAX}")
-        budgets = _oracle_budgets(args.n_max)
+    suites = [SUITES[args.suite]] if args.suite in SUITES else list(SUITES.values())
+    # every refusal comes before any cell is computed
+    budgets = {g: b for _, need in suites if need for g, b in need(args.n_max).items()}
     engine = Engine(budgets=budgets, cache_dir=args.cache_dir)
     checks: List[dict] = []
-    suite = args.suite
-    if suite in ("appendix", "all"):
-        _suite_appendix(engine, checks)
-    if suite in ("oracle", "all"):
-        _suite_oracle(engine, args.n_max, checks)
-    if suite in ("recurrence", "all"):
-        _suite_recurrence(checks)
-    if suite in ("closedform", "all"):
-        _suite_closedform(checks)
+    for suite, _ in suites:
+        suite(engine, args.n_max, checks)
     failures = [c for c in checks if c["status"] == "fail"]
     report = {
-        "suite": suite,
+        "suite": args.suite,
         "total": len(checks),
         "failures": len(failures),
         "checks": checks,
@@ -447,9 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
                          default="text")
 
     p_verify = sub.add_parser("verify", help="cross-check suites")
-    p_verify.add_argument("--suite", required=True,
-                          choices=("appendix", "oracle", "recurrence",
-                                   "closedform", "all"))
+    p_verify.add_argument("--suite", required=True, choices=(*SUITES, "all"))
     p_verify.add_argument("--n-max", type=_int_arg, default=5)
     p_verify.add_argument("--cache-dir", default=None)
 

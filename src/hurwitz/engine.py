@@ -589,6 +589,14 @@ def _check_samples(orbit: SparsePoly, f_e: SparsePoly, m: int, g: int):
             )
 
 
+def _certified_cell(m: int, g: int, orbit: SparsePoly, f_e: SparsePoly) -> Cell:
+    """Cell (m, g) of `orbit` and `f_e` once f passes `_check_f`, then
+    `_check_samples`: the gates of a fresh (`extract_f`) and a cached cell."""
+    _check_f(f_e, m, g)
+    _check_samples(orbit, f_e, m, g)
+    return Cell(m, g, orbit, f_e)
+
+
 def extract_f(cell: Cell) -> Cell:
     """Pull out the symmetric polynomial behind a cell, and check it, in
     integer numerators over one denominator throughout, into a new Cell:
@@ -600,14 +608,10 @@ def extract_f(cell: Cell) -> Cell:
     `_check_f`.  The sampling route reads f's value at every point of
     `_sample_plan` off the cell's x-coefficients, and f must take each
     of those values (`_check_samples`).  Both read the orbit form; a
-    mismatch is fatal.
+    mismatch is fatal.  `_certified_cell` runs the two gates.
     """
-    m, g = cell.m, cell.g
     num, den = xdx_basis_convert(cell.orbit)
-    f_e = to_e_basis(num, den, m)
-    _check_f(f_e, m, g)
-    _check_samples(cell.orbit, f_e, m, g)
-    return Cell(m, g, cell.orbit, f_e)
+    return _certified_cell(cell.m, cell.g, cell.orbit, to_e_basis(num, den, cell.m))
 
 
 # ----- disk cache ---------------------------------------------------------
@@ -647,9 +651,8 @@ def _decode_cell(m: int, g: int, data: bytes) -> Optional[Cell]:
     """Cell (m, g) from the bytes of its cache file, or None for a miss:
     JSON malformed or nested too deeply to parse, malformed fields, another
     version or cell, a Psi that fails `_check_orbit_form`, or an f that
-    fails `_check_f` or does not take the values the sampling route reads
-    off that Psi (`_check_samples`), so that `f` is tied to the `Psi` it
-    came from.
+    fails the gates a fresh f passes (`_certified_cell`), so that `f` is
+    tied to the `Psi` it came from.
 
     The result is a function of (m, g, data) alone, so it is memoised on
     exactly those: a process decodes and checks each file's bytes once,
@@ -668,12 +671,9 @@ def _decode_cell(m: int, g: int, data: bytes) -> Optional[Cell]:
             return None
         orbit = SparsePoly.from_obj(obj["psi"])
         _check_orbit_form(orbit, m, g)
-        f_e = SparsePoly.from_obj(obj["f_e"])
-        _check_f(f_e, m, g)
-        _check_samples(orbit, f_e, m, g)
+        return _certified_cell(m, g, orbit, SparsePoly.from_obj(obj["f_e"]))
     except (KeyError, TypeError, ValueError, ArithmeticError, RouteDisagreement):
         return None
-    return Cell(m, g, orbit, f_e)
 
 
 # ----- orchestration ------------------------------------------------------
@@ -766,7 +766,7 @@ class Engine:
                 else:
                     rep = solve_pde(assemble_K(m, g, self._cells))
                 # the one check of a fresh cell's form, degrees and vanishing, as a
-                # cache read's; only a cell extract_f (and _check_f) passes is stored
+                # cache read's; only a cell that passes _certified_cell is stored
                 _check_orbit_form(rep.orbit, m, g)
                 self._cells[key] = extract_f(rep)
                 self._save(m, g)

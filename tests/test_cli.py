@@ -1,5 +1,6 @@
 """Command-line surface: routes, formats, exit codes, cache handling."""
 
+import argparse
 import errno
 import json
 import os
@@ -352,7 +353,7 @@ def test_verify_closedform(capsys):
 
 def test_closedform_checks_equal_the_fraction_suite():
     checks = []
-    cli._suite_closedform(checks)
+    cli._suite_closedform(None, 0, checks)
     assert len(checks) == 78
     assert checks == fraction_closedform_checks()
 
@@ -378,7 +379,7 @@ def test_closedform_failures_equal_the_fraction_suite(monkeypatch, capsys):
         f"genus-1 table vs formula {parts_text(parts)}"
         for m in (3, 5) for n in range(m, m + 4) for parts in parts_of_length(n, m)]
     checks = []
-    cli._suite_closedform(checks)
+    cli._suite_closedform(None, 0, checks)
     assert checks == want
     assert run(["verify", "--suite", "closedform"]) == 1
     out, err = capsys.readouterr()
@@ -432,7 +433,7 @@ def _verify_outcome(argv, capsys):
 
 def test_recurrence_checks_equal_the_fraction_suite():
     checks = []
-    cli._suite_recurrence(checks)
+    cli._suite_recurrence(None, 0, checks)
     assert len(checks) == 10 and all(c["status"] == "pass" for c in checks)
     assert checks == fraction_recurrence_checks()
 
@@ -465,7 +466,8 @@ def test_recurrence_failures_equal_the_fraction_suite(monkeypatch, capsys, docto
                             lambda n: change(f1_simple(n)) if n == at else f1_simple(n))
     want = fraction_recurrence_checks()
     assert [c["name"] for c in want if c["status"] == "fail"] == failed
-    assert _suite_outcome(cli._suite_recurrence) == ("checks", want)
+    assert _suite_outcome(lambda checks: cli._suite_recurrence(None, 0, checks)) == (
+        "checks", want)
     assert _verify_outcome(["verify", "--suite", "recurrence"], capsys) == ("checks", want)
 
 
@@ -530,6 +532,39 @@ def test_oracle_failures_equal_the_fraction_suite(monkeypatch, capsys, cell_doct
     assert _suite_outcome(lambda checks: cli._suite_oracle(eng, n_max, checks)) == want
     argv = ["verify", "--suite", "oracle", "--n-max", str(n_max)]
     assert _verify_outcome(argv, capsys) == want
+
+
+def test_verify_reads_its_suites_from_one_table(monkeypatch, capsys):
+    # the parser offers the table's suites and `all`, and `all` runs the
+    # table's suites in its order
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
+    names = list(cli.SUITES)
+    assert list(suite.choices) == names + ["all"]
+    ran = []
+    monkeypatch.setattr(cli, "SUITES", {
+        name: (lambda engine, n_max, checks, name=name: ran.append(name), budgets)
+        for name, (_, budgets) in cli.SUITES.items()})
+    assert run(["verify", "--suite", "all", "--n-max", "3"]) == 0
+    assert ran == names
+    assert json.loads(capsys.readouterr().out)["suite"] == "all"
+
+
+def test_table_csv_rows_are_the_json_terms(capsys):
+    # at every appendix (g, m) and at genus 0 up to m = 12, each CSV row is
+    # a term of `table --format json`, in its order, with the coefficient
+    # as a Fraction prints it
+    cases = [(g, m) for g, top in formulas.TABLE_M_MAX.items() for m in range(1, top + 1)]
+    for g, m in cases + [(0, m) for m in range(3, 13)]:
+        argv = ["table", "--genus", str(g), "--m", str(m), "--format"]
+        assert run(argv + ["json"]) == 0
+        terms = json.loads(capsys.readouterr().out)["terms"]
+        assert run(argv + ["csv"]) == 0
+        head, *rows = capsys.readouterr().out.splitlines()
+        assert head == "exponents,coefficient"
+        assert rows == [f"{'-'.join(map(str, e))},{Fraction(int(n), int(d))}"
+                        for e, n, d in terms], (g, m)
 
 
 def test_cache_requires_directory(capsys):

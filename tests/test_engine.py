@@ -1,11 +1,13 @@
 """The PDE pipeline: seeds, assembly, solver, extraction, orchestration."""
 
+import ast
 import functools
 import inspect
 import json
 import math
 import os
 import random
+import sys
 import textwrap
 from fractions import Fraction
 
@@ -405,8 +407,9 @@ def test_the_peel_builds_each_sub_image_once(staircase, monkeypatch):
 def test_to_obj_matches_the_form_built_from_fractions(grid):
     for (m, g), rep in grid.items():
         for p in (rep.orbit, extract_f(rep).f_e):
-            want = [[list(e), str(c.numerator), str(c.denominator)]
-                    for e, c in p.sorted_terms()]
+            # graded lex from the Fraction view, each term in lowest terms
+            terms = sorted(p.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+            want = [[list(e), str(c.numerator), str(c.denominator)] for e, c in terms]
             assert p.to_obj() == {"kind": p.kind, "arity": p.arity, "terms": want}, (m, g)
 
 
@@ -1245,3 +1248,31 @@ def test_load_and_read_cell_decode_a_rewritten_file_again(tmp_path, monkeypatch)
         path.write_text(json.dumps(json.loads(good), indent=indent))
         assert read().f_e == f_table(1, 2)
     assert calls == [(2, 1)] * 3
+
+
+def test_fresh_and_cached_cells_pass_the_one_f_gate(tmp_path, monkeypatch):
+    # (1,1) reads no other cell, so computing it extracts one f, and a
+    # second engine decodes that f from the file; `_certified_cell` gates
+    # both, and the checks on f run from nowhere else
+    called = {}
+    for name in ("_certified_cell", "_check_f", "_check_samples"):
+        def spy(*args, _real=getattr(engine, name), _name=name):
+            called.setdefault(_name, []).append(sys._getframe(1).f_code.co_name)
+            return _real(*args)
+        monkeypatch.setattr(engine, name, spy)
+    fresh = Engine(cache_dir=str(tmp_path)).cell(1, 1)
+    assert called == {"_certified_cell": ["extract_f"], "_check_f": ["_certified_cell"],
+                      "_check_samples": ["_certified_cell"]}
+    cached = Engine(cache_dir=str(tmp_path)).cell(1, 1)
+    assert cached is not fresh and cached.f_e == fresh.f_e
+    assert called["_certified_cell"] == ["extract_f", "_decode_cell"]
+    assert called["_check_f"] == called["_check_samples"] == ["_certified_cell"] * 2
+    # and no other function of the engine calls a check on f
+    callers: dict = {}
+    for func in ast.walk(ast.parse(inspect.getsource(engine))):
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                    callers.setdefault(node.func.id, set()).add(func.name)
+    assert callers["_check_f"] == callers["_check_samples"] == {"_certified_cell"}
+    assert callers["_certified_cell"] == {"extract_f", "_decode_cell"}

@@ -124,10 +124,10 @@ def test_is_symmetric():
     assert not is_symmetric(asym)
 
 
-def test_sorted_terms_graded_lex():
+def test_to_obj_terms_graded_lex():
     p = SparsePoly("Y", 2, {(0, 1): Fraction(1), (2, 0): Fraction(1), (1, 1): Fraction(1)})
-    order = [e for e, _ in p.sorted_terms()]
-    assert order == [(0, 1), (1, 1), (2, 0)]
+    order = [e for e, _, _ in p.to_obj()["terms"]]
+    assert order == [[0, 1], [1, 1], [2, 0]]
 
 
 def test_str_readable():

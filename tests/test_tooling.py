@@ -203,6 +203,20 @@ def test_the_bench_reader_names_each_file_it_cannot_read(tmp_path):
     assert proc.stdout.startswith(f"{good.name}: src_lines ")
 
 
+def test_the_bench_reader_ends_quietly_when_its_reader_closes(tmp_path):
+    # every file four times is some 190 kB, past what a pipe holds, so the
+    # tool is still writing when the reader closes after one line
+    files = [str(p) for p in _bench_files()] * 4
+    proc = subprocess.Popen([sys.executable, str(ROOT / "tools" / "bench.py"), *files],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path)
+    assert proc.stdout.readline().startswith(b"BENCH_")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
 def test_the_newest_bench_file_has_the_pairs_10_all_layout():
     doc = json.loads(_bench_files()[-1].read_text())
     for key in ("label", "change", "claim", "result", "command", "machine", "python",
@@ -268,6 +282,7 @@ UNREACHED = {
     "algebra.sym.expand_orbits": HOOK_READ,  # by Cell.poly
     "algebra.sym._reorderings": HOOK_READ,
     "algebra.sym._arrangements": HOOK_READ,
+    "algebra.poly.SparsePoly.terms": HOOK_READ,  # coefficient bits and term counts
     "engine.Engine.f_result": WORKER,
     "oracle.dfs_count": WORKER,  # and the demos
     "oracle._tally": WORKER,  # by dfs_count

@@ -18,18 +18,19 @@ the tree that goes first alternating from request to request and from
 round to round.  Both trees must give the same exit code, stdout and
 stderr for every request, and BASE's answer must pass `queries.check`;
 otherwise the tool names the request and exits 1.  It exits 2 when it
-cannot load a tree or warm the cache.
+cannot load a tree or warm the cache, and exits 1 with nothing on stderr
+when its reader closes stdout early, as the package's CLI does.
 
-It prints, per request kind, each tree's median and p99 wall time and
-its median CPU time (`time.process_time`), each with the ratio of HEAD to
-BASE; p50 and p99 over all timed requests, in wall and CPU time; each
-round's wall and CPU time ratios; and the throughput ratio (requests per
-wall second of HEAD over BASE).  A kind's p99 rests on its count times
-the rounds (30 samples for 6 requests over 5 rounds), so for a small kind
-it is close to the maximum and moves from run to run.  Limits:
-both trees share one heap and one garbage collector, so a change that
-only moves allocation or collection is not judged fairly; peak RSS
-cannot be split between them; interpreter start is not measured.
+It prints, per request kind, each tree's median wall time and median CPU
+time (`time.process_time`), each with the ratio of HEAD to BASE; p50 and
+p99 over all timed requests, in wall and CPU time; each round's wall and
+CPU time ratios; and the throughput ratio (requests per wall second of
+HEAD over BASE).  There is no p99 per kind: a kind has 30 to 600
+samples over 5 rounds, so its p99 is nearly its maximum and moves by
+tens of percent between runs of the same trees.  Limits: both trees
+share one heap and one garbage collector, so a change that only moves
+allocation or collection is not judged fairly; peak RSS cannot be split
+between them; interpreter start is not measured.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import os
 import statistics
 import subprocess
 import sys
@@ -161,14 +163,13 @@ def report(reqs, times, rounds: int):
     for i, (_, expect) in enumerate(reqs):
         kinds.setdefault(kind(expect), []).append(i)
     # clock 0 is wall time, clock 1 CPU time
-    stats = (("median", 0, statistics.median), ("p99", 0, lambda v: quantile(v, 0.99)),
-             ("cpu", 1, statistics.median))
+    stats = (("median", 0), ("cpu", 1))
     print(f"{'kind':<20}{'n':>5}" + "".join(
-        f"{label + ' base':>12}{label + ' head':>12}{'ratio':>7}" for label, _, _ in stats))
+        f"{label + ' base':>12}{label + ' head':>12}{'ratio':>7}" for label, _ in stats))
     for name in sorted(kinds):
         row = f"{name:<20}{len(kinds[name]):>5}"
-        for _, clock, summary in stats:
-            b, h = (summary([r[i][clock] for r in times[side] for i in kinds[name]])
+        for _, clock in stats:
+            b, h = (statistics.median([r[i][clock] for r in times[side] for i in kinds[name]])
                     for side in ("base", "head"))
             row += f"{b * 1e3:>12.4f}{h * 1e3:>12.4f}{h / b:>7.3f}"
         print(row)
@@ -221,4 +222,14 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; send what is still buffered nowhere, so that
+        # the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = 1
+    raise SystemExit(code)

@@ -22,12 +22,15 @@ file gives them, else the medians of its `parent` and `change` (or
 A file that is not JSON, or in which no metric can be read, is named on
 stderr with the reason, and the tool then exits 1.  Medians from
 different files come from different sessions of a shared host, so only a
-ratio within one file compares two trees.  Stdlib only.
+ratio within one file compares two trees.  A reader that closes stdout
+early ends the tool with exit 1 and nothing on stderr, as the package's
+CLI does.  Stdlib only.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 import statistics
 import sys
@@ -128,4 +131,14 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; send what is still buffered nowhere, so that
+        # the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = 1
+    raise SystemExit(code)
